@@ -127,6 +127,7 @@ class CartanData:
         self.M = M
         self._check()
         self._ctilde = None
+        self._factor_solvers = {}
         self._K_gens = None
 
     def _check(self):

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical rejection (e.g. a factorization that
 does not exist, a failed relation suite, a Z-order bound violation), 2 usage
-error.  Identical invocations produce identical bytes.
+error (argparse errors and UsageError: malformed monomial JSON or integer
+lists, a wrong-length coweight, a node out of range).  Identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .truncation import (
 )
 
 
+class UsageError(Exception):
+    """An argument the parser accepted but the command cannot use (exit 2)."""
+
+
 def _emit(args, payload, text_lines=None):
     if getattr(args, "text", False) and text_lines is not None:
         sys.stdout.write("\n".join(text_lines) + "\n")
@@ -47,6 +53,13 @@ def _cartan_of(args):
     return build_cartan(label)
 
 
+def _int(tok, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise UsageError(f"{what}: {tok.strip()!r} is not an integer") from None
+
+
 def _parse_zroots(cd, spec):
     """Grammar 'node:shift,shift;node:...' with polynomial shifts s, so that
     Z_i(z) = prod (1 - z q^s); stored internally as m = s - r_i."""
@@ -57,25 +70,27 @@ def _parse_zroots(cd, spec):
             if not block:
                 continue
             node_s, _, shifts = block.partition(":")
-            i = int(node_s)
+            i = _int(node_s, "--zroots")
             if i not in zroots:
-                raise TruncationError(f"node {i} out of range")
+                raise UsageError(f"--zroots: node {i} out of range")
             for tok in shifts.split(","):
                 if tok.strip():
-                    zroots[i].append(int(tok) - cd.ri(i))
+                    zroots[i].append(_int(tok, "--zroots") - cd.ri(i))
     return TruncationData(cd, zroots)
 
 
 def _parse_intlist(s, n, what):
-    vals = [int(x) for x in s.split(",")]
+    vals = [_int(x, what) for x in s.split(",")]
     if len(vals) != n:
-        raise TruncationError(f"{what} needs {n} comma-separated integers")
+        raise UsageError(f"{what} needs {n} comma-separated integers")
     return tuple(vals)
 
 
-def _monomial_arg(cd, s):
-    data = json.loads(s)
-    return LWeightMonomial.from_json(cd, data)
+def _monomial_arg(cd, s, what="--monomial"):
+    try:
+        return LWeightMonomial.from_json(cd, json.loads(s))
+    except (ValueError, KeyError, TypeError) as e:
+        raise UsageError(f"{what}: {e}") from None
 
 
 def _candidate_lines(cands):
@@ -123,7 +138,10 @@ def cmd_qchar(args):
         head = {}
         for block in args.head.split(";"):
             i, _, t = block.partition(":")
-            head[(int(i), int(t))] = head.get((int(i), int(t)), 0) + 1
+            key = (_int(i, "--head"), _int(t, "--head"))
+            if key[0] not in cd.nodes():
+                raise UsageError(f"--head: node {key[0]} out of range")
+            head[key] = head.get(key, 0) + 1
         x = qc_frenkel_mukhin(cd, head, args.depth)
     elif fam == "simple_sl2":
         x = qc_simple_sl2(_monomial_arg(cd, args.monomial))
@@ -215,7 +233,7 @@ def cmd_conjecture(args):
 
 def cmd_truncfd(args):
     cd = _cartan_of(args)
-    psi = _monomial_arg(cd, args.psi)
+    psi = _monomial_arg(cd, args.psi, "--psi")
     z, cert = truncfd_Z_for(psi)
     payload = {"truncation": z.to_json(), "certificate": cert}
     lines = [
@@ -233,8 +251,6 @@ def build_parser():
         "quantum affine algebras and their truncations "
         f"(kernel backend: {BACKEND})",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for enumeration (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, rank=True):
@@ -245,7 +261,8 @@ def build_parser():
                         default=False, help="JSON output (default)")
         sp.add_argument("--text", dest="text", action="store_true",
                         help="human-readable output")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads for enumeration (default 1)")
 
     sp = sub.add_parser("factor", help="factor a monomial in the A or Lambda basis")
     common(sp)
@@ -327,6 +344,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 2
     except (CartanError, TruncationError, LanglandsError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

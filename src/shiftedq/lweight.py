@@ -12,7 +12,7 @@ import json
 
 from .kernel import exps_combine
 from .scalars import ConstantFactor
-from .smith import solve_rational
+from .smith import bareiss_adjugate, laurent_divide
 
 GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiStar")
 
@@ -119,6 +119,8 @@ class LWeightMonomial:
         exps = {}
         for i, r, e in data["exps"]:
             k = (int(i), int(r))
+            if k[0] not in cd.nodes():
+                raise ValueError(f"node {k[0]} out of range for {cd.type_label}")
             exps[k] = exps.get(k, 0) + int(e)
         const = (
             ConstantFactor.from_json(data["const"], cd.M)
@@ -262,77 +264,54 @@ def _basis_pattern(cd, basis, j):
     return {ko: c for ko, c in pat.items() if c}
 
 
-def _greedy_factor(m, basis):
-    """Fast path for rank 1 / simply-laced: peel from the top shift."""
-    cd = m.cd
-    work = dict(m.exps)
-    pat = {j: _basis_pattern(cd, basis, j) for j in cd.nodes()}
-    top_off = {j: max(o for (_, o) in pat[j]) for j in cd.nodes()}
-    sign = 1 if basis == "Lambda" else -1
-    out = {}
-    steps = 0
-    while work:
-        steps += 1
-        if steps > 10000:
-            return None
-        t = max(r for (_, r) in work)
-        # at the global top shift, only the own-column top can contribute
-        k = min(j for (j, r) in work if r == t)
-        u = t - top_off[k]
-        v = sign * work[(k, t)]
-        out[(k, u)] = out.get((k, u), 0) + v
-        for (kk, o), c in pat[k].items():
-            s = work.get((kk, u + o), 0) - c * v
-            if s:
-                work[(kk, u + o)] = s
-            else:
-                work.pop((kk, u + o), None)
-    return out
+def _factor_solver(cd, basis):
+    """(det P, adj P) of the pattern matrix P of the basis, cached on cd.
+
+    P[k][j] = sum of c x^o over _basis_pattern(cd, basis, j), so that at node
+    k the monomial prod basis_{j,q^u}^{v_{j,u}} has the Laurent polynomial
+    sum_j P[k][j] v_j with v_j = sum_u v_{j,u} x^u.  adj P is stored as
+    (exponent, coefficient) pairs per entry.
+    """
+    solver = cd._factor_solvers.get(basis)
+    if solver is None:
+        P = [[{} for _ in cd.nodes()] for _ in cd.nodes()]
+        for j in cd.nodes():
+            for (k, o), c in _basis_pattern(cd, basis, j).items():
+                P[k - 1][j - 1][o] = c
+        det, adj = bareiss_adjugate(P)
+        solver = (det, [[tuple(x.items()) for x in row] for row in adj])
+        cd._factor_solvers[basis] = solver
+    return solver
 
 
 def factor_in_basis(m, basis):
     """Exponent map v with monomial(m) = prod basis_{i,q^u}^{v_{i,u}}, or None.
 
-    The constant prefactor of m is ignored.  Solution is unique when it
-    exists (invertibility of the quantum Cartan matrix); computed by an
-    exact windowed linear solve, with a greedy fast path in the unmixed
-    cases, verified by re-expansion.
+    The constant prefactor of m is ignored.  With m_k the Laurent polynomial
+    of m at node k and P the pattern matrix of the basis (_factor_solver),
+    v = adj(P) m / det(P): m factorizes exactly when every entry of adj(P) m
+    is divisible by det(P) in Z[x^+-1], and the solution is then unique.  The
+    result is verified by re-expansion.
     """
     cd = m.cd
     if not m.exps:
         return {}
-    if basis == "A" and any(m.coweight()):
-        return None  # A-monomials are degree 0 at every node
-    if cd.lacing == 1 or cd.n == 1:
-        v = _greedy_factor(m, basis)
-        if v is not None:
-            v = {k: e for k, e in v.items() if e}
-            if expand_in_basis(cd, basis, v).exps == m.exps:
-                return v
-    lo = min(r for (_, r) in m.exps)
-    hi = max(r for (_, r) in m.exps)
-    pad = max(2 * max(cd.r), max(abs(b) for row in cd.B for b in row))
-    cols = [(j, u) for j in cd.nodes() for u in range(lo - pad, hi + pad + 1)]
-    col_index = {c: k for k, c in enumerate(cols)}
-    rows = [(k, t) for k in cd.nodes() for t in range(lo - 2 * pad, hi + 2 * pad + 1)]
-    A = [[0] * len(cols) for _ in rows]
-    row_index = {rr: k for k, rr in enumerate(rows)}
-    for (j, u) in cols:
-        for (k, o), c in _basis_pattern(cd, basis, j).items():
-            rr = row_index.get((k, u + o))
-            if rr is not None:
-                A[rr][col_index[(j, u)]] += c
-    b = [m.exps.get(rr, 0) for rr in rows]
-    x, consistent, unique = solve_rational(A, b)
-    if not consistent:
-        return None
-    assert unique, "windowed factorization system should be determined"
+    det, adj = _factor_solver(cd, basis)
+    node_polys = [[] for _ in cd.nodes()]
+    for (k, t), e in m.exps.items():
+        node_polys[k - 1].append((t, e))
     out = {}
-    for c, val in zip(cols, x):
-        if val:
-            if val.denominator != 1:
-                return None
-            out[c] = int(val)
+    for j, row in enumerate(adj, 1):
+        num = {}
+        for entry, mk in zip(row, node_polys):
+            for t, e in mk:
+                for o, c in entry:
+                    num[t + o] = num.get(t + o, 0) + e * c
+        v = laurent_divide({s: c for s, c in num.items() if c}, det)
+        if v is None:
+            return None
+        for u, c in v.items():
+            out[(j, u)] = c
     if expand_in_basis(cd, basis, out).exps != m.exps:
         return None
     return out

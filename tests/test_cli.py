@@ -100,3 +100,44 @@ def test_conjecture_signtwist_flags():
     # both sides are derived from the same normalization
     r = run(*base, "--exact-constants")
     assert r.returncode == 0
+
+
+def assert_usage_error(r):
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+
+
+def test_malformed_json_is_usage_error():
+    assert_usage_error(run("factor", "--type", "B2", "--basis", "a",
+                           "--monomial", '{"exps":[[1,0,1]'))
+    assert_usage_error(run("truncfd", "--type", "B2", "--psi", "not json"))
+
+
+def test_wrong_length_coweight_is_usage_error():
+    assert_usage_error(run("truncate", "--type", "B2", "--lambda", "0,1,0",
+                           "--zroots", "2:0", "--mu", "0,0"))
+    assert_usage_error(run("truncate", "--type", "B2", "--lambda", "0,1",
+                           "--zroots", "2:0", "--mu", "0"))
+
+
+def test_out_of_range_node_is_usage_error():
+    for node in (0, 5):
+        mono = json.dumps({"exps": [[node, 0, 1], [node, 2, -1]]})
+        r = run("factor", "--type", "B2", "--basis", "a", "--monomial", mono)
+        assert_usage_error(r)
+        assert "out of range" in r.stderr
+    assert_usage_error(run("truncate", "--type", "B2", "--lambda", "0,1",
+                           "--zroots", "3:0", "--mu", "0,0"))
+    assert_usage_error(run("qchar", "--type", "B2", "--family", "fm", "--head", "3:0"))
+
+
+def test_malformed_integers_are_usage_errors():
+    assert_usage_error(run("truncate", "--type", "B2", "--lambda", "0,1",
+                           "--zroots", "x:0", "--mu", "0,0"))
+    assert_usage_error(run("qchar", "--type", "B2", "--family", "fm", "--head", "2:a"))
+
+
+def test_top_level_threads_rejected():
+    r = run("--threads", "4", "truncate", "--type", "B2", "--lambda", "0,1",
+            "--zroots", "2:0", "--mu", "0,0")
+    assert r.returncode == 2

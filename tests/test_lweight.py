@@ -6,6 +6,8 @@ import pytest
 from shiftedq.cartan import build_cartan
 from shiftedq.lweight import (
     LWeightMonomial,
+    _basis_pattern,
+    _factor_solver,
     dominant_factorization,
     equal_mod_signtwist,
     expand_in_basis,
@@ -15,6 +17,7 @@ from shiftedq.lweight import (
     leq,
 )
 from shiftedq.scalars import ConstantFactor
+from shiftedq.smith import solve_rational
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -148,6 +151,120 @@ def test_factor_absence_is_valid():
     assert factor_in_basis(m, "Lambda") is None
 
 
+ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
+              "E6", "E7", "E8", "F4", "G2"]
+
+
+def _random_vmap(rng, cd, terms=4, span=6):
+    vmap = {}
+    for _ in range(terms):
+        key = (rng.choice(list(cd.nodes())), rng.randint(-span, span))
+        vmap[key] = vmap.get(key, 0) + rng.choice((-2, -1, 1, 2))
+    return {k: e for k, e in vmap.items() if e}
+
+
+@pytest.mark.parametrize("basis", ["A", "Lambda"])
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_factor_roundtrip_every_type(label, basis):
+    cd = build_cartan(label)
+    rng = random.Random(f"roundtrip:{label}:{basis}")
+    for _ in range(6):
+        vmap = _random_vmap(rng, cd)
+        assert factor_in_basis(expand_in_basis(cd, basis, vmap), basis) == vmap
+
+
+@pytest.mark.parametrize("basis", ["A", "Lambda"])
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_factor_perturbed_rejected_or_exact(label, basis):
+    cd = build_cartan(label)
+    rng = random.Random(f"perturbed:{label}:{basis}")
+    for _ in range(6):
+        m = expand_in_basis(cd, basis, _random_vmap(rng, cd))
+        i, u = rng.choice(list(cd.nodes())), rng.randint(-6, 6)
+        single = generator(cd, "Psi", i, u)
+        pair = single / generator(cd, "Psi", i, u + rng.randint(1, 4))
+        for bad in (m * single, m * pair):
+            v = factor_in_basis(bad, basis)
+            assert v is None or expand_in_basis(cd, basis, v).exps == bad.exps
+
+
+def _laurent_matmul(X, Y):
+    out = []
+    for row in X:
+        out_row = []
+        for j in range(len(Y[0])):
+            acc = {}
+            for x, y_row in zip(row, Y):
+                for ex, cx in x.items():
+                    for ey, cy in y_row[j].items():
+                        acc[ex + ey] = acc.get(ex + ey, 0) + cx * cy
+            out_row.append({e: c for e, c in acc.items() if c})
+        out.append(out_row)
+    return out
+
+
+@pytest.mark.parametrize("basis", ["A", "Lambda"])
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_factor_solver_adjugate(label, basis):
+    cd = build_cartan(label)
+    det, adj = _factor_solver(cd, basis)
+    P = [[{} for _ in cd.nodes()] for _ in cd.nodes()]
+    for j in cd.nodes():
+        for (k, o), c in _basis_pattern(cd, basis, j).items():
+            P[k - 1][j - 1][o] = c
+    prod = _laurent_matmul([[dict(x) for x in row] for row in adj], P)
+    assert prod == [[det if i == j else {} for j in range(cd.n)] for i in range(cd.n)]
+
+
+def _windowed_factor(m, basis):
+    """The dense windowed Fraction solve that factor_in_basis used to run,
+    kept as an independent oracle."""
+    cd = m.cd
+    if not m.exps:
+        return {}
+    if basis == "A" and any(m.coweight()):
+        return None
+    lo = min(r for (_, r) in m.exps)
+    hi = max(r for (_, r) in m.exps)
+    pad = max(2 * max(cd.r), max(abs(b) for row in cd.B for b in row))
+    cols = [(j, u) for j in cd.nodes() for u in range(lo - pad, hi + pad + 1)]
+    col_index = {c: k for k, c in enumerate(cols)}
+    rows = [(k, t) for k in cd.nodes() for t in range(lo - 2 * pad, hi + 2 * pad + 1)]
+    row_index = {rr: k for k, rr in enumerate(rows)}
+    A = [[0] * len(cols) for _ in rows]
+    for (j, u) in cols:
+        for (k, o), c in _basis_pattern(cd, basis, j).items():
+            rr = row_index.get((k, u + o))
+            if rr is not None:
+                A[rr][col_index[(j, u)]] += c
+    x, consistent, _ = solve_rational(A, [m.exps.get(rr, 0) for rr in rows])
+    if not consistent:
+        return None
+    out = {}
+    for c, val in zip(cols, x):
+        if val:
+            if val.denominator != 1:
+                return None
+            out[c] = int(val)
+    if expand_in_basis(cd, basis, out).exps != m.exps:
+        return None
+    return out
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_factor_agrees_with_windowed_oracle(label):
+    cd = build_cartan(label)
+    rng = random.Random(f"oracle:{label}")
+    for basis in ("A", "Lambda"):
+        for _ in range(4):
+            m = expand_in_basis(cd, basis, _random_vmap(rng, cd, terms=3, span=3))
+            i, u = rng.choice(list(cd.nodes())), rng.randint(-3, 3)
+            single = generator(cd, "Psi", i, u)
+            pair = single / generator(cd, "Psi", i, u + rng.randint(1, 4))
+            for x in (m, m * single, m * pair):
+                assert factor_in_basis(x, basis) == _windowed_factor(x, basis)
+
+
 # --- dominance -------------------------------------------------------------
 
 def test_dominant_examples():
@@ -244,6 +361,12 @@ def test_json_roundtrip_bit_exact():
     back = LWeightMonomial.from_json(B2, __import__("json").loads(s))
     assert back == m
     assert back.dumps() == s
+
+
+def test_json_rejects_out_of_range_node():
+    for node in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            LWeightMonomial.from_json(B2, {"exps": [[node, 0, 1]]})
 
 
 # --- hypothesis property tests ----------------------------------------------
