@@ -10,11 +10,11 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .cartan import CartanError, build_cartan
-from .kernel import BACKEND
 from .langlands import (
     LanglandsError,
     conjecture_report,
@@ -185,7 +185,7 @@ def cmd_truncate(args):
     mu = _parse_intlist(args.mu, cd.n, "--mu")
     if tuple(lam) != z.lam:
         raise TruncationError("lambda does not match the zroot counts")
-    cands = enumerate_candidates(z, lam, mu, threads=args.threads)
+    cands = enumerate_candidates(z, lam, mu)
     cands = [descent_refine(z, c, args.depth) for c in cands]
     payload = {
         "truncation": z.to_json(),
@@ -216,7 +216,7 @@ def cmd_conjecture(args):
     cd = _cartan_of(args)
     z = _parse_zroots(cd, args.zroots)
     lam = _parse_intlist(args.lam, cd.n, "--lambda") if args.lam else z.lam
-    rep = conjecture_report(z, lam, depth=args.depth, threads=args.threads,
+    rep = conjecture_report(z, lam, depth=args.depth,
                             up_to_signtwist=args.up_to_signtwist)
     lines = [f"chi_L terms: {rep['chi_L_terms']}  ok={rep['ok']}"]
     for w in rep["weights"]:
@@ -244,12 +244,12 @@ def cmd_truncfd(args):
     return 0 if cert["holds"] else 1
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="shiftedq",
         description="Exact l-weight/q-character combinatorics of shifted "
-        "quantum affine algebras and their truncations "
-        f"(kernel backend: {BACKEND})",
+        "quantum affine algebras and their truncations",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -261,8 +261,6 @@ def build_parser():
                         default=False, help="JSON output (default)")
         sp.add_argument("--text", dest="text", action="store_true",
                         help="human-readable output")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for enumeration (default 1)")
 
     sp = sub.add_parser("factor", help="factor a monomial in the A or Lambda basis")
     common(sp)

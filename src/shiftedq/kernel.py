@@ -1,23 +1,96 @@
-"""Kernel backend selection: compiled extension if available, else pure Python.
+"""Kernels for sparse Laurent-polynomial dictionaries.
 
-Set SHIFTEDQ_PURE=1 to force the pure-Python kernels (used by the benchmark
-and to test both paths).
+A polynomial in one variable is a dict {exponent: coefficient} with int
+exponents and nonzero coefficients (Fraction or GaussianRational).  These
+functions are the hot inner loops of the exact arithmetic.
 """
 
-import os
+# Reported in benchmark run records; this is the only kernel.
+BACKEND = "python"
 
-if os.environ.get("SHIFTEDQ_PURE") == "1":
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
 
-BACKEND = _impl.BACKEND
-poly_add = _impl.poly_add
-poly_sub = _impl.poly_sub
-poly_neg = _impl.poly_neg
-poly_mul = _impl.poly_mul
-poly_scale = _impl.poly_scale
-exps_combine = _impl.exps_combine
+def poly_add(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def poly_sub(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = -c
+        else:
+            s = s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def poly_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(b) < len(a):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            p = ca * cb
+            s = out.get(e)
+            if s is None:
+                out[e] = p
+            else:
+                s = s + p
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def poly_scale(a, c, shift=0):
+    """c * v**shift * a, dropping zeros."""
+    if not c:
+        return {}
+    return {e + shift: co * c for e, co in a.items()}
+
+
+def exps_combine(a, b, sign):
+    """Exponent-map sum a + sign*b for sparse int-valued dicts."""
+    out = dict(a)
+    if sign == 1:
+        for k, e in b.items():
+            s = out.get(k, 0) + e
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    else:
+        for k, e in b.items():
+            s = out.get(k, 0) - e
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out

@@ -231,7 +231,7 @@ def zorder_bound_holds(zexps, z):
     return cert is not None and all(v >= 0 for v in cert.values())
 
 
-def conjecture_report(z, lam, depth=2, threads=1, up_to_signtwist=True):
+def conjecture_report(z, lam, depth=2, up_to_signtwist=True):
     """Compare the monomials of chi_q^L(V^L) (set A, via Psi_M) against the
     truncation candidates (set B) weight by weight, modulo sign-twist."""
     cd = z.cd
@@ -262,7 +262,7 @@ def conjecture_report(z, lam, depth=2, threads=1, up_to_signtwist=True):
         else:
             cands = [
                 descent_refine(z, c, depth)
-                for c in enumerate_candidates(z, lam, mu, threads=threads)
+                for c in enumerate_candidates(z, lam, mu)
             ]
             refuted = [c for c in cands if c.status == STATUS_REFUTED]
             cands = [c for c in cands if c.status != STATUS_REFUTED]

@@ -9,6 +9,7 @@ of the truncation are searched as Z * prod Lambda^{-v} with v >= 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .cartan import build_cartan, invert_quantum_cartan
 from .lweight import (
@@ -365,7 +366,7 @@ def _multisets(window, k):
     return combinations_with_replacement(window, k)
 
 
-def enumerate_candidates(z, lam, mu, threads=1, max_combos=20_000_000):
+def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
     """Exhaustive finite search for descent candidates.
 
     Enumerates Lambda-exponent maps v >= 0 with per-node sums a_i and
@@ -412,51 +413,30 @@ def enumerate_candidates(z, lam, mu, threads=1, max_combos=20_000_000):
     zexps = zmono.exps
     ri_of = {i: cd.ri(i) for i in cd.nodes()}
 
-    def scan(opt_lists):
-        from itertools import product as iproduct
-
-        hits = []
-        for combo in iproduct(*opt_lists):
-            lam_exps = combo[0][1]
-            for _, acc in combo[1:]:
-                lam_exps = exps_combine(lam_exps, acc, 1)
-            psi_exps = exps_combine(zexps, lam_exps, -1)
-            # clause (b): poles of Psi_i must divide the Ybar polynomial
-            ok = True
-            for (j, t), e in psi_exps.items():
-                if e < 0:
-                    cover = 0
-                    for (vloc, _) in combo:
-                        cover += vloc.get((j, t + ri_of[j]), 0)
-                    if cover < -e:
-                        ok = False
-                        break
-            if ok:
-                v = {}
-                for vloc, _ in combo:
-                    v.update(vloc)
-                hits.append((psi_exps, v))
-        return hits
-
-    if threads > 1 and len(per_node[0]) >= threads:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [per_node[0][k::threads] for k in range(threads)]
-        hits = []
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [
-                ex.submit(scan, [chunk] + per_node[1:]) for chunk in chunks if chunk
-            ]
-            for f in futs:
-                hits.extend(f.result())
-    else:
-        hits = scan(per_node)
-
     seen = {}
-    for psi_exps, v in hits:
+    for combo in product(*per_node):
+        lam_exps = combo[0][1]
+        for _, acc in combo[1:]:
+            lam_exps = exps_combine(lam_exps, acc, 1)
+        psi_exps = exps_combine(zexps, lam_exps, -1)
+        # clause (b): poles of Psi_i must divide the Ybar polynomial
+        ok = True
+        for (j, t), e in psi_exps.items():
+            if e < 0:
+                cover = 0
+                for (vloc, _) in combo:
+                    cover += vloc.get((j, t + ri_of[j]), 0)
+                if cover < -e:
+                    ok = False
+                    break
+        if not ok:
+            continue
         psi = LWeightMonomial(cd, psi_exps)
         if psi.coweight() != tuple(mu):
             continue
+        v = {}
+        for vloc, _ in combo:
+            v.update(vloc)
         rep = maint_check(z, lam, mu, psi, cert=v)
         if not rep["ok"]:
             continue

@@ -141,3 +141,29 @@ def test_top_level_threads_rejected():
     r = run("--threads", "4", "truncate", "--type", "B2", "--lambda", "0,1",
             "--zroots", "2:0", "--mu", "0,0")
     assert r.returncode == 2
+
+
+def test_subcommand_threads_rejected():
+    for argv in (("truncate", "--type", "B2", "--lambda", "0,1",
+                  "--zroots", "2:0", "--mu", "0,0"),
+                 ("qchar", "--type", "A1", "--family", "neg_prefund_sl2")):
+        r = run(*argv, "--threads", "2")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --threads 2" in r.stderr
+
+
+def test_parser_reused_across_calls(capsys):
+    from shiftedq import cli
+
+    truncate = ("truncate", "--type", "B2", "--lambda", "0,1",
+                "--zroots", "2:0", "--mu", "0,0")
+    factor = ("factor", "--type", "B2", "--basis", "lambda", "--text",
+              "--monomial", json.dumps({"exps": [], "const": [[0, 1, 0], [0, 1, 0]]}))
+    outs = []
+    for argv in (truncate, factor, truncate):
+        assert cli.main(list(argv)) == 0
+        outs.append(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+    # each in-process output is the one a fresh process prints
+    assert outs[0] == outs[2] == run(*truncate).stdout
+    assert outs[1] == run(*factor).stdout == "empty certificate\n"

@@ -180,12 +180,6 @@ def test_enumerate_deterministic_and_canonical():
     assert keys == sorted(keys)
 
 
-def test_enumerate_threads_agree():
-    a = enumerate_candidates(Z_B2, (0, 1), (0, -1), threads=1)
-    b = enumerate_candidates(Z_B2, (0, 1), (0, -1), threads=3)
-    assert [c.psi.to_json() for c in a] == [c.psi.to_json() for c in b]
-
-
 def test_sl2_classify_contained_in_enumerate():
     for mu in [(2,), (0,), (-2,)]:
         cls = {c.psi.exps_key() for c in sl2_classify(Z_SL2, (2,), mu)}
