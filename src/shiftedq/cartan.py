@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import ConstantFactor, ExactScalar, ONE, qnum
-from .smith import invariant_factors, kernel_mod
+from .smith import invariant_factors
 
 
 class CartanError(ValueError):
@@ -128,7 +128,7 @@ class CartanData:
         self._check()
         self._ctilde = None
         self._factor_solvers = {}
-        self._K_gens = None
+        self._basis_patterns = {}
 
     def _check(self):
         n = self.n
@@ -195,13 +195,6 @@ class CartanData:
         """Invariant factors of K = coker(C^T) (via Smith normal form)."""
         Ct = [[self.C[j][i] for j in range(self.n)] for i in range(self.n)]
         return [d for d in invariant_factors(Ct) if d not in (1, -1)]
-
-    def k_group_zeta_gens(self):
-        """Generators of K intersected with the zeta_M coordinate group."""
-        if self._K_gens is None:
-            Ct = [[self.C[j][i] for j in range(self.n)] for i in range(self.n)]
-            self._K_gens = kernel_mod(Ct, self.M)
-        return self._K_gens
 
     def in_K(self, const):
         """Exact membership of a ConstantFactor in the group K."""

@@ -10,6 +10,7 @@ node 1 as its displayed 4-term specialization.
 
 from __future__ import annotations
 
+from .kernel import exps_combine
 from .lweight import (
     LWeightMonomial,
     dominant_factorization,
@@ -35,17 +36,6 @@ class LanglandsError(ValueError):
 
 def _zkey(zexps):
     return tuple(sorted((k, e) for k, e in zexps.items() if e))
-
-
-def _zmul(a, b):
-    out = dict(a)
-    for k, e in b.items():
-        s = out.get(k, 0) + e
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 class LanglandsChar:
@@ -193,12 +183,12 @@ def chi_L_standard(z):
             shift = -cd.ri(i) - m
             f = chi_L_fundamental(cd, i, shift)
             prov.extend(f.provenance)
-            head = _zmul(head, f.head)
+            head = exps_combine(head, f.head, 1)
             nxt = {}
             for k1, c1 in out_terms.items():
                 d1 = dict(k1)
                 for k2, c2 in f.terms.items():
-                    k = _zkey(_zmul(d1, dict(k2)))
+                    k = _zkey(exps_combine(d1, dict(k2), 1))
                     nxt[k] = nxt.get(k, 0) + c1 * c2
             out_terms = nxt
     return LanglandsChar(cd, out_terms, head, prov)

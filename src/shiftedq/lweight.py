@@ -16,6 +16,11 @@ from .smith import bareiss_adjugate, laurent_divide
 
 GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiStar")
 
+# Keyed by a Cartan entry c < 0: the shifts o of the factors Psi_{j,q^o}^{-1}
+# of Lambda_{i,q^0} when C_{i,j} = c, and of the Y_{j,q^o}^{-1} of A_{i,q^0}
+# when C_{j,i} = c.
+NEIGHBOUR_OFFSETS = {-1: (0,), -2: (-1, 1), -3: (-2, 0, 2)}
+
 
 class LWeightMonomial:
     __slots__ = ("cd", "exps", "const", "_key")
@@ -158,45 +163,18 @@ def generator(cd, kind, i, r):
     if kind == "Ytilde":
         ri = cd.ri(i)
         return LWeightMonomial(cd, {(i, r - ri): 1, (i, r + ri): -1})
-    if kind == "A":
-        exps = {}
-        for j in cd.nodes():
-            b = cd.b(i, j)
-            if b:
-                exps = exps_combine(exps, {(j, r + b): -1, (j, r - b): 1}, 1)
-        return LWeightMonomial(cd, exps, cd.alpha_bar(i))
-    if kind == "Lambda":
-        ri = cd.ri(i)
-        exps = {(i, r - ri): 1}
-        exps = exps_combine(exps, {(i, r + ri): 1}, 1)
-        for j in cd.nodes():
-            c = cd.c(i, j)
-            if c == -1:
-                offs = (0,)
-            elif c == -2:
-                offs = (-1, 1)
-            elif c == -3:
-                offs = (-2, 0, 2)
-            else:
-                continue
-            for o in offs:
-                exps = exps_combine(exps, {(j, r + o): -1}, 1)
-        return LWeightMonomial(cd, exps)
+    if kind in ("A", "Lambda"):
+        pat, const = _basis_generator(cd, kind, i)
+        return LWeightMonomial(
+            cd, {(k, r + o): c for (k, o), c in pat.items()}, const
+        )
     if kind == "PsiTilde":
+        # Psi_{i,r}^{-1} prod_j Psi_{j,r+r_i+o} = Psi_{i,r+2r_i} / Lambda_{i,r+r_i}
         ri = cd.ri(i)
         exps = {(i, r): -1}
         for j in cd.nodes():
-            c = cd.c(i, j)
-            if c == -1:
-                offs = (ri,)
-            elif c == -2:
-                offs = (0, 2)
-            elif c == -3:
-                offs = (-1, 1, 3)
-            else:
-                continue
-            for o in offs:
-                exps = exps_combine(exps, {(j, r + o): 1}, 1)
+            for o in NEIGHBOUR_OFFSETS.get(cd.c(i, j), ()):
+                exps[(j, r + ri + o)] = 1
         return LWeightMonomial(cd, exps)
     if kind == "PsiStar":
         exps = {(i, r): -1}
@@ -234,34 +212,39 @@ def expand_in_basis(cd, basis, vmap):
 # factorization in the A / Lambda bases
 # ---------------------------------------------------------------------------
 
+def _basis_generator(cd, basis, j):
+    """basis_{j, q^0} as ({(k, offset): coeff}, constant), cached on cd.
+
+    A_{j,q^0} has Psi_{k, q^{+-B_jk}}^{-+1} for every B_jk != 0 and the
+    constant alpha-bar_j; Lambda_{j,q^0} is Psi_{j,q^{-r_j}} Psi_{j,q^{r_j}}
+    times Psi_{k,q^o}^{-1} for o in NEIGHBOUR_OFFSETS[C_jk].
+    """
+    hit = cd._basis_patterns.get((basis, j))
+    if hit is None:
+        if basis == "A":
+            pat = {}
+            for k in cd.nodes():
+                b = cd.b(j, k)
+                if b:
+                    pat[(k, b)] = -1
+                    pat[(k, -b)] = 1
+            const = cd.alpha_bar(j)
+        elif basis == "Lambda":
+            rj = cd.ri(j)
+            pat = {(j, -rj): 1, (j, rj): 1}
+            for k in cd.nodes():
+                for o in NEIGHBOUR_OFFSETS.get(cd.c(j, k), ()):
+                    pat[(k, o)] = -1
+            const = cd.const_one()
+        else:
+            raise ValueError(f"unknown basis {basis!r}")
+        hit = cd._basis_patterns[(basis, j)] = (pat, const)
+    return hit
+
+
 def _basis_pattern(cd, basis, j):
     """Contributions of basis_{j, q^0} as {(k, offset): coeff}."""
-    pat = {}
-    if basis == "A":
-        for k in cd.nodes():
-            b = cd.b(j, k)
-            if b:
-                pat[(k, b)] = pat.get((k, b), 0) - 1
-                pat[(k, -b)] = pat.get((k, -b), 0) + 1
-    elif basis == "Lambda":
-        rj = cd.ri(j)
-        pat[(j, -rj)] = pat.get((j, -rj), 0) + 1
-        pat[(j, rj)] = pat.get((j, rj), 0) + 1
-        for k in cd.nodes():
-            c = cd.c(j, k)
-            if c == -1:
-                offs = (0,)
-            elif c == -2:
-                offs = (-1, 1)
-            elif c == -3:
-                offs = (-2, 0, 2)
-            else:
-                continue
-            for o in offs:
-                pat[(k, o)] = pat.get((k, o), 0) - 1
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return {ko: c for ko, c in pat.items() if c}
+    return _basis_generator(cd, basis, j)[0]
 
 
 def _factor_solver(cd, basis):
@@ -321,25 +304,50 @@ def factor_in_basis(m, basis):
 # dominance, partial orders, sign-twist equality
 # ---------------------------------------------------------------------------
 
+def residue_classes(node_exps, step):
+    """Group {shift: exp} of one node by shift mod step (= 2 r_i).
+
+    Classes come in the order their first shift appears in node_exps; each
+    is a list of (shift, exp) sorted by shift.
+    """
+    byres = {}
+    for r, e in node_exps.items():
+        byres.setdefault(r % step, []).append((r, e))
+    return [sorted(seq) for seq in byres.values()]
+
+
+def pair_class(seq):
+    """LIFO matching of one residue class: each -1 at t closes the latest
+    open +1 at some s < t.
+
+    Returns (chains, leftovers): chains lists (s, t) in matching order and
+    leftovers the unmatched +1 shifts; None when some -1 has no open +1.
+    """
+    stack = []  # open +1 shifts, multiplicity-expanded
+    chains = []
+    for r, e in seq:
+        if e > 0:
+            stack.extend([r] * e)
+        else:
+            for _ in range(-e):
+                if not stack:
+                    return None
+                chains.append((stack.pop(), r))
+    return chains, stack
+
+
 def is_dominant(m):
     """True iff m/const is a product of Y-tilde_{i,a} and Psi_{i,a} factors.
 
     Per node, every -1 exponent at shift t must pair injectively with a +1
-    at t - 2k r_i (k >= 1): a prefix-sum test per residue class mod 2 r_i.
+    at t - 2k r_i (k >= 1), residue class by residue class mod 2 r_i.
     """
     cd = m.cd
-    for i in cd.nodes():
-        step = 2 * cd.ri(i)
-        byres = {}
-        for r, e in m.node_exps(i).items():
-            byres.setdefault(r % step, []).append((r, e))
-        for seq in byres.values():
-            total = 0
-            for _, e in sorted(seq):
-                total += e
-                if total < 0:
-                    return False
-    return True
+    return all(
+        pair_class(seq) is not None
+        for i in cd.nodes()
+        for seq in residue_classes(m.node_exps(i), 2 * cd.ri(i))
+    )
 
 
 def dominant_factorization(m):
@@ -355,21 +363,13 @@ def dominant_factorization(m):
     leftovers = {}
     for i in cd.nodes():
         step = 2 * cd.ri(i)
-        byres = {}
-        for r, e in m.node_exps(i).items():
-            byres.setdefault(r % step, []).append((r, e))
-        for seq in byres.values():
-            stack = []  # open +1 shifts, multiplicity-expanded
-            for r, e in sorted(seq):
-                if e > 0:
-                    stack.extend([r] * e)
-                else:
-                    for _ in range(-e):
-                        if not stack:
-                            raise ValueError("monomial is not dominant")
-                        s = stack.pop()
-                        chains.append((i, s, (r - s) // step))
-            for s in stack:
+        for seq in residue_classes(m.node_exps(i), step):
+            paired = pair_class(seq)
+            if paired is None:
+                raise ValueError("monomial is not dominant")
+            for s, t in paired[0]:
+                chains.append((i, s, (t - s) // step))
+            for s in paired[1]:
                 leftovers[(i, s)] = leftovers.get((i, s), 0) + 1
     return sorted(chains), leftovers
 

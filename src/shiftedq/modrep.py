@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import build_cartan
+from .kernel import poly_add
 from .lweight import factor_in_basis
 from .qchar import qc_closed_form
 from .scalars import ExactScalar, ONE, ZERO, ConstantFactor, qnum, qbinom
@@ -21,18 +22,6 @@ X_PLUS, X_MINUS, PHI_PLUS, PHI_MINUS = "x+", "x-", "phi+", "phi-"
 # ---------------------------------------------------------------------------
 # sparse matrix helpers
 # ---------------------------------------------------------------------------
-
-def mat_apply(mat, vec):
-    """Apply {(r,c): s} to {c: s}."""
-    out = {}
-    for c, v in vec.items():
-        for (r, cc), s in mat.items():
-            if cc == c:
-                acc = out.get(r)
-                p = s * v
-                out[r] = p if acc is None else acc + p
-    return {r: v for r, v in out.items() if v}
-
 
 def mat_by_cols(mat):
     cols = {}
@@ -619,10 +608,10 @@ def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
     eye2 = {(j, j): ONE for j in range(n2)}
     kpm = "kinv" if sign > 0 else "k"
     kpm2 = "k" if sign > 0 else "kinv"
-    E = poly_mat_add(
+    E = poly_add(
         _kron(m1.matrix("e"), eye2, n2), _kron(m1.matrix(kpm), m2.matrix("e"), n2)
     )
-    F = poly_mat_add(
+    F = poly_add(
         _kron(m1.matrix("f"), m2.matrix(kpm2), n2), _kron(eye1, m2.matrix("f"), n2)
     )
     K = _kron(m1.matrix("k"), m2.matrix("k"), n2)
@@ -662,18 +651,6 @@ def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
         ok = ok and res["ok"]
     return {"ok": ok, "kind": f"coproduct_{'plus' if sign > 0 else 'minus'}",
             "families": families}
-
-
-def poly_mat_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = v if cur is None else cur + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ heads; other dominant heads are accepted but flagged heuristic.
 from __future__ import annotations
 
 from .lweight import (
+    NEIGHBOUR_OFFSETS,
     LWeightMonomial,
     dominant_factorization,
     expand_in_basis,
@@ -241,11 +242,9 @@ def _y_exps_of_a(cd, i):
     ri = cd.ri(i)
     out = {(i, -ri): 1, (i, ri): 1}
     for j in cd.nodes():
-        c = cd.c(j, i)
-        offs = {-1: (0,), -2: (-1, 1), -3: (-2, 0, 2)}.get(c, ())
-        for o in offs:
-            out[(j, o)] = out.get((j, o), 0) - 1
-    return {k: v for k, v in out.items() if v}
+        for o in NEIGHBOUR_OFFSETS.get(cd.c(j, i), ()):
+            out[(j, o)] = -1
+    return out
 
 
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
@@ -497,10 +496,8 @@ def check_identity(cd, kind, i, r, depth):
         x2 = x2.scale_monomial(tw)
         m2 = LWeightMonomial(cd)
         for j in cd.nodes():
-            c = cd.c(i, j)
-            offs = {-1: (cd.ri(i),), -2: (0, 2), -3: (-1, 1, 3)}.get(c, ())
-            for o in offs:
-                m2 = m2 * generator(cd, "Psi", j, r + o)
+            for o in NEIGHBOUR_OFFSETS.get(cd.c(i, j), ()):
+                m2 = m2 * generator(cd, "Psi", j, r + ri + o)
         rhs_terms = dict(x2.terms)
         rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
         rhs = QCharacter(cd, x2.head, rhs_terms, depth, False, dict(x2.paths))

@@ -1,10 +1,10 @@
 """Integer Smith normal form and small exact linear solvers.
 
 Used for: structure of the sign-twist group K (torsion of coker C^T),
-solving C^T x = b over Q (z'-class construction) and C^T k = b over Z/M
-(root-of-unity parts), membership tests in subgroups of (Z/M)^n, and the
-determinant and adjugate of a square matrix over Z[x^+-1] (factorization of
-l-weights in the A and Lambda bases).
+solving C^T x = b over Q (z'-class construction and truncation shifts) and
+C^T k = b over Z/M (root-of-unity parts), and the determinant and adjugate
+of a square matrix over Z[x^+-1] (factorization of l-weights in the A and
+Lambda bases).
 
 A Laurent polynomial over Z is a dict {exponent: int} with no zero values.
 """
@@ -123,37 +123,6 @@ def solve_mod(A, b, M):
             return None
     x = [sum(V[i][k] * y[k] for k in range(n)) % M for i in range(n)]
     return x
-
-
-def kernel_mod(A, M):
-    """Generators of {x in (Z/M)^n : A x = 0 (mod M)}."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D, _, V = smith_normal_form(A)
-    from math import gcd
-
-    gens = []
-    for i in range(n):
-        d = D[i][i] if i < min(m, n) else 0
-        if d:
-            step = M // gcd(d, M)
-            if step % M == 0:
-                continue
-        else:
-            step = 1
-        x = [(V[r][i] * step) % M for r in range(n)]
-        if any(x):
-            gens.append(x)
-    return gens
-
-
-def in_span_mod(gens, target, M):
-    """Is target in the Z/M-span of gens? (column-stacked linear solve)."""
-    if not gens:
-        return all(t % M == 0 for t in target)
-    n = len(target)
-    A = [[g[i] for g in gens] for i in range(n)]
-    return solve_mod(A, [t % M for t in target], M) is not None
 
 
 def solve_rational(A, b):

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from .cartan import build_cartan, invert_quantum_cartan
 from .lweight import (
+    NEIGHBOUR_OFFSETS,
     LWeightMonomial,
     factor_in_basis,
     generator,
     is_dominant,
     leq_certificate,
+    pair_class,
+    residue_classes,
 )
 from .qchar import qc_mul, qc_neg_prefund_limit, qc_one, qc_simple_sl2, qc_monomial
 from .scalars import ConstantFactor, ExactScalar, ONE
@@ -331,9 +335,10 @@ def usable_lambda_sites(z, a):
     """Chain closure from the finiteness proof: a site (i, u) can carry a
     nonzero Lambda exponent only if u + r_i is covered by a Z_i zero (u is
     a Z-root shift of node i) or by a neighbor site one chain step up.
-    Steps from (i, u) up to node j with C_{j,i} < 0: u_j = u + r_i for a
-    single bond, u + {1,3} for a double, u + {1,3,5} for a triple.
-    Intersected with the proof-bound window."""
+    Steps from (i, u) up to node j with C_{j,i} < 0: u_j = u + r_i - o for
+    o in NEIGHBOUR_OFFSETS[C_{j,i}] (u + r_i for a single bond, u + {1,3}
+    for a double, u + {1,3,5} for a triple).  Intersected with the
+    proof-bound window."""
     cd = z.cd
     win = set(_window(z, a))
     usable = {i: set(m for m in z.zroots[i] if m in win) for i in cd.nodes()}
@@ -341,18 +346,11 @@ def usable_lambda_sites(z, a):
     while changed:
         changed = False
         for i in cd.nodes():
+            ri = cd.ri(i)
             for j in cd.nodes():
-                if j == i or cd.c(j, i) >= 0:
-                    continue
-                if cd.c(j, i) == -1:
-                    steps = (cd.ri(i),)
-                elif cd.c(j, i) == -2:
-                    steps = (1, 3)
-                else:
-                    steps = (1, 3, 5)
-                for uj in usable[j]:
-                    for st in steps:
-                        u = uj - st
+                for o in NEIGHBOUR_OFFSETS.get(cd.c(j, i), ()):
+                    for uj in usable[j]:
+                        u = uj - ri + o
                         if u in win and u not in usable[i]:
                             usable[i].add(u)
                             changed = True
@@ -385,13 +383,24 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
         cls = required_const_class(z, mu, zmono.exps, a)
         return [Candidate(zmono.with_const(cls), {}, mu, STATUS_NECESSARY, z)]
     usable = usable_lambda_sites(z, a)
+    # a_i-multisets of usable sites per node, counted before any is built
+    total = 1
+    for i in cd.nodes():
+        k = a[i - 1]
+        if k:
+            total *= comb(len(usable[i]) + k - 1, k)
+    if not total:
+        return []
+    if total > max_combos:
+        raise TruncationError(
+            f"enumeration space has {total} exponent maps; narrow the window"
+        )
     pat = {
         (i, u): generator(cd, "Lambda", i, u).exps
         for i in cd.nodes()
         for u in usable[i]
     }
     per_node = []
-    total = 1
     for i in cd.nodes():
         opts = []
         for ms in _multisets(usable[i], a[i - 1]):
@@ -401,14 +410,7 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
                 acc = exps_combine(acc, pat[(i, u)], 1)
                 vloc[(i, u)] = vloc.get((i, u), 0) + 1
             opts.append((vloc, acc))
-        if not opts:
-            return []
         per_node.append(opts)
-        total *= len(opts)
-    if total > max_combos:
-        raise TruncationError(
-            f"enumeration space has {total} exponent maps; narrow the window"
-        )
 
     zexps = zmono.exps
     ri_of = {i: cd.ri(i) for i in cd.nodes()}
@@ -536,31 +538,19 @@ def _node_rank1_paths(exps_i, ri, depth):
     if not exps_i:
         return [{}]
     step = 2 * ri
-    byres = {}
-    for t, e in exps_i.items():
-        byres.setdefault(t % step, []).append((t, e))
     factors = []
-    for seq in byres.values():
+    for seq in residue_classes(exps_i, step):
         if all(e < 0 for _, e in seq):
-            for t, e in sorted(seq):
+            for t, e in seq:
                 ladders = [[t - step * l for l in range(k)] for k in range(depth + 1)]
                 factors.extend([ladders] * (-e))
             continue
-        tot = 0
-        for _, e in sorted(seq):
-            tot += e
-            if tot < 0:
-                return None  # mixed non-dominant class: character unknown
         # extract Ytilde chains by LIFO matching; leftovers are 1-dim
-        stack = []
-        for t, e in sorted(seq):
-            if e > 0:
-                stack.extend([t] * e)
-            else:
-                for _ in range(-e):
-                    s = stack.pop()
-                    k = (t - s) // step
-                    factors.append(_string_eigen_terms(t - ri, k, step))
+        paired = pair_class(seq)
+        if paired is None:
+            return None  # mixed non-dominant class: character unknown
+        for s, t in paired[0]:
+            factors.append(_string_eigen_terms(t - ri, (t - s) // step, step))
     if not factors:
         return [{}]
     return _compose_paths(factors, depth)

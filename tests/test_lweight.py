@@ -52,6 +52,36 @@ def test_lambda_generators():
     assert l2.coweight() == (-2, 2)
 
 
+# Written from the formulas: Lambda_{i,q^0} = Psi_{i,q^-r_i} Psi_{i,q^r_i}
+# prod_j Psi_{j,q^o}^{-1} (o in (0,), (-1, 1), (-2, 0, 2) for C_ij = -1, -2,
+# -3) and Psitilde_{i,q^0} = Psi_{i,q^2r_i} Lambda_{i,q^r_i}^{-1}.  B2: r = (2, 1),
+# C_12 = -1, C_21 = -2; G2: r = (3, 1), C_12 = -1, C_21 = -3.
+PINNED_GENERATORS = [
+    (B2, "Lambda", 1, {(1, -2): 1, (1, 2): 1, (2, 0): -1}),
+    (B2, "Lambda", 2, {(2, -1): 1, (2, 1): 1, (1, -1): -1, (1, 1): -1}),
+    (B2, "PsiTilde", 1, {(1, 0): -1, (2, 2): 1}),
+    (B2, "PsiTilde", 2, {(2, 0): -1, (1, 0): 1, (1, 2): 1}),
+    (G2, "Lambda", 1, {(1, -3): 1, (1, 3): 1, (2, 0): -1}),
+    (G2, "Lambda", 2, {(2, -1): 1, (2, 1): 1, (1, -2): -1, (1, 0): -1, (1, 2): -1}),
+    (G2, "PsiTilde", 1, {(1, 0): -1, (2, 3): 1}),
+    (G2, "PsiTilde", 2, {(2, 0): -1, (1, -1): 1, (1, 1): 1, (1, 3): 1}),
+]
+
+
+@pytest.mark.parametrize("cd,kind,i,exps", PINNED_GENERATORS)
+def test_generators_pinned(cd, kind, i, exps):
+    g = generator(cd, kind, i, 0)
+    assert g.exps == exps
+    assert g.const.is_one()
+    # a shifted generator is the same pattern, shifted
+    shifted = {(k, r + 5): e for (k, r), e in exps.items()}
+    assert generator(cd, kind, i, 5).exps == shifted
+    if kind == "PsiTilde":
+        ri = cd.ri(i)
+        other = generator(cd, "Psi", i, 2 * ri) / generator(cd, "Lambda", i, ri)
+        assert g == other
+
+
 def test_coweights():
     assert generator(B2, "Psi", 1, 3).coweight() == (1, 0)
     assert generator(B2, "Y", 1, 0).coweight() == (0, 0)
@@ -294,6 +324,38 @@ def test_dominant_factorization_roundtrip():
     chains, leftovers = dominant_factorization(m)
     assert chains == [(1, -1, 2)]
     assert leftovers == {(1, 5): 1}
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "G2", "C3"])
+def test_dominance_matcher_random(label):
+    cd = build_cartan(label)
+    rng = random.Random(label)
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        m = LWeightMonomial(cd, {}, cd.omega_bar(1))
+        for _ in range(rng.randint(1, 6)):
+            i, r = rng.choice(list(cd.nodes())), rng.randint(-6, 6)
+            kind = rng.choice(["Ytilde", "Ytilde", "Psi"])
+            m = m * generator(cd, kind, i, r).pow(rng.choice([1, 1, -1]))
+        try:
+            chains, leftovers = dominant_factorization(m)
+        except ValueError:
+            chains = None
+        assert is_dominant(m) == (chains is not None)
+        seen[chains is not None] += 1
+        if chains is None:
+            continue
+        back = LWeightMonomial(cd)
+        for i, s, k in chains:
+            ri = cd.ri(i)
+            assert k >= 1
+            for l in range(k):
+                back = back * generator(cd, "Ytilde", i, s + ri + 2 * l * ri)
+        for (i, t), e in leftovers.items():
+            assert e > 0
+            back = back * generator(cd, "Psi", i, t).pow(e)
+        assert back == m.monomial_part()
+    assert seen[True] and seen[False]
 
 
 # --- partial orders --------------------------------------------------------

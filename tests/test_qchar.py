@@ -8,6 +8,7 @@ from shiftedq.lweight import LWeightMonomial, generator
 from shiftedq.qchar import (
     FMError,
     QCharacter,
+    _y_exps_of_a,
     check_identity,
     check_triangularity,
     kr_prefund_special_position,
@@ -83,6 +84,16 @@ def test_b2_fundamental_dimensions():
     x2 = qc_frenkel_mukhin(B2, {(2, 0): 1}, 12)
     assert x1.dim() == 5 and x1.complete
     assert x2.dim() == 4 and x2.complete
+
+
+def test_g2_a_in_y_variables_pinned():
+    # A_{i,q^0} = Y_{i,q^-r_i} Y_{i,q^r_i} prod_j Y_{j,q^o}^{-1}, o in (0,),
+    # (-1, 1), (-2, 0, 2) for C_ji = -1, -2, -3; G2: r = (3, 1), C_21 = -3.
+    G2 = build_cartan("G2")
+    assert _y_exps_of_a(G2, 1) == {
+        (1, -3): 1, (1, 3): 1, (2, -2): -1, (2, 0): -1, (2, 2): -1,
+    }
+    assert _y_exps_of_a(G2, 2) == {(2, -1): 1, (2, 1): 1, (1, 0): -1}
 
 
 def test_fm_rejects_non_dominant_and_budget():

@@ -1,5 +1,6 @@
 import pytest
 
+from shiftedq import truncation
 from shiftedq.cartan import build_cartan
 from shiftedq.lweight import LWeightMonomial, generator
 from shiftedq.scalars import ConstantFactor
@@ -18,11 +19,13 @@ from shiftedq.truncation import (
     maint_check,
     sl2_classify,
     truncation_shifts,
+    usable_lambda_sites,
 )
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
 B2 = build_cartan("B2")
+G2 = build_cartan("G2")
 
 # worked truncations: Z entries are root shifts m with Z_i = prod(1 - q_i z q^m)
 Z_SL2 = TruncationData(A1, {1: [2, -2]})          # Z = (1-zq^3)(1-zq^-1)
@@ -289,3 +292,24 @@ def test_fuse_b2_fundamental_reduction():
     two = fuse_truncations(Z_B2, Z_B2)
     assert two.lam == (0, 2) and two.zroots[2] == (-1, -1)
 
+
+
+# G2, lambda = w2_vee, --zroots "2:0" (Z_2 = 1 - z), mu = (0, -1): a = (6, 4)
+Z_G2 = TruncationData(G2, {2: [-1]})
+
+
+def test_usable_lambda_sites_g2_fixture():
+    assert truncation_shifts(Z_G2, (0, -1)) == (6, 4)
+    usable = usable_lambda_sites(Z_G2, (6, 4))
+    assert usable == {1: list(range(-66, -1, 2)), 2: list(range(-67, 0, 2))}
+    assert {i: len(u) for i, u in usable.items()} == {1: 33, 2: 34}
+
+
+def test_enumeration_space_counted_before_building(monkeypatch):
+    # C(33 + 5, 6) * C(34 + 3, 4) exponent maps; refused without building any
+    def no_generator(*args):
+        raise AssertionError("Lambda patterns built before the size check")
+
+    monkeypatch.setattr(truncation, "generator", no_generator)
+    with pytest.raises(TruncationError, match="182329176645 exponent maps"):
+        enumerate_candidates(Z_G2, (0, 1), (0, -1))
