@@ -5,8 +5,6 @@ from .cartan import CartanData, build_cartan, invert_quantum_cartan, quantum_car
 from .kernel import BACKEND
 from .lweight import (
     LWeightMonomial,
-    combine,
-    coweight_of,
     equal_mod_signtwist,
     factor_in_basis,
     generator,

@@ -8,9 +8,7 @@ carries the -2 entry (C[short][long] = -2), matching r_long = 2, r_short = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import ConstantFactor, ExactScalar, ONE, qnum
+from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, ONE, qnum
 from .smith import invariant_factors
 
 
@@ -109,7 +107,7 @@ def _build_matrix(label, n):
 
 
 class CartanData:
-    def __init__(self, type_label, n, M=8):
+    def __init__(self, type_label, n):
         label = type_label.upper()
         C, r, bar = _build_matrix(label, n)
         self.type_label = f"{label}{n}"
@@ -124,7 +122,6 @@ class CartanData:
         hv = _DUAL_COXETER[label]
         self.dual_coxeter = hv(n) if callable(hv) else hv[n]
         self.bar_involution = tuple(bar)
-        self.M = M
         self._check()
         self._ctilde = None
         self._factor_solvers = {}
@@ -168,27 +165,18 @@ class CartanData:
 
     # -- constants ------------------------------------------------------
     def const_one(self):
-        return ConstantFactor.one(self.n, self.M)
+        return ConstantFactor.one(self.n)
 
     def omega_bar(self, i):
         """omega-bar_i: coordinate j is q_j**delta_ij."""
-        q = [Fraction(0)] * self.n
-        q[i - 1] = Fraction(self.ri(i))
-        return ConstantFactor(q, [0] * self.n, self.M)
+        q = [0] * self.n
+        q[i - 1] = self.ri(i)
+        return ConstantFactor(q, [0] * self.n)
 
     def alpha_bar(self, i):
         """alpha-bar_i: coordinate j is q**B[i][j]."""
-        q = [Fraction(self.b(i, j)) for j in self.nodes()]
-        return ConstantFactor(q, [0] * self.n, self.M)
-
-    def weight_bar(self, omega_coords):
-        """omega-bar for omega = sum_i omega_coords[i] * omega_i (rationals)."""
-        out = self.const_one()
-        for i in self.nodes():
-            c = Fraction(omega_coords[i - 1])
-            if c:
-                out = out.mul(self.omega_bar(i).pow(c))
-        return out
+        q = [self.b(i, j) for j in self.nodes()]
+        return ConstantFactor(q, [0] * self.n)
 
     # -- sign-twist group K ---------------------------------------------
     def k_group_invariants(self):
@@ -203,7 +191,7 @@ class CartanData:
             if q != 0:
                 return False
             z = sum(self.C[j][i] * const.zetas[j] for j in range(self.n))
-            if z % self.M:
+            if z % ZETA_ORDER:
                 return False
         return True
 
@@ -211,17 +199,13 @@ class CartanData:
         return f"CartanData({self.type_label})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CartanData)
-            and self.type_label == other.type_label
-            and self.M == other.M
-        )
+        return isinstance(other, CartanData) and self.type_label == other.type_label
 
     def __hash__(self):
-        return hash((self.type_label, self.M))
+        return hash(self.type_label)
 
 
-def build_cartan(type_label, rank=None, M=8):
+def build_cartan(type_label, rank=None):
     """build_cartan('B', 2) or build_cartan('B2')."""
     if rank is None:
         label = type_label.strip()
@@ -230,8 +214,8 @@ def build_cartan(type_label, rank=None, M=8):
             rank = int(label[1:])
         except ValueError:
             raise CartanError(f"cannot parse type {type_label!r}")
-        return CartanData(head, rank, M)
-    return CartanData(type_label, int(rank), M)
+        return CartanData(head, rank)
+    return CartanData(type_label, int(rank))
 
 
 def quantum_cartan(cd, i, j):

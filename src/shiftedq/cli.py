@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 mathematical rejection (e.g. a factorization that
 does not exist, a failed relation suite, a Z-order bound violation), 2 usage
 error (argparse errors and UsageError: malformed monomial JSON or integer
-lists, a wrong-length coweight, a node out of range).  Identical invocations
-produce identical bytes.
+lists, a non-integer in monomial JSON, a wrong-length coweight, an unknown
+--type, a node out of range).  Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -47,10 +47,15 @@ def _emit(args, payload, text_lines=None):
 
 
 def _cartan_of(args):
-    label = args.type
-    if getattr(args, "rank", None):
-        return build_cartan(label, args.rank)
-    return build_cartan(label)
+    try:
+        return build_cartan(args.type)
+    except CartanError as e:
+        raise UsageError(f"--type: {e}") from None
+
+
+def _check_node(cd, i):
+    if i not in cd.nodes():
+        raise UsageError(f"--node: node {i} out of range for {cd.type_label}")
 
 
 def _int(tok, what):
@@ -131,8 +136,10 @@ def cmd_qchar(args):
     cd = _cartan_of(args)
     fam = args.family
     if fam in ("pos_prefund", "neg_prefund_sl2", "psitilde", "psistar"):
+        _check_node(cd, args.node)
         x = qc_closed_form(cd, fam, args.node, args.shift, args.depth)
     elif fam == "neg_prefund":
+        _check_node(cd, args.node)
         x = qc_neg_prefund_limit(cd, args.node, args.shift, args.depth)
     elif fam == "fm":
         head = {}
@@ -161,6 +168,8 @@ def cmd_verify_relations(args):
             args.gamma_exp, args.beta_exp, cutoff=args.cutoff,
         )
     else:
+        if args.kind in ("psitilde", "psistar"):
+            _check_node(_cartan_of(args), args.node)
         params = {
             "gamma_exp": args.gamma_exp,
             "shift": args.shift,
@@ -253,10 +262,8 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, rank=True):
+    def common(sp):
         sp.add_argument("--type", default="A1", help="finite type, e.g. B2")
-        if rank:
-            sp.add_argument("--rank", type=int, default=None)
         sp.add_argument("--json", dest="text", action="store_false",
                         default=False, help="JSON output (default)")
         sp.add_argument("--text", dest="text", action="store_true",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .kernel import exps_combine
-from .scalars import ConstantFactor
+from .scalars import ConstantFactor, json_int
 from .smith import bareiss_adjugate, laurent_divide
 
 GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiStar")
@@ -121,28 +121,21 @@ class LWeightMonomial:
 
     @staticmethod
     def from_json(cd, data):
+        """Validate outside input: integer [node, shift, exponent] triples."""
         exps = {}
         for i, r, e in data["exps"]:
-            k = (int(i), int(r))
+            k = (json_int(i, "node"), json_int(r, "shift"))
             if k[0] not in cd.nodes():
                 raise ValueError(f"node {k[0]} out of range for {cd.type_label}")
-            exps[k] = exps.get(k, 0) + int(e)
+            exps[k] = exps.get(k, 0) + json_int(e, "exponent")
         const = (
-            ConstantFactor.from_json(data["const"], cd.M)
+            ConstantFactor.from_json(data["const"])
             if "const" in data and data["const"]
             else cd.const_one()
         )
         if const.n != cd.n:
             raise ValueError("constant length does not match rank")
         return LWeightMonomial(cd, exps, const)
-
-
-def coweight_of(m):
-    return m.coweight()
-
-
-def combine(m1, m2, sign=1):
-    return m1.combine(m2, sign)
 
 
 # ---------------------------------------------------------------------------

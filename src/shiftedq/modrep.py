@@ -182,19 +182,6 @@ def _lweight_series(m, j, nmodes, direction):
 # module constructions
 # ---------------------------------------------------------------------------
 
-def _scalar_of_param(p):
-    """Accept an ExactScalar, int shift meaning q^shift, or ConstantFactor(1)."""
-    if isinstance(p, ExactScalar):
-        return p
-    if isinstance(p, int):
-        return ExactScalar.q_power(p)
-    if isinstance(p, ConstantFactor):
-        if p.n != 1:
-            raise ValueError("scalar parameter must have one coordinate")
-        return p.coordinate_scalar(0)
-    raise ValueError(f"cannot interpret parameter {p!r} as a scalar")
-
-
 def _osc_verma(sign, gamma_exp, cutoff):
     """Verma modules of the q-oscillator algebras U_q^{+-}(sl_2)."""
     cd = build_cartan("A1")
@@ -211,7 +198,7 @@ def _osc_verma(sign, gamma_exp, cutoff):
         k[(r, r)] = kr
         kinv[(r, r)] = ONE / kr
         weights.append(
-            ConstantFactor([Fraction(gamma_exp) - 2 * r], [0], cd.M)
+            ConstantFactor([gamma_exp - 2 * r], [0])
         )
         if r > 0:
             e[(r - 1, r)] = ONE
@@ -292,9 +279,9 @@ def _affine_node_module(cd, i, r, cutoff, window, kind, gamma_exp=0):
             gens[(PHI_MINUS, jn, mm)] = pm[mm]
             up[(PHI_PLUS, jn, mm)] = 0
             up[(PHI_MINUS, jn, mm)] = 0
-    gq = [Fraction(0)] * cd.n
-    gq[i - 1] = Fraction(gamma_exp)
-    gamma_cf = ConstantFactor(gq, [0] * cd.n, cd.M)
+    gq = [0] * cd.n
+    gq[i - 1] = gamma_exp
+    gamma_cf = ConstantFactor(gq, [0] * cd.n)
     lws = [lw.with_const(lw.const.mul(gamma_cf)) for lw in lws]
     weights = [lw.const for lw in lws]
     params = {"node": i, "shift": r, "gamma_exp": gamma_exp}
@@ -683,8 +670,6 @@ def t_series_ratio(psi_target, psi_head, i):
 # ---------------------------------------------------------------------------
 
 def _scalar_from_json(data):
-    from fractions import Fraction
-
     num = {int(e): Fraction(n, d) for e, n, d in data["num"]}
     den = {int(e): Fraction(n, d) for e, n, d in data["den"]}
     return ExactScalar(num, den)

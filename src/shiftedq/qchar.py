@@ -9,6 +9,8 @@ heads; other dominant heads are accepted but flagged heuristic.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .lweight import (
     NEIGHBOUR_OFFSETS,
     LWeightMonomial,
@@ -577,7 +579,7 @@ def _check_charqf_sl2(cd, i, r, depth):
         for k, c in w.items():
             d = k.mul(top, -1)
             # d must be alphabar^(-h): qexps = -h * B-row; rank 1: q^(-2h)
-            h = -d.qexps[0] / 2
+            h = Fraction(-d.qexps[0], 2)
             if h.denominator == 1 and 0 <= h <= depth and not any(d.zetas):
                 out[k] = c
         return out

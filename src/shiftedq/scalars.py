@@ -3,8 +3,8 @@
 ExactScalar is a reduced fraction of sparse Laurent polynomials in v with
 Fraction or GaussianRational coefficients.  ConstantFactor is the group
 (C*)^I restricted to coordinates zeta**k * q**e with e rational and zeta a
-fixed primitive M-th root of unity (M = 8 by default): the exact home of
-the constants omega-bar(w) appearing on l-weights.
+fixed primitive 8th root of unity (ZETA_ORDER): the exact home of the
+constants omega-bar(w) appearing on l-weights.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import poly_add, poly_mul, poly_neg, poly_scale, poly_sub
+
+ZETA_ORDER = 8
 
 
 class GaussianRational:
@@ -400,52 +402,58 @@ _ZETA_SCALARS = {0: ONE, 2: ExactScalar.from_coeff(GaussianRational(0, 1)),
                  6: ExactScalar.from_coeff(GaussianRational(0, -1))}
 
 
+def json_int(x, what):
+    """An integer read from outside JSON: an int or an integral float."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
 class ConstantFactor:
-    """A point of (C*)^I with coordinates zeta**k * q**e, e in Q, k in Z/M."""
+    """A point of (C*)^I with coordinates zeta**k * q**e, e in Q, k in Z/8.
 
-    __slots__ = ("qexps", "zetas", "M")
+    Coordinates are trusted: q-exponents are ints or Fractions (halving goes
+    through Fraction(e, 2), never e / 2) and zeta exponents are ints, stored
+    reduced mod ZETA_ORDER.  Outside input is validated once, in from_json.
+    """
 
-    def __init__(self, qexps, zetas, M=8):
-        self.qexps = tuple(Fraction(e) for e in qexps)
-        zet = []
-        for z in zetas:
-            z = Fraction(z)
-            if z.denominator != 1:
-                raise ValueError(f"zeta exponent {z} is not an integer")
-            zet.append(int(z) % M)
-        self.zetas = tuple(zet)
-        self.M = M
+    __slots__ = ("qexps", "zetas")
+
+    def __init__(self, qexps, zetas):
+        self.qexps = tuple(qexps)
+        self.zetas = tuple(z % ZETA_ORDER for z in zetas)
         if len(self.qexps) != len(self.zetas):
             raise ValueError("coordinate length mismatch")
 
     @staticmethod
-    def one(n, M=8):
-        return ConstantFactor([Fraction(0)] * n, [0] * n, M)
+    def one(n):
+        return ConstantFactor((0,) * n, (0,) * n)
 
     @property
     def n(self):
         return len(self.qexps)
 
     def mul(self, other, sign=1):
-        if self.M != other.M or self.n != other.n:
+        if self.n != other.n:
             raise ValueError("incompatible constant groups")
         if sign == 1:
             return ConstantFactor(
                 [a + b for a, b in zip(self.qexps, other.qexps)],
                 [a + b for a, b in zip(self.zetas, other.zetas)],
-                self.M,
             )
         return ConstantFactor(
             [a - b for a, b in zip(self.qexps, other.qexps)],
             [a - b for a, b in zip(self.zetas, other.zetas)],
-            self.M,
         )
 
     def inv(self):
-        return ConstantFactor([-e for e in self.qexps], [-z for z in self.zetas], self.M)
+        return ConstantFactor([-e for e in self.qexps], [-z for z in self.zetas])
 
     def pow(self, k):
-        return ConstantFactor([e * k for e in self.qexps], [z * k for z in self.zetas], self.M)
+        """Integer power."""
+        return ConstantFactor([e * k for e in self.qexps], [z * k for z in self.zetas])
 
     def is_one(self):
         return all(e == 0 for e in self.qexps) and all(z == 0 for z in self.zetas)
@@ -453,21 +461,18 @@ class ConstantFactor:
     def __eq__(self, other):
         return (
             isinstance(other, ConstantFactor)
-            and self.M == other.M
             and self.qexps == other.qexps
             and self.zetas == other.zetas
         )
 
     def __hash__(self):
-        return hash((self.qexps, self.zetas, self.M))
+        return hash((self.qexps, self.zetas))
 
     def coordinate_scalar(self, j):
-        """Coordinate j as an ExactScalar; needs zeta-power even and M = 8."""
+        """Coordinate j as an ExactScalar; needs an even zeta-power (i**k)."""
         z = self.zetas[j]
-        if self.M != 8 or z % 2 != 0:
-            raise ValueError(
-                f"constant zeta^{z} (M={self.M}) is outside Q(i)(v)"
-            )
+        if z % 2 != 0:
+            raise ValueError(f"constant zeta^{z} is outside Q(i)(v)")
         return _ZETA_SCALARS[z] * ExactScalar.q_power(self.qexps[j])
 
     def sqrt_class(self):
@@ -475,14 +480,14 @@ class ConstantFactor:
 
         Returns the canonical root; the other root differs by -1 per node.
         """
-        zet = []
         for z in self.zetas:
             if z % 2 != 0:
                 raise ValueError(
-                    f"no square root of zeta^{z} in the zeta_{self.M} group"
+                    f"no square root of zeta^{z} in the zeta_{ZETA_ORDER} group"
                 )
-            zet.append(z // 2)
-        return ConstantFactor([e / 2 for e in self.qexps], zet, self.M)
+        return ConstantFactor(
+            [Fraction(e, 2) for e in self.qexps], [z // 2 for z in self.zetas]
+        )
 
     def to_json(self):
         return [
@@ -491,10 +496,19 @@ class ConstantFactor:
         ]
 
     @staticmethod
-    def from_json(data, M=8):
-        return ConstantFactor(
-            [Fraction(a, b) for a, b, _ in data], [z for _, _, z in data], M
-        )
+    def from_json(data):
+        """Validate outside input: [[num, den, zeta], ...] with integer
+        entries and nonzero denominators."""
+        qexps = []
+        zetas = []
+        for a, b, z in data:
+            a = json_int(a, "q-exponent numerator")
+            b = json_int(b, "q-exponent denominator")
+            if not b:
+                raise ValueError("q-exponent denominator is zero")
+            qexps.append(Fraction(a, b))
+            zetas.append(json_int(z, "zeta exponent"))
+        return ConstantFactor(qexps, zetas)
 
     def __repr__(self):
         parts = []

@@ -24,7 +24,7 @@ from .lweight import (
     residue_classes,
 )
 from .qchar import qc_mul, qc_neg_prefund_limit, qc_one, qc_simple_sl2, qc_monomial
-from .scalars import ConstantFactor, ExactScalar, ONE
+from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, ONE
 from .smith import solve_rational
 
 STATUS_NECESSARY = "NecessaryOnly"
@@ -64,19 +64,16 @@ class TruncationData:
         for i in cd.nodes():
             ni = self.lam[i - 1]
             ca = sum(cd.c(j, i) * a[j - 1] for j in cd.nodes())
-            qexps.append(Fraction(cd.ri(i) * mu[i - 1] + sum(self.zroots[i])))
+            qexps.append(cd.ri(i) * mu[i - 1] + sum(self.zroots[i]))
             zetas.append(4 * (ni + ca))
-        return ConstantFactor(qexps, zetas, cd.M)
+        return ConstantFactor(qexps, zetas)
 
     def zprime_class(self):
         """A canonical z' with prod_j (z'_j)^{C_{j,i}} = (-q_i)^{N_i} prod z_{i,k};
         unique up to the group K (returned representative is one solution)."""
         cd = self.cd
         n = cd.n
-        rhs_q = [
-            Fraction(cd.ri(i) * self.lam[i - 1] + sum(self.zroots[i]))
-            for i in cd.nodes()
-        ]
+        rhs_q = [cd.ri(i) * self.lam[i - 1] + sum(self.zroots[i]) for i in cd.nodes()]
         rhs_z = [4 * self.lam[i - 1] for i in cd.nodes()]
         Ct = [[cd.C[j][i] for j in range(n)] for i in range(n)]
         x, consistent, _ = solve_rational(Ct, rhs_q)
@@ -84,13 +81,12 @@ class TruncationData:
             raise TruncationError("z' q-exponents are not solvable")
         from .smith import solve_mod
 
-        k = solve_mod(Ct, rhs_z, cd.M)
+        k = solve_mod(Ct, rhs_z, ZETA_ORDER)
         if k is None:
             raise TruncationError(
-                f"z' root-of-unity part needs order beyond zeta_{cd.M}; "
-                "rebuild the Cartan data with a larger M"
+                f"z' root-of-unity part needs order beyond zeta_{ZETA_ORDER}"
             )
-        return ConstantFactor(x, k, cd.M)
+        return ConstantFactor(x, k)
 
     def to_json(self):
         return {
@@ -100,8 +96,8 @@ class TruncationData:
         }
 
     @staticmethod
-    def from_json(data, M=8):
-        cd = build_cartan(data["type"], M=M)
+    def from_json(data):
+        cd = build_cartan(data["type"])
         zroots = {int(i): list(v) for i, v in data.get("zroots", {}).items()}
         td = TruncationData(cd, zroots)
         if "lambda" in data and tuple(data["lambda"]) != td.lam:
@@ -163,7 +159,7 @@ def required_const_class(z, mu, psi_exps, a=None):
         ste = sum(t * e for (j, t), e in psi_exps.items() if j == i)
         qexps.append(phi.qexps[i - 1] - ste)
         zetas.append(phi.zetas[i - 1] - 4 * se)
-    return ConstantFactor(qexps, zetas, cd.M).sqrt_class()
+    return ConstantFactor(qexps, zetas).sqrt_class()
 
 
 class Candidate:
@@ -442,7 +438,7 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
         rep = maint_check(z, lam, mu, psi, cert=v)
         if not rep["ok"]:
             continue
-        cls = ConstantFactor.from_json(rep["const_class"], cd.M)
+        cls = ConstantFactor.from_json(rep["const_class"])
         cand = Candidate(psi.with_const(cls), v, mu, STATUS_NECESSARY, z,
                          notes={"maint": "pass"})
         seen.setdefault(cand.psi.exps_key(), cand)
@@ -477,7 +473,7 @@ def sl2_classify(z, lam, mu):
         rep = maint_check(z, lam, mu, psi, cert=v)
         if not rep["ok"]:
             raise AssertionError("sl2 divisor candidate failed maint_check")
-        cls = ConstantFactor.from_json(rep["const_class"], cd.M)
+        cls = ConstantFactor.from_json(rep["const_class"])
         cand = Candidate(psi.with_const(cls), v, mu, STATUS_CONFIRMED, z,
                          notes={"divisor_shifts": list(pick)})
         out.setdefault(cand.psi.exps_key(), cand)

@@ -1,12 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+
+import shiftedq
+
+# the child process imports the same package as the tests, installed or not
+_SRC = os.path.dirname(os.path.dirname(shiftedq.__file__))
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run(*argv):
     return subprocess.run(
         [sys.executable, "-m", "shiftedq", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_ENV,
     )
 
 
@@ -167,3 +175,66 @@ def test_parser_reused_across_calls(capsys):
     # each in-process output is the one a fresh process prints
     assert outs[0] == outs[2] == run(*truncate).stdout
     assert outs[1] == run(*factor).stdout == "empty certificate\n"
+
+
+def run_main(capsys, *argv):
+    """In-process CLI call: (exit code, stdout, stderr)."""
+    from shiftedq import cli
+
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def assert_main_usage_error(capsys, *argv):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    return err
+
+
+def test_monomial_json_validated_at_boundary(capsys):
+    exps = [[1, -1, 1], [1, 3, -1]]
+    for bad in ({"exps": [[1, -1, 1.7], [1, 3, -1]]},
+                {"exps": [[1, -0.5, 1]]},
+                {"exps": [[1.5, 0, 1]]},
+                {"exps": exps, "const": [[1, 0, 0]]},
+                {"exps": exps, "const": [[0, 1, 1.5]]},
+                {"exps": exps, "const": [[0.5, 1, 0]]}):
+        assert_main_usage_error(capsys, "dominant", "--type", "A1",
+                                "--monomial", json.dumps(bad))
+    err = assert_main_usage_error(capsys, "dominant", "--type", "A1", "--monomial",
+                                  json.dumps({"exps": exps, "const": [[1, 0, 0]]}))
+    assert "denominator is zero" in err
+    # integral floats are integers
+    ok = run_main(capsys, "dominant", "--type", "A1", "--monomial", json.dumps(
+        {"exps": [[1, -1, 1], [1, 3, -1], [1, 5, 1]], "const": [[0, 1, 0]]}))
+    assert ok == run_main(capsys, "dominant", "--type", "A1", "--monomial", json.dumps(
+        {"exps": [[1.0, -1, 1], [1, 3, -1.0], [1, 5, 1]], "const": [[0, 1.0, 0]]}))
+    assert ok[0] == 0
+
+
+def test_rank_option_removed():
+    r = run("factor", "--type", "B", "--rank", "0", "--basis", "a",
+            "--monomial", '{"exps":[]}')
+    assert r.returncode == 2
+    assert "unrecognized arguments: --rank 0" in r.stderr
+
+
+def test_unknown_type_is_usage_error(capsys):
+    mono = json.dumps({"exps": []})
+    for argv in (("factor", "--type", "Q7", "--basis", "a", "--monomial", mono),
+                 ("dominant", "--type", "B", "--monomial", mono),
+                 ("qchar", "--type", "G3", "--family", "pos_prefund"),
+                 ("truncate", "--type", "Q7", "--lambda", "0", "--zroots", "1:0",
+                  "--mu", "0"),
+                 ("verify-relations", "--kind", "psitilde", "--type", "Q7")):
+        assert "--type" in assert_main_usage_error(capsys, *argv)
+
+
+def test_out_of_range_cli_node_is_usage_error(capsys):
+    for argv in (("verify-relations", "--kind", "psitilde", "--type", "A2", "--node", "5"),
+                 ("verify-relations", "--kind", "psistar", "--type", "B2", "--node", "0"),
+                 ("qchar", "--type", "A2", "--family", "pos_prefund", "--node", "5"),
+                 ("qchar", "--type", "A2", "--family", "neg_prefund", "--node", "3")):
+        assert "--node" in assert_main_usage_error(capsys, *argv)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftedq.scalars import (
+    ZETA_ORDER,
     ConstantFactor,
     ExactScalar,
     GaussianRational,
@@ -119,3 +121,85 @@ def test_constant_factor_scalar_coordinates():
     assert s == ExactScalar.from_coeff(GaussianRational(0, 1)) * ExactScalar.v_power(3)
     with pytest.raises(ValueError):
         ConstantFactor([0], [1]).coordinate_scalar(0)
+
+
+def _ref_mul(a, b, sign):
+    return ([x + sign * y for x, y in zip(a[0], b[0])],
+            [(x + sign * y) % 8 for x, y in zip(a[1], b[1])])
+
+
+def _assert_matches(c, ref):
+    """c equals the Fraction-only reference; q-exponents are never floats."""
+    assert all(type(e) in (int, Fraction) for e in c.qexps)
+    assert all(type(z) is int and 0 <= z < 8 for z in c.zetas)
+    assert [Fraction(e) for e in c.qexps] == ref[0]
+    assert list(c.zetas) == ref[1]
+
+
+def test_constant_factor_matches_fraction_reference():
+    assert ZETA_ORDER == 8
+    rng = random.Random(5)
+
+    def rand_coord():
+        # int and Fraction q-exponents, zeta exponents outside [0, 8)
+        e = rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+        return e, rng.randint(-20, 20)
+
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        pool = []
+        for _ in range(3):
+            coords = [rand_coord() for _ in range(n)]
+            c = ConstantFactor([e for e, _ in coords], [z for _, z in coords])
+            ref = ([Fraction(e) for e, _ in coords], [z % 8 for _, z in coords])
+            _assert_matches(c, ref)
+            pool.append((c, ref))
+        for _ in range(8):
+            (a, ra), (b, rb) = rng.sample(pool, 2)
+            op = rng.choice(["mul", "div", "inv", "pow", "sqrt", "json"])
+            if op in ("mul", "div"):
+                sign = 1 if op == "mul" else -1
+                out, ref = a.mul(b, sign), _ref_mul(ra, rb, sign)
+            elif op == "inv":
+                out, ref = a.inv(), ([-x for x in ra[0]], [-z % 8 for z in ra[1]])
+            elif op == "pow":
+                k = rng.randint(-3, 3)
+                out, ref = a.pow(k), ([x * k for x in ra[0]], [z * k % 8 for z in ra[1]])
+            elif op == "sqrt":
+                sq = a.pow(2)
+                out = sq.sqrt_class()
+                ref = ([x for x in ra[0]], [z % 4 for z in ra[1]])
+                assert out.pow(2) == sq
+                if any(z % 2 for z in a.zetas):
+                    with pytest.raises(ValueError):
+                        a.sqrt_class()
+            else:
+                out, ref = ConstantFactor.from_json(a.to_json()), ra
+                assert out == a and hash(out) == hash(a)
+            _assert_matches(out, ref)
+            pool.append((out, ref))
+
+
+def test_constant_factor_int_and_fraction_coordinates_agree():
+    a = ConstantFactor([1, -2, 0], [3, 0, 9])
+    b = ConstantFactor([Fraction(1), Fraction(-2), Fraction(0)], [3, 8, 1])
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json() == b.to_json() == [[1, 1, 3], [-2, 1, 0], [0, 1, 1]]
+    assert repr(a) == repr(b)
+    # halving an int coordinate gives an exact rational, not a float
+    h = ConstantFactor([3, 4], [0, 2]).sqrt_class()
+    assert h.qexps == (Fraction(3, 2), 2) and type(h.qexps[0]) is Fraction
+    assert h.zetas == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[[1, 0, 0]], [[0, 1, 1.5]], [[1.5, 1, 0]], [["1", 1, 0]], [[0, 1]]],
+)
+def test_constant_factor_from_json_rejects(data):
+    with pytest.raises(ValueError):
+        ConstantFactor.from_json(data)
+
+
+def test_constant_factor_from_json_accepts_integral_floats():
+    assert ConstantFactor.from_json([[3.0, 2, 10.0]]) == ConstantFactor([Fraction(3, 2)], [2])
