@@ -132,9 +132,47 @@ def cmd_dominant(args):
     return 0
 
 
+# The flags each qchar --family and verify-relations --kind reads, and the
+# defaults of all such flags.  A flag the choice does not read is a usage
+# error when it is given, so the argparse default of each of them is None.
+_CLOSED_FORM_FLAGS = ("node", "shift", "depth")
+_QCHAR_FLAGS = {
+    "pos_prefund": _CLOSED_FORM_FLAGS,
+    "neg_prefund_sl2": _CLOSED_FORM_FLAGS,
+    "psitilde": _CLOSED_FORM_FLAGS,
+    "psistar": _CLOSED_FORM_FLAGS,
+    "neg_prefund": _CLOSED_FORM_FLAGS,
+    "fm": ("head", "depth"),
+    "simple_sl2": ("monomial",),
+}
+_QCHAR_DEFAULTS = {"node": 1, "shift": 0, "depth": 4, "head": "", "monomial": ""}
+_COPRODUCT_FLAGS = ("gamma_exp", "beta_exp", "cutoff")
+_VERIFY_FLAGS = {
+    "osc_verma_plus": ("gamma_exp", "cutoff"),
+    "osc_verma_minus": ("gamma_exp", "cutoff"),
+    "eval_sl2": ("gamma_exp", "shift", "cutoff", "window"),
+    "psitilde": ("type", "node", "shift", "cutoff", "window"),
+    "psistar": ("type", "node", "shift", "window"),
+    "coproduct_plus": _COPRODUCT_FLAGS,
+    "coproduct_minus": _COPRODUCT_FLAGS,
+}
+_VERIFY_DEFAULTS = {"type": "A1", "cutoff": 8, "window": 4, "gamma_exp": 0,
+                    "beta_exp": 0, "node": 1, "shift": 0}
+
+
+def _read_flags(args, what, reads, defaults):
+    """Fill in the defaults; a flag given that `what` does not read exits 2."""
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise UsageError(f"--{dest.replace('_', '-')} is not read by {what}")
+
+
 def cmd_qchar(args):
-    cd = _cartan_of(args)
     fam = args.family
+    _read_flags(args, f"--family {fam}", _QCHAR_FLAGS[fam], _QCHAR_DEFAULTS)
+    cd = _cartan_of(args)
     if fam in ("pos_prefund", "neg_prefund_sl2", "psitilde", "psistar"):
         _check_node(cd, args.node)
         x = qc_closed_form(cd, fam, args.node, args.shift, args.depth)
@@ -152,8 +190,6 @@ def cmd_qchar(args):
         x = qc_frenkel_mukhin(cd, head, args.depth)
     elif fam == "simple_sl2":
         x = qc_simple_sl2(_monomial_arg(cd, args.monomial))
-    else:
-        raise ValueError(f"unknown family {fam}")
     lines = [f"{len(x.terms)} term(s), depth={x.depth}, complete={x.complete}"]
     for m in sorted(x.terms, key=lambda t: t.key()):
         lines.append(f"  {x.terms[m]} * {m!r}")
@@ -162,6 +198,7 @@ def cmd_qchar(args):
 
 
 def cmd_verify_relations(args):
+    _read_flags(args, f"--kind {args.kind}", _VERIFY_FLAGS[args.kind], _VERIFY_DEFAULTS)
     if args.kind in ("coproduct_plus", "coproduct_minus"):
         rep = check_coproduct(
             1 if args.kind.endswith("plus") else -1,
@@ -282,29 +319,24 @@ def build_parser():
 
     sp = sub.add_parser("qchar", help="q-character families and expansions")
     common(sp)
-    sp.add_argument("--family", required=True,
-                    choices=("pos_prefund", "neg_prefund_sl2", "psitilde",
-                             "psistar", "neg_prefund", "fm", "simple_sl2"))
-    sp.add_argument("--node", type=int, default=1)
-    sp.add_argument("--shift", type=int, default=0)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--head", default="", help="fm head, e.g. '1:0;2:3'")
-    sp.add_argument("--monomial", default="", help="for simple_sl2")
+    sp.add_argument("--family", required=True, choices=tuple(_QCHAR_FLAGS))
+    sp.add_argument("--node", type=int)
+    sp.add_argument("--shift", type=int)
+    sp.add_argument("--depth", type=int)
+    sp.add_argument("--head", help="fm head, e.g. '1:0;2:3'")
+    sp.add_argument("--monomial", help="for simple_sl2")
     sp.set_defaults(func=cmd_qchar)
 
     sp = sub.add_parser("verify-relations", help="exact relation suite on a built-in module")
     common(sp)
-    sp.add_argument("--kind", required=True,
-                    choices=("osc_verma_plus", "osc_verma_minus", "eval_sl2",
-                             "psitilde", "psistar", "coproduct_plus",
-                             "coproduct_minus"))
-    sp.add_argument("--cutoff", type=int, default=8)
-    sp.add_argument("--window", type=int, default=4)
-    sp.add_argument("--gamma-exp", type=int, default=0)
-    sp.add_argument("--beta-exp", type=int, default=0)
-    sp.add_argument("--node", type=int, default=1)
-    sp.add_argument("--shift", type=int, default=0)
-    sp.set_defaults(func=cmd_verify_relations)
+    sp.add_argument("--kind", required=True, choices=tuple(_VERIFY_FLAGS))
+    sp.add_argument("--cutoff", type=int)
+    sp.add_argument("--window", type=int)
+    sp.add_argument("--gamma-exp", type=int)
+    sp.add_argument("--beta-exp", type=int)
+    sp.add_argument("--node", type=int)
+    sp.add_argument("--shift", type=int)
+    sp.set_defaults(func=cmd_verify_relations, type=None)
 
     sp = sub.add_parser("truncate", help="enumerate + refine descent candidates")
     common(sp)

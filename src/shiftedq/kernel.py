@@ -1,8 +1,9 @@
 """Kernels for sparse Laurent-polynomial dictionaries.
 
 A polynomial in one variable is a dict {exponent: coefficient} with int
-exponents and nonzero coefficients (Fraction or GaussianRational).  These
-functions are the hot inner loops of the exact arithmetic.
+exponents and nonzero rational coefficients (int, or Fraction where a
+division needs one).  These functions are the hot inner loops of the exact
+arithmetic.
 """
 
 # Reported in benchmark run records; this is the only kernel.

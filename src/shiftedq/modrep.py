@@ -1,6 +1,6 @@
 """Explicit modules with exact matrices and a mode-window relation verifier.
 
-Matrices are sparse {(row, col): ExactScalar} over Q(i)(v).  Relations are
+Matrices are sparse {(row, col): ExactScalar} over Q(v).  Relations are
 evaluated column-by-column as exact identities for all modes inside the
 window; basis columns whose raising chains would cross the cutoff are
 excluded rather than approximated (exactness over coverage).

@@ -1,10 +1,12 @@
-"""Exact scalars for the coefficient field Q(i)(v) with v**2 = q.
+"""Exact scalars for the coefficient field Q(v) with v**2 = q.
 
-ExactScalar is a reduced fraction of sparse Laurent polynomials in v with
-Fraction or GaussianRational coefficients.  ConstantFactor is the group
-(C*)^I restricted to coordinates zeta**k * q**e with e rational and zeta a
-fixed primitive 8th root of unity (ZETA_ORDER): the exact home of the
-constants omega-bar(w) appearing on l-weights.
+ExactScalar is a fraction of sparse Laurent polynomials in v over Q.  Its
+coefficients are plain ints; a Fraction appears only where a division by a
+coefficient other than +-1 needs one.  ConstantFactor is the group (C*)^I
+restricted to coordinates zeta**k * q**e with e rational and zeta a fixed
+primitive 8th root of unity (ZETA_ORDER): the exact home of the constants
+omega-bar(w) appearing on l-weights.  Only the coordinates with zeta**k = +-1
+are scalars of Q(v).
 """
 
 from __future__ import annotations
@@ -16,97 +18,11 @@ from .kernel import poly_add, poly_mul, poly_neg, poly_scale, poly_sub
 ZETA_ORDER = 8
 
 
-class GaussianRational:
-    """Element of Q(i), stored as re + im*i with Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        if not self.im:
-            return repr(self.re)
-        return f"({self.re}+{self.im}i)"
-
-
 def _inv_coeff(c):
-    if isinstance(c, GaussianRational):
-        return GaussianRational(1) / c
-    return Fraction(1) / c
+    """1/c; a unit of Z stays an int, anything else becomes a Fraction."""
+    if c == 1 or c == -1:
+        return int(c)
+    return 1 / Fraction(c)
 
 
 def _poly_min_exp(p):
@@ -117,7 +33,7 @@ def _poly_to_list(p):
     """Dense coefficient list of v**min_exp * (c0 + c1 v + ...), plus min_exp."""
     lo = min(p)
     hi = max(p)
-    out = [Fraction(0)] * (hi - lo + 1)
+    out = [0] * (hi - lo + 1)
     for e, c in p.items():
         out[e - lo] = c
     return out, lo
@@ -132,7 +48,7 @@ def _list_divmod(a, b):
     a = list(a)
     db = len(b) - 1
     inv_lead = _inv_coeff(b[-1])
-    q = [Fraction(0)] * max(0, len(a) - db)
+    q = [0] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if not c:
@@ -160,13 +76,12 @@ def _list_gcd(a, b):
         while b and not b[-1]:
             b.pop()
     if not a:
-        return [Fraction(1)]
+        return [1]
     inv = _inv_coeff(a[-1])
     return [c * inv for c in a]
 
 
-_ONE_F = Fraction(1)
-_TRIVIAL_DEN = {0: _ONE_F}  # shared read-only by convention
+_TRIVIAL_DEN = {0: 1}  # shared read-only by convention
 
 
 class ExactScalar:
@@ -234,27 +149,19 @@ class ExactScalar:
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_int(k):
-        if not k:
-            return ExactScalar({})
-        return ExactScalar({0: Fraction(k)})
+        """The constant k, an int or a Fraction."""
+        return ExactScalar({0: k} if k else {})
 
     @staticmethod
-    def from_coeff(c):
-        if not c:
-            return ExactScalar({})
-        return ExactScalar({0: c})
+    def v_power(k, coeff=1):
+        return ExactScalar({k: coeff})
 
     @staticmethod
-    def v_power(k, coeff=None):
-        c = _ONE_F if coeff is None else coeff
-        return ExactScalar({k: c})
-
-    @staticmethod
-    def q_power(e, coeff=None):
+    def q_power(e, coeff=1):
         """q**e for rational e; requires 2e integral (v = q**(1/2))."""
         ve = 2 * Fraction(e)
         if ve.denominator != 1:
-            raise ValueError(f"q**{e} is not in Q(i)(v): needs v**{ve}")
+            raise ValueError(f"q**{e} is not in Q(v): needs v**{ve}")
         return ExactScalar.v_power(int(ve), coeff)
 
     # -- ring ops ------------------------------------------------------
@@ -326,10 +233,9 @@ class ExactScalar:
     def key(self):
         if self._key is None:
             self._canonicalize()
-            self._key = (
-                tuple(sorted((e, _ckey(c)) for e, c in self.num.items())),
-                tuple(sorted((e, _ckey(c)) for e, c in self.den.items())),
-            )
+            # equal ints and Fractions compare and hash alike
+            self._key = (tuple(sorted(self.num.items())),
+                         tuple(sorted(self.den.items())))
         return self._key
 
     def is_polynomial(self):
@@ -337,10 +243,11 @@ class ExactScalar:
         return len(self.den) == 1
 
     def evaluate(self, v0):
-        """Exact value at a rational (or Gaussian-rational) v0 != 0."""
+        """Exact value at a rational v0 != 0, as a Fraction."""
         self._canonicalize()
-        num = sum((c * v0**e for e, c in self.num.items()), Fraction(0))
-        den = sum((c * v0**e for e, c in self.den.items()), Fraction(0))
+        v0 = Fraction(v0)
+        num = sum(c * v0**e for e, c in self.num.items())
+        den = sum(c * v0**e for e, c in self.den.items())
         return num / den
 
     def __repr__(self):
@@ -356,19 +263,11 @@ class ExactScalar:
         return f"({side(self.num)}) / ({side(self.den)})"
 
 
-def _ckey(c):
-    if isinstance(c, GaussianRational):
-        return (c.re, c.im)
-    return (Fraction(c), Fraction(0))
-
-
 def _coerce_scalar(x):
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar.from_int(x) if isinstance(x, int) else ExactScalar.from_coeff(x)
-    if isinstance(x, GaussianRational):
-        return ExactScalar.from_coeff(x)
+        return ExactScalar.from_int(x)
     return None
 
 
@@ -382,10 +281,9 @@ def qnum(m, r=1):
         return ExactScalar.from_int(0)
     s = 1 if m > 0 else -1
     m = abs(m)
-    c = Fraction(s)
     num = {}
     for k in range(m):
-        num[2 * r * (m - 1 - 2 * k)] = c
+        num[2 * r * (m - 1 - 2 * k)] = s
     return ExactScalar(num)
 
 
@@ -397,9 +295,7 @@ def qbinom(n, k, r=1):
     return out
 
 
-_ZETA_SCALARS = {0: ONE, 2: ExactScalar.from_coeff(GaussianRational(0, 1)),
-                 4: ExactScalar.from_int(-1),
-                 6: ExactScalar.from_coeff(GaussianRational(0, -1))}
+_ZETA_SCALARS = {0: ONE, 4: ExactScalar.from_int(-1)}  # the zeta-powers in Q
 
 
 def json_int(x, what):
@@ -469,10 +365,10 @@ class ConstantFactor:
         return hash((self.qexps, self.zetas))
 
     def coordinate_scalar(self, j):
-        """Coordinate j as an ExactScalar; needs an even zeta-power (i**k)."""
+        """Coordinate j as an ExactScalar; needs zeta-power 1 or -1."""
         z = self.zetas[j]
-        if z % 2 != 0:
-            raise ValueError(f"constant zeta^{z} is outside Q(i)(v)")
+        if z not in _ZETA_SCALARS:
+            raise ValueError(f"constant zeta^{z} is outside Q(v)")
         return _ZETA_SCALARS[z] * ExactScalar.q_power(self.qexps[j])
 
     def sqrt_class(self):

@@ -240,7 +240,7 @@ def abar_series_oracle(z, psi, i, order=8):
     for k in range(1, order + 1):
         acc = ExactScalar.from_int(0)
         for m in range(1, k + 1):
-            acc = acc + ExactScalar.from_coeff(Fraction(m, k)) * s[m] * E[k - m]
+            acc = acc + Fraction(m, k) * s[m] * E[k - m]
         E.append(acc.reduced())
     ev = abar_eigenvalue(z, psi, i)
     if ev is None:

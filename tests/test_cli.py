@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import shiftedq
 
 # the child process imports the same package as the tests, installed or not
@@ -238,3 +240,68 @@ def test_out_of_range_cli_node_is_usage_error(capsys):
                  ("qchar", "--type", "A2", "--family", "pos_prefund", "--node", "5"),
                  ("qchar", "--type", "A2", "--family", "neg_prefund", "--node", "3")):
         assert "--node" in assert_main_usage_error(capsys, *argv)
+
+
+# flag -> a value every kind or family that reads it accepts (cheap to run)
+_VERIFY_VALUES = {"--type": "A2", "--node": "2", "--shift": "1", "--gamma-exp": "1",
+                  "--beta-exp": "-1", "--cutoff": "3", "--window": "2"}
+_VERIFY_READS = {
+    "osc_verma_plus": ("--gamma-exp", "--cutoff"),
+    "osc_verma_minus": ("--gamma-exp", "--cutoff"),
+    "eval_sl2": ("--gamma-exp", "--shift", "--cutoff", "--window"),
+    "psitilde": ("--type", "--node", "--shift", "--cutoff", "--window"),
+    "psistar": ("--type", "--node", "--shift", "--window"),
+    "coproduct_plus": ("--gamma-exp", "--beta-exp", "--cutoff"),
+    "coproduct_minus": ("--gamma-exp", "--beta-exp", "--cutoff"),
+}
+_QCHAR_VALUES = {"--node": "2", "--shift": "1", "--depth": "3", "--head": "1:0",
+                 "--monomial": '{"exps":[[1,-1,1],[1,3,-1]]}'}
+_CLOSED = ("--node", "--shift", "--depth")
+_QCHAR_READS = {
+    "pos_prefund": _CLOSED, "neg_prefund_sl2": _CLOSED, "psitilde": _CLOSED,
+    "psistar": _CLOSED, "neg_prefund": _CLOSED,
+    "fm": ("--head", "--depth"),
+    "simple_sl2": ("--monomial",),
+}
+
+
+def _flag_argv(values, flags):
+    return [a for f in flags for a in (f, values[f])]
+
+
+@pytest.mark.parametrize("kind", sorted(_VERIFY_READS))
+def test_verify_relations_reads_only_its_flags(capsys, kind):
+    reads = _VERIFY_READS[kind]
+    base = ["verify-relations", "--kind", kind]
+    code, out, err = run_main(capsys, *base, *_flag_argv(_VERIFY_VALUES, reads))
+    assert (code, err) == (0, "") and json.loads(out)["ok"]
+    for flag in _VERIFY_VALUES:
+        if flag not in reads:
+            err = assert_main_usage_error(capsys, *base, flag, _VERIFY_VALUES[flag])
+            assert err == f"error: {flag} is not read by --kind {kind}\n"
+
+
+@pytest.mark.parametrize("family", sorted(_QCHAR_READS))
+def test_qchar_reads_only_its_flags(capsys, family):
+    reads = _QCHAR_READS[family]
+    base = ["qchar", "--type", "A1" if family.endswith("sl2") else "A2",
+            "--family", family]
+    values = dict(_QCHAR_VALUES, **({"--node": "1"} if family.endswith("sl2") else {}))
+    code, out, err = run_main(capsys, *base, *_flag_argv(values, reads))
+    assert (code, err) == (0, "") and json.loads(out)["terms"]
+    for flag in values:
+        if flag not in reads:
+            err = assert_main_usage_error(capsys, *base, flag, values[flag])
+            assert err == f"error: {flag} is not read by --family {family}\n"
+
+
+def test_ignored_flags_from_the_roadmap_exit_2(capsys):
+    for argv in (("verify-relations", "--kind", "eval_sl2", "--type", "Q7"),
+                 ("verify-relations", "--kind", "psitilde", "--gamma-exp", "5"),
+                 ("qchar", "--type", "A2", "--family", "fm", "--node", "7")):
+        assert "is not read by" in assert_main_usage_error(capsys, *argv)
+    # omitted flags still take their old defaults
+    code, out, _ = run_main(capsys, "verify-relations", "--kind", "psistar")
+    assert code == 0
+    assert out == run_main(capsys, "verify-relations", "--kind", "psistar", "--type", "A1",
+                           "--node", "1", "--shift", "0", "--window", "4")[1]

@@ -9,7 +9,6 @@ from shiftedq.scalars import (
     ZETA_ORDER,
     ConstantFactor,
     ExactScalar,
-    GaussianRational,
     ONE,
     qbinom,
     qnum,
@@ -85,16 +84,6 @@ def test_half_integer_q_powers():
         ExactScalar.q_power(Fraction(1, 3))
 
 
-def test_gaussian_rational():
-    i = GaussianRational(0, 1)
-    assert i * i == Fraction(-1)
-    assert (1 + i) * (1 - i) == Fraction(2)
-    assert 1 / i == -i
-    assert Fraction(1, 2) * i == GaussianRational(0, Fraction(1, 2))
-    s = ExactScalar.from_coeff(i)
-    assert s * s == ExactScalar.from_int(-1)
-
-
 def test_lazy_reduction_equality():
     q = ExactScalar.q_power(1)
     a = (q * q - 1) / (q - 1)  # unreduced fraction
@@ -116,11 +105,14 @@ def test_constant_factor_group():
 
 
 def test_constant_factor_scalar_coordinates():
-    c = ConstantFactor([Fraction(3, 2)], [2])
-    s = c.coordinate_scalar(0)
-    assert s == ExactScalar.from_coeff(GaussianRational(0, 1)) * ExactScalar.v_power(3)
-    with pytest.raises(ValueError):
-        ConstantFactor([0], [1]).coordinate_scalar(0)
+    assert ConstantFactor([Fraction(3, 2)], [0]).coordinate_scalar(0) == ExactScalar.v_power(3)
+    # zeta^4 = -1
+    s = ConstantFactor([Fraction(3, 2)], [4]).coordinate_scalar(0)
+    assert s == -ExactScalar.v_power(3)
+    # every other zeta-power (i = zeta^2 included) lies outside Q(v)
+    for z in (1, 2, 3, 5, 6, 7):
+        with pytest.raises(ValueError, match="outside Q\\(v\\)"):
+            ConstantFactor([0], [z]).coordinate_scalar(0)
 
 
 def _ref_mul(a, b, sign):
@@ -203,3 +195,64 @@ def test_constant_factor_from_json_rejects(data):
 
 def test_constant_factor_from_json_accepts_integral_floats():
     assert ConstantFactor.from_json([[3.0, 2, 10.0]]) == ConstantFactor([Fraction(3, 2)], [2])
+
+
+def _as_fractions(s):
+    return ExactScalar({e: Fraction(c) for e, c in s.num.items()},
+                       {e: Fraction(c) for e, c in s.den.items()})
+
+
+def _random_int_scalar(rng):
+    num = {rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
+    den = {rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+    num = {e: c for e, c in num.items() if c}
+    den = {e: c for e, c in den.items() if c} or {0: 1}
+    return ExactScalar(num, den)
+
+
+def _same(a, b):
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert a.key() == b.key()
+    assert repr(a) == repr(b)
+
+
+def test_int_coefficients_match_fraction_coefficients():
+    rng = random.Random(11)
+    for _ in range(200):
+        a, b = _random_int_scalar(rng), _random_int_scalar(rng)
+        fa, fb = _as_fractions(a), _as_fractions(b)
+        assert all(type(c) is Fraction for c in fa.num.values())
+        _same(a, fa)
+        _same(a + b, fa + fb)
+        _same(a - b, fa - fb)
+        _same(a * b, fa * fb)
+        if b:
+            _same(a / b, fa / fb)
+            _same((a / b).reduced(), fa / fb)
+
+
+def _coeff_types(s):
+    return {type(c) for p in (s.num, s.den) for c in p.values()}
+
+
+def test_integral_ring_ops_stay_int():
+    v = ExactScalar.v_power(1)
+    a = 3 * v * v - 2 + ExactScalar.v_power(-3, 5)
+    b = qnum(3) * (v - 1)
+    unit_low = 1 - 2 * v + 7 * v * v  # lowest denominator coefficient 1
+    neg_low = -v + 4 * v * v  # lowest coefficient -1
+    for s in (a + b, a - b, a * b, -a, a / unit_low, a / neg_low,
+              b / unit_low * neg_low, a / ExactScalar.from_int(-1),
+              qbinom(5, 2), ConstantFactor([Fraction(3, 2)], [4]).coordinate_scalar(0)):
+        assert _coeff_types(s) == {int}, s
+        assert _coeff_types(s.reduced()) <= {int}, s
+    # dividing by a non-unit constant is where a Fraction is needed
+    assert (a / 2).num[2] == Fraction(3, 2)
+
+
+def test_evaluate_is_exact_for_int_arguments():
+    r = ExactScalar.v_power(-1).evaluate(2)
+    assert r == Fraction(1, 2) and type(r) is Fraction
+    assert qnum(2).evaluate(1) == 2 and type(qnum(2).evaluate(1)) is Fraction
+    assert (ExactScalar.v_power(2) / (1 + ExactScalar.v_power(1, 3))).evaluate(-2) == Fraction(-4, 5)
