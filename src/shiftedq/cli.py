@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 mathematical rejection (e.g. a factorization that
 does not exist, a failed relation suite, a Z-order bound violation), 2 usage
 error (argparse errors and UsageError: malformed monomial JSON or integer
-lists, a non-integer in monomial JSON, a wrong-length coweight, an unknown
---type, a node out of range).  Identical invocations produce identical bytes.
+lists, a non-integer in monomial JSON, a wrong-length coweight, a --lambda
+that differs from the --zroots counts, an unknown --type, a node out of
+range).  Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ def _parse_intlist(s, n, what):
     if len(vals) != n:
         raise UsageError(f"{what} needs {n} comma-separated integers")
     return tuple(vals)
+
+
+def _lambda_arg(z, s):
+    """--lambda, which must equal the Z-root count of every node."""
+    lam = _parse_intlist(s, z.cd.n, "--lambda")
+    if lam != z.lam:
+        raise UsageError(
+            f"--lambda {','.join(map(str, lam))} does not match the --zroots "
+            f"counts {','.join(map(str, z.lam))}"
+        )
+    return lam
 
 
 def _monomial_arg(cd, s, what="--monomial"):
@@ -227,10 +239,8 @@ def cmd_verify_relations(args):
 def cmd_truncate(args):
     cd = _cartan_of(args)
     z = _parse_zroots(cd, args.zroots)
-    lam = _parse_intlist(args.lam, cd.n, "--lambda")
+    lam = _lambda_arg(z, args.lam)
     mu = _parse_intlist(args.mu, cd.n, "--mu")
-    if tuple(lam) != z.lam:
-        raise TruncationError("lambda does not match the zroot counts")
     cands = enumerate_candidates(z, lam, mu)
     cands = [descent_refine(z, c, args.depth) for c in cands]
     payload = {
@@ -246,7 +256,7 @@ def cmd_truncate(args):
 def cmd_classify_sl2(args):
     cd = build_cartan("A1")
     z = _parse_zroots(cd, args.zroots)
-    lam = _parse_intlist(args.lam, 1, "--lambda")
+    lam = _lambda_arg(z, args.lam)
     mu = _parse_intlist(args.mu, 1, "--mu")
     cands = sl2_classify(z, lam, mu)
     payload = {
@@ -261,7 +271,7 @@ def cmd_classify_sl2(args):
 def cmd_conjecture(args):
     cd = _cartan_of(args)
     z = _parse_zroots(cd, args.zroots)
-    lam = _parse_intlist(args.lam, cd.n, "--lambda") if args.lam else z.lam
+    lam = _lambda_arg(z, args.lam) if args.lam else z.lam
     rep = conjecture_report(z, lam, depth=args.depth,
                             up_to_signtwist=args.up_to_signtwist)
     lines = [f"chi_L terms: {rep['chi_L_terms']}  ok={rep['ok']}"]

@@ -9,7 +9,7 @@ of the truncation are searched as Z * prod Lambda^{-v} with v >= 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 from math import comb
 
 from .cartan import build_cartan, invert_quantum_cartan
@@ -132,14 +132,15 @@ def truncation_shifts(z_or_cd, mu, lam=None):
     x, consistent, _ = solve_rational(Ct, diff)
     if not consistent:
         raise TruncationError("lambda - mu is not in the coroot lattice span")
+    shown = "[" + ", ".join(map(str, x)) + "]"
     a = []
     for v in x:
         if v.denominator != 1:
             raise TruncationError(
-                f"lambda - mu is not an integral sum of simple coroots: a = {x}"
+                f"lambda - mu is not an integral sum of simple coroots: a = {shown}"
             )
         if v < 0:
-            raise TruncationError(f"negative truncation shift a = {x}")
+            raise TruncationError(f"negative truncation shift a = {shown}")
         a.append(int(v))
     return tuple(a)
 
@@ -353,20 +354,142 @@ def usable_lambda_sites(z, a):
     return {i: sorted(usable[i]) for i in cd.nodes()}
 
 
-def _multisets(window, k):
-    """Nondecreasing k-tuples (combinations with repetition)."""
-    from itertools import combinations_with_replacement
+def _site_keys(cd, i, us):
+    """For each site u of node i: ((i, u + r_i), the keys (j, u + o) for o
+    in NEIGHBOUR_OFFSETS[C_ij]).  Built once per node, so every multiset
+    shares these key tuples."""
+    ri = cd.ri(i)
+    return {
+        u: ((i, u + ri), tuple((j, u + o) for j in cd.nodes()
+                               for o in NEIGHBOUR_OFFSETS.get(cd.c(i, j), ())))
+        for u in us
+    }
 
-    return combinations_with_replacement(window, k)
+
+def _need_gift(ms, sites, zexps):
+    """Clause (b) data of one node's Lambda multiset ms, as two tuples.
+
+    sites is _site_keys of the node i.  need lists ((i, t), v(i, t - r_i) -
+    Z(i, t)) where it is positive.  gift lists each key (j, t) once per unit
+    of Psi_{j,t} exponent that prod_{u in ms} Lambda_{i,u}^{-1} adds at the
+    other nodes.
+    """
+    count = {}
+    gift = []
+    for u in ms:
+        key, gives = sites[u]
+        count[key] = count.get(key, 0) + 1
+        gift.extend(gives)
+    need = tuple((key, c - zexps.get(key, 0)) for key, c in count.items()
+                 if c > zexps.get(key, 0))
+    return need, tuple(gift)
+
+
+def _gift_caps(site_keys, a, givers):
+    """The most the giver nodes' Lambda sites can add at each (j, t): a_k
+    from each giver k with a site giving there (the a_k sites of node k add
+    at most a_k to one (j, t) in total).  site_keys[k] is _site_keys of k."""
+    cap = {}
+    for k in givers:
+        for key in {key for _, gives in site_keys[k].values() for key in gives}:
+            cap[key] = cap.get(key, 0) + a[k - 1]
+    return cap
+
+
+def _extend(state, option, cap):
+    """The search state after one more node's option, or None once a need
+    exceeds its gifts plus cap, the most the later nodes can still give.
+
+    state is (short, given): short maps each (j, t) of a decided node to its
+    need minus the gifts so far, where positive; given maps each (j, t) of
+    an undecided node to the gifts so far.
+    """
+    short, given = state
+    _, need, gift = option
+    short = dict(short)
+    for key, n in need:
+        n -= given.get(key, 0)
+        if n > 0:
+            short[key] = n
+    rest = []
+    for key in gift:
+        if key in short:
+            short[key] -= 1
+        else:
+            rest.append(key)
+    for key, n in short.items():
+        if n > cap.get(key, 0):
+            return None
+    given = dict(given)
+    for key in rest:
+        given[key] = given.get(key, 0) + 1
+    return {key: n for key, n in short.items() if n > 0}, given
+
+
+def _covered_choices(per_node, caps):
+    """Depth-first over one option per node, in itertools.product order.
+
+    per_node holds (multiset, need, gift) options.  Yields each full choice
+    in which every need is covered by the gifts of the other nodes.  A
+    partial choice of depth d is dropped once some need exceeds its gifts
+    plus caps[d], the most the later nodes can add; a need that only the
+    next node can still cover restricts it to the options giving there.
+    """
+    last = len(per_node) - 1
+    gifted = []  # per node: (j, t) -> indices of the options giving there
+    for opts in per_node:
+        idx = {}
+        for n, (_, _, gift) in enumerate(opts):
+            for key in set(gift):
+                idx.setdefault(key, []).append(n)
+        gifted.append(idx)
+    chosen = [None] * len(per_node)
+    stack = [(iter(per_node[0]), ({}, {}))]
+    while stack:
+        options, state = stack[-1]
+        d = len(stack) - 1
+        for option in options:
+            nxt = _extend(state, option, caps[d])
+            if nxt is not None:
+                break
+        else:
+            stack.pop()
+            continue
+        chosen[d] = option
+        if d == last:
+            yield tuple(chosen)
+            continue
+        # a need the nodes after d + 1 cannot cover needs a gift from d + 1
+        forced = [gifted[d + 1].get(key, ()) for key, n in nxt[0].items()
+                  if n > caps[d + 1].get(key, 0)]
+        opts = per_node[d + 1]
+        if forced:
+            stack.append((map(opts.__getitem__, min(forced, key=len)), nxt))
+        else:
+            stack.append((iter(opts), nxt))
 
 
 def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
     """Exhaustive finite search for descent candidates.
 
-    Enumerates Lambda-exponent maps v >= 0 with per-node sums a_i and
-    supports in the proof-bound window (restricted by the chain closure),
-    keeps those passing the necessary conditions (status NecessaryOnly),
-    deduplicated modulo sign-twist and canonically ordered.
+    Searches Lambda-exponent maps v >= 0 with per-node sums a_i and supports
+    in the proof-bound window (restricted by the chain closure), keeps those
+    passing the necessary conditions (status NecessaryOnly), deduplicated
+    modulo sign-twist and canonically ordered.
+
+    With psi = Z prod Lambda^{-v}, clause (b) (every pole e < 0 of psi at
+    (j, t) has v(j, t + r_j) >= -e) is equivalent to
+
+        need_j(t) := v(j, t - r_j) - Z(j, t) <= N_j(t)  for every (j, t),
+
+    where N_j(t) >= 0 is what the other nodes' Lambda sites give at (j, t)
+    through NEIGHBOUR_OFFSETS[C_kj].  need_j depends on node j's multiset
+    only and N_j grows as sites are chosen, so the search picks one a_i-
+    multiset per node depth-first, in node order, and drops a partial choice
+    once a decided need exceeds the decided gifts plus the most the
+    undecided nodes can still give.  The maps are visited in the order of
+    the full product of per-node multisets, whose size is counted (and
+    refused above max_combos) before anything is built.
     """
     from .kernel import exps_combine
 
@@ -396,23 +519,26 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
         for i in cd.nodes()
         for u in usable[i]
     }
-    per_node = []
-    for i in cd.nodes():
-        opts = []
-        for ms in _multisets(usable[i], a[i - 1]):
+    zexps = zmono.exps
+    site_keys = {i: _site_keys(cd, i, usable[i]) for i in cd.nodes()}
+    per_node = [
+        [(ms, *_need_gift(ms, site_keys[i], zexps))
+         for ms in combinations_with_replacement(usable[i], a[i - 1])]
+        for i in cd.nodes()
+    ]
+    caps = [_gift_caps(site_keys, a, range(i + 1, cd.n + 1)) for i in cd.nodes()]
+    ri_of = {i: cd.ri(i) for i in cd.nodes()}
+
+    seen = {}
+    for choice in _covered_choices(per_node, caps):
+        combo = []
+        for i, (ms, _, _) in zip(cd.nodes(), choice):
             acc = {}
             vloc = {}
             for u in ms:
                 acc = exps_combine(acc, pat[(i, u)], 1)
                 vloc[(i, u)] = vloc.get((i, u), 0) + 1
-            opts.append((vloc, acc))
-        per_node.append(opts)
-
-    zexps = zmono.exps
-    ri_of = {i: cd.ri(i) for i in cd.nodes()}
-
-    seen = {}
-    for combo in product(*per_node):
+            combo.append((vloc, acc))
         lam_exps = combo[0][1]
         for _, acc in combo[1:]:
             lam_exps = exps_combine(lam_exps, acc, 1)

@@ -305,3 +305,26 @@ def test_ignored_flags_from_the_roadmap_exit_2(capsys):
     assert code == 0
     assert out == run_main(capsys, "verify-relations", "--kind", "psistar", "--type", "A1",
                            "--node", "1", "--shift", "0", "--window", "4")[1]
+
+
+def test_lambda_disagreeing_with_zroots_is_usage_error(capsys):
+    for argv in (("truncate", "--type", "A2", "--lambda", "0,0", "--zroots", "1:0",
+                  "--mu=1,0"),
+                 ("classify-sl2", "--lambda", "1", "--zroots", "1:3,-1", "--mu", "0"),
+                 ("conjecture", "--type", "A2", "--lambda", "0,0", "--zroots", "1:0")):
+        err = assert_main_usage_error(capsys, *argv)
+        assert "--lambda" in err and "--zroots counts" in err
+    # agreeing counts are accepted
+    assert run_main(capsys, "classify-sl2", "--lambda", "2", "--zroots", "1:3,-1",
+                    "--mu", "0")[0] == 0
+
+
+def test_truncation_shift_error_prints_rationals(capsys):
+    code, out, err = run_main(capsys, "truncate", "--type", "A2", "--lambda", "1,0",
+                              "--zroots", "1:0", "--mu=3,0")
+    assert (code, out) == (1, "")
+    assert err == ("error: lambda - mu is not an integral sum of simple coroots: "
+                   "a = [-4/3, -2/3]\n")
+    code, out, err = run_main(capsys, "truncate", "--type", "A1", "--lambda", "1",
+                              "--zroots", "1:0", "--mu", "3")
+    assert (code, out, err) == (1, "", "error: negative truncation shift a = [-1]\n")

@@ -1,5 +1,10 @@
+import hashlib
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
+from shiftedq import cli
 from shiftedq.cartan import build_cartan
 from shiftedq.lweight import LWeightMonomial, generator
 from shiftedq.langlands import (
@@ -230,3 +235,14 @@ def test_conjecture_report_b2_first_fundamental():
         matched = [c for c in w["candidates"] if c["matched"]]
         got = {(i, r): e for i, r, e in matched[0]["psi"]["exps"]}
         assert got == exps
+
+
+def test_conjecture_a3_two_roots_pinned():
+    # 36 candidates over 13 weights; stdout bytes as printed by the
+    # Cartesian-product enumeration the pruned search replaced
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["conjecture", "--type", "A3", "--zroots", "1:0;3:2"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "0f4bc67cc88ab5740796fe469d9abc79a65e1e0caa2fc49fb35e377010af5520")

@@ -1,14 +1,20 @@
+import random
+from itertools import combinations_with_replacement, product
+from math import comb
+
 import pytest
 
 from shiftedq import truncation
 from shiftedq.cartan import build_cartan
-from shiftedq.lweight import LWeightMonomial, generator
+from shiftedq.kernel import exps_combine
+from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator
 from shiftedq.scalars import ConstantFactor
 from shiftedq.truncation import (
     STATUS_CONFIRMED,
     STATUS_NECESSARY,
     STATUS_REFUTED,
     STATUS_STRONG,
+    Candidate,
     TruncationData,
     TruncationError,
     abar_eigenvalue,
@@ -52,6 +58,15 @@ def test_truncation_shifts():
         truncation_shifts(Z_SL2, (4,))       # negative shift
     with pytest.raises(TruncationError):
         truncation_shifts(Z_B2, (1, 0))      # not in the coroot span
+
+
+def test_truncation_shift_errors_print_rationals():
+    with pytest.raises(TruncationError) as e:
+        truncation_shifts(Z_SL3, (3, 0))
+    assert str(e.value).endswith("a = [-4/3, -2/3]")
+    with pytest.raises(TruncationError) as e:
+        truncation_shifts(TruncationData(A1, {1: [0]}), (3,))
+    assert str(e.value) == "negative truncation shift a = [-1]"
 
 
 def test_phi_z_b2():
@@ -313,3 +328,165 @@ def test_enumeration_space_counted_before_building(monkeypatch):
     monkeypatch.setattr(truncation, "generator", no_generator)
     with pytest.raises(TruncationError, match="182329176645 exponent maps"):
         enumerate_candidates(Z_G2, (0, 1), (0, -1))
+
+
+# --- pruned search against the Cartesian product -------------------------------
+
+def _product_enumeration(z, lam, mu):
+    """Oracle: the Cartesian-product enumeration that the pruned search
+    replaced.  Every combination of per-node a_i-multisets is built, and
+    clause (b) is tested only afterwards."""
+    cd = z.cd
+    a = truncation_shifts(z, mu)
+    zmono = z.z_monomial()
+    if not any(a):
+        cls = truncation.required_const_class(z, mu, zmono.exps, a)
+        return [Candidate(zmono.with_const(cls), {}, mu, STATUS_NECESSARY, z)]
+    usable = usable_lambda_sites(z, a)
+    pat = {
+        (i, u): generator(cd, "Lambda", i, u).exps
+        for i in cd.nodes()
+        for u in usable[i]
+    }
+    per_node = []
+    for i in cd.nodes():
+        opts = []
+        for ms in combinations_with_replacement(usable[i], a[i - 1]):
+            acc = {}
+            vloc = {}
+            for u in ms:
+                acc = exps_combine(acc, pat[(i, u)], 1)
+                vloc[(i, u)] = vloc.get((i, u), 0) + 1
+            opts.append((vloc, acc))
+        per_node.append(opts)
+    zexps = zmono.exps
+    ri_of = {i: cd.ri(i) for i in cd.nodes()}
+    seen = {}
+    for combo in product(*per_node):
+        lam_exps = combo[0][1]
+        for _, acc in combo[1:]:
+            lam_exps = exps_combine(lam_exps, acc, 1)
+        psi_exps = exps_combine(zexps, lam_exps, -1)
+        ok = True
+        for (j, t), e in psi_exps.items():
+            if e < 0:
+                cover = 0
+                for (vloc, _) in combo:
+                    cover += vloc.get((j, t + ri_of[j]), 0)
+                if cover < -e:
+                    ok = False
+                    break
+        if not ok:
+            continue
+        psi = LWeightMonomial(cd, psi_exps)
+        if psi.coweight() != tuple(mu):
+            continue
+        v = {}
+        for vloc, _ in combo:
+            v.update(vloc)
+        rep = maint_check(z, lam, mu, psi, cert=v)
+        if not rep["ok"]:
+            continue
+        cls = ConstantFactor.from_json(rep["const_class"])
+        cand = Candidate(psi.with_const(cls), v, mu, STATUS_NECESSARY, z,
+                         notes={"maint": "pass"})
+        seen.setdefault(cand.psi.exps_key(), cand)
+    return sorted(seen.values(), key=lambda c: c.psi.exps_key())
+
+
+def _space(z, mu):
+    a = truncation_shifts(z, mu)
+    if not any(a):
+        return 1
+    usable = usable_lambda_sites(z, a)
+    out = 1
+    for i in z.cd.nodes():
+        if a[i - 1]:
+            out *= comb(len(usable[i]) + a[i - 1] - 1, a[i - 1])
+    return out
+
+
+def _weights_below(z, max_space, max_height=4):
+    """mu = lambda - sum_j a_j alpha_j^vee for a >= 0 with sum(a) <= max_height
+    and an enumeration space of at most max_space maps."""
+    cd = z.cd
+    out = []
+    for a in product(range(max_height + 1), repeat=cd.n):
+        if sum(a) > max_height:
+            continue
+        mu = tuple(z.lam[i] - sum(cd.C[j][i] * a[j] for j in range(cd.n))
+                   for i in range(cd.n))
+        if _space(z, mu) <= max_space:
+            out.append(mu)
+    return out
+
+
+# One and two Z-roots per type; every weight whose space is at most ~10^5.
+ORACLE_TRUNCATIONS = [
+    ("A1", {1: [0]}), ("A1", {1: [0, 2]}),
+    ("A2", {1: [0]}), ("A2", {1: [0], 2: [0]}),
+    ("B2", {2: [-1]}), ("B2", {1: [-2], 2: [-1]}),
+    ("G2", {1: [-3]}), ("G2", {2: [-1], 1: [-3]}),
+    ("C3", {3: [-2]}), ("C3", {1: [-1], 3: [-2]}),
+    ("A3", {2: [0]}), ("A3", {1: [-1], 3: [1]}),
+]
+
+
+@pytest.mark.parametrize("label,zroots", ORACLE_TRUNCATIONS,
+                         ids=[t + "-" + ";".join(f"{i}:{','.join(map(str, m))}"
+                                                 for i, m in sorted(z.items()))
+                              for t, z in ORACLE_TRUNCATIONS])
+def test_enumerate_matches_product_oracle(label, zroots):
+    z = TruncationData(build_cartan(label), zroots)
+    weights = _weights_below(z, 100_000)
+    assert len(weights) > 1
+    found = 0
+    for mu in weights:
+        got = enumerate_candidates(z, z.lam, mu)
+        want = _product_enumeration(z, z.lam, mu)
+        # order, constants, statuses and Lambda certificates included
+        assert [c.to_json() for c in got] == [c.to_json() for c in want], mu
+        assert [list(c.lambda_exps.items()) for c in got] == \
+            [list(c.lambda_exps.items()) for c in want]
+        assert [list(c.psi.exps.items()) for c in got] == \
+            [list(c.psi.exps.items()) for c in want]
+        found += len(got)
+    assert found
+
+
+def _pole_cover(cd, psi_exps, v):
+    """Clause (b) as stated: every pole e < 0 of psi at (j, t) has
+    v(j, t + r_j) >= -e."""
+    return all(v.get((j, t + cd.ri(j)), 0) >= -e
+               for (j, t), e in psi_exps.items() if e < 0)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
+def test_need_gift_form_of_clause_b_random(label):
+    cd = build_cartan(label)
+    rng = random.Random(f"clause-b:{label}")
+    seen = set()
+    for _ in range(400):
+        zroots = {i: [rng.randrange(-4, 5) for _ in range(rng.randrange(3))]
+                  for i in cd.nodes()}
+        zexps = TruncationData(cd, zroots).z_monomial().exps
+        ms = {i: sorted(rng.randrange(-6, 7) for _ in range(rng.randrange(4)))
+              for i in cd.nodes()}
+        v = {}
+        for i in cd.nodes():
+            for u in ms[i]:
+                v[(i, u)] = v.get((i, u), 0) + 1
+        psi = LWeightMonomial(cd, zexps).combine(expand_in_basis(cd, "Lambda", v), -1)
+        gifts = {}
+        needs = []
+        for i in cd.nodes():
+            sites = truncation._site_keys(cd, i, set(ms[i]))
+            need, gift = truncation._need_gift(ms[i], sites, zexps)
+            needs.extend(need)
+            for key in gift:
+                assert key[0] != i
+                gifts[key] = gifts.get(key, 0) + 1
+        covered = all(n <= gifts.get(key, 0) for key, n in needs)
+        assert covered == _pole_cover(cd, psi.exps, v), (zroots, ms)
+        seen.add(covered)
+    assert seen == {True, False}
