@@ -211,6 +211,9 @@ def cmd_qchar(args):
 
 def cmd_verify_relations(args):
     _read_flags(args, f"--kind {args.kind}", _VERIFY_FLAGS[args.kind], _VERIFY_DEFAULTS)
+    for flag in ("cutoff", "window"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be >= 1")
     if args.kind in ("coproduct_plus", "coproduct_minus"):
         rep = check_coproduct(
             1 if args.kind.endswith("plus") else -1,

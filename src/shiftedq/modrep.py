@@ -51,26 +51,45 @@ class ExplicitModule:
     def matrix(self, symbol):
         return self.gens.get(symbol, {})
 
-    def apply_symbol(self, symbol, vec):
-        cols = self._cols.get(symbol)
-        if not cols:
-            return {}
-        out = {}
-        for c, v in vec.items():
-            for r, s in cols.get(c, ()):
-                p = s * v
-                acc = out.get(r)
-                out[r] = p if acc is None else acc + p
-        return {r: v for r, v in out.items() if v}
-
     def apply_word(self, word, j):
-        """Apply a product of symbols (leftmost acts last) to basis vector j."""
-        vec = {j: ONE}
+        """Apply a product of symbols (leftmost acts last) to basis vector j.
+
+        The generators of the ladder and oscillator modules have at most one
+        entry per column, so the word carries one (row, scalar) pair, seeded
+        with the first matrix entry itself.  From a column with two or more
+        entries on (the coproduct tensor module) the rest of the word is a
+        sparse accumulate over a vector.
+        """
+        all_cols = self._cols
+        row, val = j, None  # val None: the empty product
+        vec = None  # the sparse vector, once a column has split
         for sym in reversed(word):
-            vec = self.apply_symbol(sym, vec)
+            cols = all_cols.get(sym)
+            if not cols:
+                return {}
+            if vec is None:
+                entries = cols.get(row)
+                if not entries:
+                    return {}
+                if len(entries) == 1:
+                    row, s = entries[0]
+                    val = s if val is None else s * val
+                    continue
+                vec = {row: ONE if val is None else val}
+            out = {}
+            for c, v in vec.items():
+                for r, s in cols.get(c, ()):
+                    p = s * v
+                    acc = out.get(r)
+                    out[r] = p if acc is None else acc + p
+            vec = {r: v for r, v in out.items() if v}
             if not vec:
                 return {}
-        return vec
+        if vec is not None:
+            return vec
+        if val is None:
+            return {j: ONE}
+        return {row: val} if val else {}
 
     def word_max_up(self, word):
         """Max prefix (rightmost-first) cumulative up-shift of a product."""
@@ -293,26 +312,19 @@ def _psistar_module(cd, i, r, window):
     ri = cd.ri(i)
     lws = _ladder_lweights(cd, i, r, 2, "psistar")
     gens = {}
-    up = {}
     for m in range(-window, window + 1):
         am = ExactScalar.q_power(r * m)
         gens[(X_MINUS, i, m)] = {(1, 0): am}
         gens[(X_PLUS, i, m)] = {(0, 1): am * ExactScalar.q_power(-ri)}
-        up[(X_MINUS, i, m)] = 1
-        up[(X_PLUS, i, m)] = -1
         for jn in cd.nodes():
             if jn != i:
                 gens.setdefault((X_PLUS, jn, m), {})
                 gens.setdefault((X_MINUS, jn, m), {})
-                up[(X_PLUS, jn, m)] = 0
-                up[(X_MINUS, jn, m)] = 0
     nm = 2 * window + 2
     for jn in cd.nodes():
         for mm in range(-nm, nm + 1):
             gens[(PHI_PLUS, jn, mm)] = {}
             gens[(PHI_MINUS, jn, mm)] = {}
-            up[(PHI_PLUS, jn, mm)] = 0
-            up[(PHI_MINUS, jn, mm)] = 0
         for j in (0, 1):
             for mm, s in _lweight_series(lws[j], jn, nm, 1).items():
                 if -nm <= mm <= nm:
@@ -321,11 +333,11 @@ def _psistar_module(cd, i, r, window):
                 if -nm <= mm <= nm:
                     gens[(PHI_MINUS, jn, mm)][(j, j)] = s
     weights = [lw.const for lw in lws]
-    # basis 0,1 only: no cutoff pollution (x^- v_1 = 0 is exact)
-    mod = ExplicitModule(cd, "psistar", {"node": i, "shift": r}, 2, weights,
-                         gens, window, up, lweights=lws)
-    mod.upshift = {s: 0 for s in mod.upshift}
-    return mod
+    # basis 0,1 only: no cutoff pollution (x^- v_1 = 0 is exact), so every
+    # symbol has up-shift 0 and both columns are checked
+    up = dict.fromkeys(gens, 0)
+    return ExplicitModule(cd, "psistar", {"node": i, "shift": r}, 2, weights,
+                          gens, window, up, lweights=lws)
 
 
 def build_module(kind, params=None, cutoff=8, mode_window=4):

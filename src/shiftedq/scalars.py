@@ -195,9 +195,22 @@ class ExactScalar:
         o = _coerce_scalar(other)
         if o is None:
             return NotImplemented
+        # a one-term factor c*v**e (a normalized one-term denominator is 1)
+        # shifts and scales the other operand's numerator
+        if len(o.num) == 1 and len(o.den) == 1:
+            return self._monomial_mul(o.num)
+        if len(self.num) == 1 and len(self.den) == 1:
+            return o._monomial_mul(self.num)
         return ExactScalar(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
+
+    def _monomial_mul(self, mono):
+        """self * c*v**e for mono = {e: c}; self itself when c*v**e is 1."""
+        (e, c), = mono.items()
+        if e == 0 and c == 1:
+            return self
+        return ExactScalar(poly_scale(self.num, c, e), self.den)
 
     def __truediv__(self, other):
         o = _coerce_scalar(other)

@@ -295,6 +295,16 @@ def test_qchar_reads_only_its_flags(capsys, family):
             assert err == f"error: {flag} is not read by --family {family}\n"
 
 
+@pytest.mark.parametrize("kind", sorted(_VERIFY_READS))
+def test_verify_relations_cutoff_and_window_below_1_are_usage_errors(capsys, kind):
+    for flag in ("--cutoff", "--window"):
+        if flag in _VERIFY_READS[kind]:
+            for value in ("0", "-3"):
+                err = assert_main_usage_error(capsys, "verify-relations", "--kind",
+                                              kind, flag, value)
+                assert err == f"error: {flag} must be >= 1\n"
+
+
 def test_ignored_flags_from_the_roadmap_exit_2(capsys):
     for argv in (("verify-relations", "--kind", "eval_sl2", "--type", "Q7"),
                  ("verify-relations", "--kind", "psitilde", "--gamma-exp", "5"),

@@ -1,15 +1,22 @@
+import hashlib
+import json
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from shiftedq.cartan import build_cartan
+from shiftedq.kernel import poly_add
 from shiftedq.lweight import generator
 from shiftedq.modrep import (
+    ExplicitModule,
     build_module,
     check_coproduct,
     check_relations,
     component_series,
     t_series_ratio,
 )
-from shiftedq.scalars import ExactScalar, ONE, qnum
+from shiftedq.scalars import ExactScalar, ONE, ZERO, qnum
 
 A1 = build_cartan("A1")
 B2 = build_cartan("B2")
@@ -111,6 +118,86 @@ def test_psitilde_pmz_coefficient_check():
                 got = comm.get(col, ExactScalar.from_int(0))
                 assert got == want
                 assert all(not v for k, v in comm.items() if k != col)
+
+
+def _dense_word(mod, word, j):
+    """word applied to basis vector j by dense matrix-vector products."""
+    vec = [ONE if r == j else ZERO for r in range(mod.size)]
+    for sym in reversed(word):
+        mat = mod.matrix(sym)
+        vec = [sum((mat[(r, c)] * vec[c] for c in range(mod.size) if (r, c) in mat), ZERO)
+               for r in range(mod.size)]
+    return {r: v for r, v in enumerate(vec) if v}
+
+
+def _tensor_module():
+    """V(1) (x) W(-1) with Delta_+(e), Delta_+(f): two entries per column."""
+    m1 = build_module("osc_verma_plus", {"gamma_exp": 1}, cutoff=2, mode_window=1)
+    m2 = build_module("osc_verma_minus", {"gamma_exp": -1}, cutoff=2, mode_window=1)
+    n = m2.size
+    eye = {(j, j): ONE for j in range(n)}
+
+    def kron(a, b):
+        return {(r1 * n + r2, c1 * n + c2): s1 * s2
+                for (r1, c1), s1 in a.items() for (r2, c2), s2 in b.items()}
+
+    gens = {
+        "e": poly_add(kron(m1.matrix("e"), eye), kron(m1.matrix("kinv"), m2.matrix("e"))),
+        "f": poly_add(kron(m1.matrix("f"), m2.matrix("k")), kron(eye, m2.matrix("f"))),
+        "k": kron(m1.matrix("k"), m2.matrix("k")),
+    }
+    return ExplicitModule(m1.cd, "osc_tensor", {}, m1.size * n, None, gens, 0,
+                          dict.fromkeys(gens, 0))
+
+
+def _cancelling_module():
+    """A zero entry, and a split column whose two paths cancel under "a"."""
+    v = ExactScalar.v_power(1)
+    gens = {"a": {(0, 0): ONE, (0, 1): -ONE, (2, 2): v},
+            "b": {(0, 0): v, (1, 0): v, (2, 1): ONE, (1, 2): ZERO}}
+    return ExplicitModule(A1, "hand", {}, 3, None, gens, 0, dict.fromkeys(gens, 0))
+
+
+@pytest.mark.parametrize("mod", [
+    build_module("eval_sl2", {"gamma_exp": 1, "shift": 2}, cutoff=3, mode_window=1),
+    build_module("psitilde", {"type": "A2", "node": 2, "shift": 1}, cutoff=2, mode_window=1),
+    build_module("psitilde", {"type": "B2", "node": 1}, cutoff=2, mode_window=1),
+    build_module("psistar", {"type": "B2", "node": 2, "shift": -1}, mode_window=1),
+    build_module("osc_verma_plus", {"gamma_exp": 2}, cutoff=4),
+    build_module("osc_verma_minus", {"gamma_exp": -1}, cutoff=4),
+    _tensor_module(),
+    _cancelling_module(),
+], ids=lambda m: m.kind)
+def test_apply_word_matches_dense_product(mod):
+    symbols = list(mod.gens) + ["absent"]
+    words = [[]] + [[s] for s in symbols] + [list(w) for w in product(symbols, repeat=2)]
+    for j in range(mod.size):
+        for word in words:
+            got = mod.apply_word(word, j)
+            assert got == _dense_word(mod, word, j), (word, j)
+            assert all(got.values()), (word, j)
+    # only the hand-built modules reach the sparse fallback
+    split = any(n > 1 for m in mod.gens.values() for n in Counter(c for _, c in m).values())
+    assert split == (mod.kind in ("osc_tensor", "hand"))
+
+
+def test_failure_witness_pinned():
+    # x^-_{1,1} v_1 scaled by v breaks (trois), (hdd) and (phix); no timed
+    # suite fails, so the report, witnesses included, is pinned here to the
+    # bytes of the sparse-accumulate apply_word
+    mod = build_module("eval_sl2", {"gamma_exp": 1, "shift": 0}, cutoff=4, mode_window=2)
+    gens = dict(mod.gens)
+    sym = ("x-", 1, 1)
+    gens[sym] = dict(gens[sym])
+    gens[sym][(2, 1)] = gens[sym][(2, 1)] * ExactScalar.v_power(1)
+    bad = ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
+                         gens, mod.mode_window, mod.upshift, lweights=mod.lweights)
+    rep = check_relations(bad)
+    assert not rep["ok"]
+    assert {f["family"] for f in rep["families"] if f["failures"]} == {"hdd", "phix", "trois"}
+    data = json.dumps(rep, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "3278384249cbbb46fb1b69e217b819980df91e8ec4c086343801424b16129145")
 
 
 def test_invalid_module_params():

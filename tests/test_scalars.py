@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftedq.kernel import poly_mul
 from shiftedq.scalars import (
     ZETA_ORDER,
     ConstantFactor,
     ExactScalar,
     ONE,
+    ZERO,
     qbinom,
     qnum,
 )
@@ -256,3 +258,33 @@ def test_evaluate_is_exact_for_int_arguments():
     assert r == Fraction(1, 2) and type(r) is Fraction
     assert qnum(2).evaluate(1) == 2 and type(qnum(2).evaluate(1)) is Fraction
     assert (ExactScalar.v_power(2) / (1 + ExactScalar.v_power(1, 3))).evaluate(-2) == Fraction(-4, 5)
+
+
+def _random_mixed_scalar(rng):
+    """int and Fraction coefficients over a denominator of one to three terms."""
+    def coeff():
+        return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+
+    num = {rng.randint(-4, 4): coeff() for _ in range(rng.randint(0, 3))}
+    den = {rng.randint(-2, 2): coeff() for _ in range(rng.randint(1, 3))}
+    return ExactScalar({e: c for e, c in num.items() if c},
+                       {e: c for e, c in den.items() if c} or {0: 1})
+
+
+def test_monomial_mul_matches_general_product():
+    rng = random.Random(8)
+    for _ in range(400):
+        x = _random_mixed_scalar(rng)
+        e = rng.randint(-5, 5)
+        c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+        # c*v**e written three ways: plain, over Fraction(1), over d*v**k
+        d, k = rng.choice([1, -2, Fraction(3, 2)]), rng.randint(-2, 2)
+        for m in (ExactScalar.v_power(e, c), ExactScalar({e: c}, {0: Fraction(1)}),
+                  ExactScalar({e + k: c * d}, {k: d})):
+            assert len(m.num) == 1 and len(m.den) == 1
+            general = ExactScalar(poly_mul(x.num, m.num), poly_mul(x.den, m.den))
+            _same(x * m, general)
+            _same(m * x, general)
+        assert ONE * x == x and x * ONE == x
+        assert not ZERO * x and not x * ZERO
+        assert not ExactScalar.from_int(0) * ExactScalar.v_power(e, c)
