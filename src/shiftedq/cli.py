@@ -5,7 +5,8 @@ does not exist, a failed relation suite, a Z-order bound violation), 2 usage
 error (argparse errors and UsageError: malformed monomial JSON or integer
 lists, a non-integer in monomial JSON, a wrong-length coweight, a --lambda
 that differs from the --zroots counts, an unknown --type, a node out of
-range).  Identical invocations produce identical bytes.
+range, a --depth below 0, a rank-1 --family with a --type of higher rank).
+Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ def _cartan_of(args):
 def _check_node(cd, i):
     if i not in cd.nodes():
         raise UsageError(f"--node: node {i} out of range for {cd.type_label}")
+
+
+def _check_depth(depth):
+    if depth < 0:
+        raise UsageError("--depth must be >= 0")
 
 
 def _int(tok, what):
@@ -184,7 +190,10 @@ def _read_flags(args, what, reads, defaults):
 def cmd_qchar(args):
     fam = args.family
     _read_flags(args, f"--family {fam}", _QCHAR_FLAGS[fam], _QCHAR_DEFAULTS)
+    _check_depth(args.depth)
     cd = _cartan_of(args)
+    if fam in ("neg_prefund_sl2", "simple_sl2") and cd.n != 1:
+        raise UsageError(f"--family {fam} needs rank 1, not --type {cd.type_label}")
     if fam in ("pos_prefund", "neg_prefund_sl2", "psitilde", "psistar"):
         _check_node(cd, args.node)
         x = qc_closed_form(cd, fam, args.node, args.shift, args.depth)
@@ -240,6 +249,7 @@ def cmd_verify_relations(args):
 
 
 def cmd_truncate(args):
+    _check_depth(args.depth)
     cd = _cartan_of(args)
     z = _parse_zroots(cd, args.zroots)
     lam = _lambda_arg(z, args.lam)
@@ -272,6 +282,7 @@ def cmd_classify_sl2(args):
 
 
 def cmd_conjecture(args):
+    _check_depth(args.depth)
     cd = _cartan_of(args)
     z = _parse_zroots(cd, args.zroots)
     lam = _lambda_arg(z, args.lam) if args.lam else z.lam

@@ -94,7 +94,7 @@ class ExactScalar:
 
     __slots__ = ("num", "den", "_key", "_canon")
 
-    def __init__(self, num, den=None, reduce=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = _TRIVIAL_DEN
         if not den:
@@ -107,8 +107,6 @@ class ExactScalar:
         self.den = den
         self._key = None
         self._canon = den is _TRIVIAL_DEN or len(den) == 1
-        if reduce and not self._canon:
-            self._canonicalize()
 
     @staticmethod
     def _normalize(num, den):

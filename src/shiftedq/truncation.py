@@ -118,16 +118,12 @@ def fuse_truncations(z1, z2):
     return TruncationData(z1.cd, zr)
 
 
-def truncation_shifts(z_or_cd, mu, lam=None):
-    """Solve lambda - mu = sum_i a_i alpha_i^vee; reject non-integral or
-    negative a_i."""
-    if isinstance(z_or_cd, TruncationData):
-        cd = z_or_cd.cd
-        lam = z_or_cd.lam
-    else:
-        cd = z_or_cd
+def truncation_shifts(z, mu):
+    """Solve lambda - mu = sum_i a_i alpha_i^vee for the lambda of the
+    truncation data z; reject non-integral or negative a_i."""
+    cd = z.cd
     n = cd.n
-    diff = [lam[k] - mu[k] for k in range(n)]
+    diff = [z.lam[k] - mu[k] for k in range(n)]
     Ct = [[cd.C[j][i] for j in range(n)] for i in range(n)]
     x, consistent, _ = solve_rational(Ct, diff)
     if not consistent:
@@ -527,7 +523,6 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
         for i in cd.nodes()
     ]
     caps = [_gift_caps(site_keys, a, range(i + 1, cd.n + 1)) for i in cd.nodes()]
-    ri_of = {i: cd.ri(i) for i in cd.nodes()}
 
     seen = {}
     for choice in _covered_choices(per_node, caps):
@@ -542,22 +537,7 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
         lam_exps = combo[0][1]
         for _, acc in combo[1:]:
             lam_exps = exps_combine(lam_exps, acc, 1)
-        psi_exps = exps_combine(zexps, lam_exps, -1)
-        # clause (b): poles of Psi_i must divide the Ybar polynomial
-        ok = True
-        for (j, t), e in psi_exps.items():
-            if e < 0:
-                cover = 0
-                for (vloc, _) in combo:
-                    cover += vloc.get((j, t + ri_of[j]), 0)
-                if cover < -e:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        psi = LWeightMonomial(cd, psi_exps)
-        if psi.coweight() != tuple(mu):
-            continue
+        psi = LWeightMonomial(cd, exps_combine(zexps, lam_exps, -1))
         v = {}
         for vloc, _ in combo:
             v.update(vloc)

@@ -338,3 +338,27 @@ def test_truncation_shift_error_prints_rationals(capsys):
     code, out, err = run_main(capsys, "truncate", "--type", "A1", "--lambda", "1",
                               "--zroots", "1:0", "--mu", "3")
     assert (code, out, err) == (1, "", "error: negative truncation shift a = [-1]\n")
+
+
+def test_negative_depth_is_usage_error(capsys):
+    for argv in (("qchar", "--type", "A1", "--family", "psitilde", "--depth", "-3"),
+                 ("qchar", "--type", "B2", "--family", "fm", "--head", "2:0",
+                  "--depth", "-1"),
+                 ("truncate", "--type", "B2", "--lambda", "0,1", "--zroots", "2:0",
+                  "--mu", "0,0", "--depth", "-2"),
+                 ("conjecture", "--type", "A2", "--zroots", "1:3", "--depth", "-1")):
+        assert assert_main_usage_error(capsys, *argv) == "error: --depth must be >= 0\n"
+    # depth 0 stays valid
+    for argv in (("qchar", "--type", "A1", "--family", "psitilde", "--depth", "0"),
+                 ("truncate", "--type", "B2", "--lambda", "0,1", "--zroots", "2:0",
+                  "--mu", "0,0", "--depth", "0"),
+                 ("conjecture", "--type", "A2", "--zroots", "1:3", "--depth", "0")):
+        assert run_main(capsys, *argv)[0] == 0
+
+
+def test_rank_one_family_with_higher_rank_type_is_usage_error(capsys):
+    for argv in (("qchar", "--type", "A2", "--family", "neg_prefund_sl2"),
+                 ("qchar", "--type", "B2", "--family", "simple_sl2",
+                  "--monomial", '{"exps":[]}')):
+        err = assert_main_usage_error(capsys, *argv)
+        assert "needs rank 1" in err and f"--type {argv[2]}" in err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from shiftedq.cartan import build_cartan
 from shiftedq.kernel import poly_add
+from shiftedq import modrep
 from shiftedq.lweight import generator
 from shiftedq.modrep import (
     ExplicitModule,
@@ -35,6 +37,40 @@ def test_component_series_matches_geometric():
     sp = component_series(ONE, [2, -1], [], 4, 1)
     sm = component_series(ONE, [2, -1], [], 4, -1)
     assert sp == sm
+
+
+def _expand_shifts(shifts):
+    """prod_s (1 - z q^s) as {power of z: coefficient}."""
+    poly = {0: ONE}
+    for s in shifts:
+        nxt = dict(poly)
+        for k, c in poly.items():
+            nxt[k + 1] = nxt.get(k + 1, ZERO) - c * ExactScalar.q_power(s)
+        poly = nxt
+    return poly
+
+
+def test_component_series_multiplies_back():
+    # den * series == const * num coefficientwise, as far as the modes reach
+    rng = random.Random(7)
+    for _ in range(150):
+        zeros = [rng.randrange(-4, 5) for _ in range(rng.randrange(4))]
+        poles = [rng.randrange(-4, 5) for _ in range(rng.randrange(4))]
+        const = ExactScalar.q_power(rng.randrange(-3, 4), rng.choice((1, -1)))
+        nmodes = rng.randrange(6)
+        num, den = _expand_shifts(zeros), _expand_shifts(poles)
+        top = len(zeros) - len(poles)
+        for direction, exps in ((1, range(nmodes + 1)),
+                                (-1, range(len(zeros) - nmodes, len(zeros) + 1))):
+            ser = component_series(const, zeros, poles, nmodes, direction)
+            lo = 0 if direction == 1 else top - nmodes
+            assert set(ser) <= set(range(lo, lo + nmodes + 1))
+            assert all(ser.values())
+            for e in exps:
+                lhs = ZERO
+                for l, d in den.items():
+                    lhs = lhs + d * ser.get(e - l, ZERO)
+                assert lhs == const * num.get(e, ZERO), (zeros, poles, direction, e)
 
 
 def test_osc_verma_actions():
@@ -210,6 +246,34 @@ def test_invalid_module_params():
 def test_coproducts():
     assert check_coproduct(+1, 2, -1, cutoff=5)["ok"]
     assert check_coproduct(-1, 0, 3, cutoff=5)["ok"]
+
+
+@pytest.mark.parametrize("sign,digest", [
+    (1, "b540ae4c18e49fee1ea7cacd28c2ec0c1233bb4610f81642bd84c76c12237d2c"),
+    (-1, "48dc543e4118024d73af62f7c12df71cd81b2f042b2e90321b9603c5d72c7f11"),
+])
+def test_coproduct_failure_witness_pinned(monkeypatch, sign, digest):
+    # f v_1 of the minus Verma scaled by v breaks (ef) on the tensor module;
+    # every timed coproduct suite passes, so the failing report is pinned here
+    real = modrep.build_module
+
+    def tampered(kind, params=None, cutoff=8, mode_window=4):
+        mod = real(kind, params, cutoff, mode_window)
+        if kind != "osc_verma_minus":
+            return mod
+        gens = dict(mod.gens, f=dict(mod.gens["f"]))
+        gens["f"][(2, 1)] = gens["f"][(2, 1)] * ExactScalar.v_power(1)
+        return ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
+                              gens, mod.mode_window, mod.upshift)
+
+    monkeypatch.setattr(modrep, "build_module", tampered)
+    rep = check_coproduct(sign, 2, -1, cutoff=5)
+    assert not rep["ok"]
+    assert [f["family"] for f in rep["families"]] == ["kkinv", "ke", "kf", "ef"]
+    assert [f["family"] for f in rep["families"] if f["failures"]] == ["ef"]
+    assert "instance" not in rep["families"][-1]["failures"][0]
+    data = json.dumps(rep, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # --- T-series ratios --------------------------------------------------------
