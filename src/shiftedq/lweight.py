@@ -100,10 +100,7 @@ class LWeightMonomial:
     # -- degrees ----------------------------------------------------------
     def coweight(self):
         """alpha_i(mu) per node: total Psi-exponent at each node."""
-        out = [0] * self.cd.n
-        for (i, _), e in self.exps.items():
-            out[i - 1] += e
-        return tuple(out)
+        return node_sums(self.cd, self.exps)
 
     def node_exps(self, i):
         """shift -> exponent at node i."""
@@ -136,6 +133,14 @@ class LWeightMonomial:
         if const.n != cd.n:
             raise ValueError("constant length does not match rank")
         return LWeightMonomial(cd, exps, const)
+
+
+def node_sums(cd, exps):
+    """Per-node totals of an exponent map {(i, shift): e}, as a tuple."""
+    out = [0] * cd.n
+    for (i, _), e in exps.items():
+        out[i - 1] += e
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +372,20 @@ def dominant_factorization(m):
     return sorted(chains), leftovers
 
 
-def leq(m_low, m_high, order="nakajima"):
-    """m_low <= m_high: their ratio is a nonnegative monomial in A (nakajima)
-    or Lambda (zorder) generators.  Constants are ignored (raw comparison)."""
-    basis = {"nakajima": "A", "zorder": "Lambda"}[order]
-    diff = m_high.combine(m_low, -1)
-    v = factor_in_basis(diff, basis)
-    return v is not None and all(e >= 0 for e in v.values())
-
-
 def leq_certificate(m_low, m_high, order="nakajima"):
+    """The exponent map v >= 0 with m_high / m_low = prod basis_{i,q^u}^{v_{i,u}}
+    in the A (nakajima) or Lambda (zorder) basis, or None when there is no
+    such map.  Constants are ignored (raw comparison)."""
     basis = {"nakajima": "A", "zorder": "Lambda"}[order]
-    diff = m_high.combine(m_low, -1)
-    return factor_in_basis(diff, basis)
+    v = factor_in_basis(m_high.combine(m_low, -1), basis)
+    if v is None or any(e < 0 for e in v.values()):
+        return None
+    return v
+
+
+def leq(m_low, m_high, order="nakajima"):
+    """m_low <= m_high in the Nakajima order or the Z-order."""
+    return leq_certificate(m_low, m_high, order) is not None
 
 
 def equal_mod_signtwist(m1, m2):

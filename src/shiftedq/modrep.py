@@ -13,7 +13,7 @@ from itertools import permutations, product as iproduct
 
 from .cartan import build_cartan
 from .kernel import poly_add
-from .lweight import factor_in_basis
+from .lweight import leq_certificate
 from .qchar import qc_closed_form
 from .scalars import ExactScalar, ONE, ZERO, ConstantFactor, qnum, qbinom
 
@@ -318,16 +318,14 @@ def build_module(kind, params=None, cutoff=8, mode_window=4):
             cd, 1, params.get("shift", 0), cutoff, mode_window, "eval_sl2",
             gamma_exp=params.get("gamma_exp", 0),
         )
-    if kind == "psitilde":
+    if kind in ("psitilde", "psistar"):
         cd = build_cartan(params.get("type", "A1"))
-        return _affine_node_module(
-            cd, params.get("node", 1), params.get("shift", 0), cutoff,
-            mode_window, "psitilde",
-        )
-    if kind == "psistar":
-        cd = build_cartan(params.get("type", "A1"))
-        return _psistar_module(cd, params.get("node", 1),
-                               params.get("shift", 0), mode_window)
+        i, r = params.get("node", 1), params.get("shift", 0)
+        if i not in cd.nodes():
+            raise ValueError(f"node {i} out of range for {cd.type_label}")
+        if kind == "psitilde":
+            return _affine_node_module(cd, i, r, cutoff, mode_window, "psitilde")
+        return _psistar_module(cd, i, r, mode_window)
     raise ValueError(f"unknown module kind {kind!r}")
 
 
@@ -601,9 +599,8 @@ def t_series_ratio(psi_target, psi_head, i):
     {"minus_roots": [m...]} meaning prod (1 - z q^m) for T^-, and
     {"plus_roots": [u...]} meaning prod (1 - z^{-1} q^u)^{-1} for T^+.
     """
-    diff = psi_head.combine(psi_target, -1)
-    path = factor_in_basis(diff, "A")
-    if path is None or any(v < 0 for v in path.values()):
+    path = leq_certificate(psi_target, psi_head)
+    if path is None:
         raise ValueError("target is not below the head in the Nakajima order")
     minus = []
     plus = []

@@ -16,9 +16,9 @@ from .lweight import (
     LWeightMonomial,
     dominant_factorization,
     expand_in_basis,
-    factor_in_basis,
     generator,
     is_dominant,
+    leq_certificate,
 )
 
 
@@ -53,8 +53,8 @@ class QCharacter:
         """A^{-1}-distance of a term from the head."""
         p = self.paths.get(m)
         if p is None:
-            p = factor_in_basis(self.head.combine(m, -1), "A")
-            if p is None or any(v < 0 for v in p.values()):
+            p = leq_certificate(m, self.head)
+            if p is None:
                 return None
             self.paths[m] = p
         return sum(p.values())
@@ -112,8 +112,7 @@ class QCharacter:
 
 
 def qc_one(cd):
-    h = LWeightMonomial(cd)
-    return QCharacter(cd, h, {h: 1}, 0, True, {h: {}})
+    return qc_monomial(LWeightMonomial(cd))
 
 
 def qc_monomial(m, depth=0):
@@ -177,8 +176,7 @@ def _ladder(cd, head, i, r, depth, step):
 
 def qc_closed_form(cd, kind, i, r, depth):
     if kind == "pos_prefund":
-        m = generator(cd, "Psi", i, r)
-        return QCharacter(cd, m, {m: 1}, depth, True, {m: {}})
+        return qc_monomial(generator(cd, "Psi", i, r), depth)
     if kind == "neg_prefund_sl2":
         if cd.n != 1:
             raise ValueError("neg_prefund_sl2 needs rank 1")
@@ -239,6 +237,32 @@ def _string_eigen_terms(top, k, step):
     return out
 
 
+def _string_products(factors, cap):
+    """Products of one term per string, each string given as its list of
+    A^{-1}-shift lists (_string_eigen_terms).
+
+    Returns ({sorted shifts: multiplicity}, dropped): the products of at most
+    cap shifts, keyed in itertools.product order, and whether any product was
+    longer than cap.
+    """
+    combos = [()]
+    dropped = False
+    for options in factors:
+        nxt = []
+        for base in combos:
+            for shifts in options:
+                if len(base) + len(shifts) > cap:
+                    dropped = True
+                else:
+                    nxt.append(base + tuple(shifts))
+        combos = nxt
+    out = {}
+    for shifts in combos:
+        key = tuple(sorted(shifts))
+        out[key] = out.get(key, 0) + 1
+    return out, dropped
+
+
 def _y_exps_of_a(cd, i):
     """A_{i,0} in Y-variables: {(j, offset): exp} (the Y-product form)."""
     ri = cd.ri(i)
@@ -290,28 +314,15 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
                 u = {t: e for (j, t), e in y.items() if j == i}
                 if not u or any(e < 0 for e in u.values()):
                     continue
-                strs = _strings(u, 2 * cd.ri(i))
-                per_string = [
-                    _string_eigen_terms(top, kk, 2 * cd.ri(i)) for top, kk in strs
-                ]
-                # cartesian product over strings, tracking total drops
-                combos = [([], 1)]
-                for terms_j in per_string:
-                    nxt = []
-                    for shifts, c in combos:
-                        for t_j in terms_j:
-                            nxt.append((shifts + t_j, c))
-                    combos = nxt
-                agg = {}
-                for shifts, c in combos:
+                step = 2 * cd.ri(i)
+                products, dropped = _string_products(
+                    [_string_eigen_terms(top, kk, step) for top, kk in _strings(u, step)],
+                    depth - w,
+                )
+                truncated = truncated or dropped
+                for shifts, c in products.items():
                     if not shifts:
                         continue
-                    if w + len(shifts) > depth:
-                        truncated = True
-                        continue
-                    agg_key = tuple(sorted(shifts))
-                    agg[agg_key] = agg.get(agg_key, 0) + c
-                for shifts, c in agg.items():
                     ny = dict(y)
                     npath = dict(path)
                     for s in shifts:
@@ -338,18 +349,16 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
         raise FMBudgetError(
             f"expansion of {head_y} did not close within depth {depth}"
         )
-    head_psi = LWeightMonomial(cd)
-    for (i, t), e in sorted(head_y.items()):
-        head_psi = head_psi * generator(cd, "Y", i, t).pow(e)
     terms = {}
     paths = {}
     yexps = {}
     for mult, y, path, _w in state.values():
-        m = head_psi * expand_in_basis(cd, "A", path).pow(-1)
+        m = expand_in_basis(cd, "Y", y)
         terms[m] = mult  # Y-exponents determine the monomial injectively
         paths[m] = path
         yexps[m] = y
-    out = QCharacter(cd, head_psi, terms, depth, not truncated, paths, heuristic)
+    out = QCharacter(cd, expand_in_basis(cd, "Y", head_y), terms, depth,
+                     not truncated, paths, heuristic)
     out.term_yexps = yexps
     return out
 
@@ -364,26 +373,37 @@ def qc_kr(cd, i, top_shift, k, depth=None, require_complete=True):
     return qc_frenkel_mukhin(cd, head, depth, require_complete)
 
 
+def qc_kr_chains(cd, chains):
+    """Product of the complete KR characters of the Y-tilde chains (i, s, k)
+    of dominant_factorization."""
+    out = qc_one(cd)
+    for (i, s, k) in chains:
+        out = qc_mul(out, qc_kr(cd, i, s + (2 * k - 1) * cd.ri(i), k))
+    return out
+
+
 def qc_neg_prefund_limit(cd, i, r, depth):
     """Depth slice of chi_q(L^-_{i,q^r}) as the stabilized, head-normalized
-    KR character at k = depth+1 (two consecutive slices must agree)."""
+    KR character at k = depth+1 (two consecutive slices must agree).
+
+    The terms are the KR terms times Psi_{i,r}^{-1} / head, in the order of
+    their sorted A^{-1}-paths."""
     prev = None
     for k in range(depth + 1, depth + 5):
         x = qc_kr(cd, i, r - cd.ri(i), k, depth=depth, require_complete=False)
-        sl = tuple(sorted(
-            (tuple(sorted(p.items())), x.terms[m]) for m, p in x.paths.items()
-        ))
-        if prev is not None and sl == prev[0]:
+        order = sorted(x.paths, key=lambda m: sorted(x.paths[m].items()))
+        sl = [(x.paths[m], x.terms[m]) for m in order]
+        if sl == prev:
             head = generator(cd, "Psi", i, r).pow(-1)
+            scale = head.combine(x.head, -1)
             terms = {}
             paths = {}
-            for pk, mult in prev[0]:
-                path = dict(pk)
-                m = head * expand_in_basis(cd, "A", path).pow(-1)
-                terms[m] = mult
-                paths[m] = path
+            for m in order:
+                t = m * scale
+                terms[t] = x.terms[m]
+                paths[t] = x.paths[m]
             return QCharacter(cd, head, terms, depth, False, paths)
-        prev = (sl, x)
+        prev = sl
     raise FMError(
         f"negative prefundamental slice at node {i} did not stabilize"
     )
@@ -428,10 +448,7 @@ def qc_simple_sl2(psi):
     if not is_dominant(psi):
         raise ValueError("l-weight is not dominant")
     chains, leftovers = dominant_factorization(psi)
-    out = qc_one(cd)
-    for (i, s, k) in chains:
-        x = qc_kr(cd, i, s + (2 * k - 1) * cd.ri(i), k)
-        out = qc_mul(out, x)
+    out = qc_kr_chains(cd, chains)
     rest = LWeightMonomial(cd, dict(leftovers))
     const = psi.combine(out.head * rest, -1)
     if const.exps:
@@ -446,13 +463,9 @@ def qc_simple_sl2(psi):
 
 def check_triangularity(x):
     """Every term must satisfy term <= head in the Nakajima order."""
-    violations = []
-    for m in x.terms:
-        if m == x.head:
-            continue
-        p = factor_in_basis(x.head.combine(m, -1), "A")
-        if p is None or any(v < 0 for v in p.values()):
-            violations.append(m)
+    violations = [
+        m for m in x.terms if m != x.head and leq_certificate(m, x.head) is None
+    ]
     return {
         "ok": not violations,
         "checked": len(x.terms),
@@ -460,24 +473,29 @@ def check_triangularity(x):
     }
 
 
+def _first_difference(a, b, name, show):
+    """The first key of two multiplicity maps whose counts differ, as a
+    witness {name: show(key), "lhs": ..., "rhs": ...}; None when a == b."""
+    for k in set(a) | set(b):
+        if a.get(k, 0) != b.get(k, 0):
+            return {name: show(k), "lhs": a.get(k, 0), "rhs": b.get(k, 0)}
+    return None
+
+
 def _compare_on_margin(lhs, rhs, ref_head, margin):
-    """Term-by-term comparison of characters inside distance <= margin of
-    ref_head. Returns (equal, witness)."""
-    def slice_of(x):
+    """Term-by-term comparison of multiplicity maps inside distance <= margin
+    of ref_head. Returns (equal, witness)."""
+    def slice_of(terms):
         out = {}
-        for m, c in x.terms.items():
-            p = factor_in_basis(ref_head.combine(m, -1), "A")
-            if p is not None and all(v >= 0 for v in p.values()) and sum(p.values()) <= margin:
+        for m, c in terms.items():
+            p = leq_certificate(m, ref_head)
+            if p is not None and sum(p.values()) <= margin:
                 out[m] = c
         return out
 
-    a, b = slice_of(lhs), slice_of(rhs)
-    if a == b:
-        return True, None
-    for m in set(a) | set(b):
-        if a.get(m, 0) != b.get(m, 0):
-            return False, {"term": m.to_json(), "lhs": a.get(m, 0), "rhs": b.get(m, 0)}
-    return True, None
+    witness = _first_difference(slice_of(lhs), slice_of(rhs), "term",
+                                LWeightMonomial.to_json)
+    return witness is None, witness
 
 
 def check_identity(cd, kind, i, r, depth):
@@ -502,9 +520,8 @@ def check_identity(cd, kind, i, r, depth):
                 m2 = m2 * generator(cd, "Psi", j, r + ri + o)
         rhs_terms = dict(x2.terms)
         rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
-        rhs = QCharacter(cd, x2.head, rhs_terms, depth, False, dict(x2.paths))
         margin = depth - 1
-        ok, witness = _compare_on_margin(lhs, rhs, lhs.head, margin)
+        ok, witness = _compare_on_margin(lhs.terms, rhs_terms, lhs.head, margin)
         return {"identity": "QQtilde", "ok": ok, "margin": margin, "witness": witness}
     if kind == "QQstar":
         lhs = qc_mul(
@@ -519,16 +536,10 @@ def check_identity(cd, kind, i, r, depth):
                 t2 = t2 * generator(cd, "Psi", j, r - cd.b(i, j))
         rhs_terms = {t1: 1}
         rhs_terms[t2] = rhs_terms.get(t2, 0) + 1
-        rhs = QCharacter(cd, t2, rhs_terms, depth, True)
-        ok = lhs.terms == rhs_terms
-        witness = None
-        if not ok:
-            for m in set(lhs.terms) | set(rhs_terms):
-                if lhs.terms.get(m, 0) != rhs_terms.get(m, 0):
-                    witness = {"term": m.to_json(), "lhs": lhs.terms.get(m, 0),
-                               "rhs": rhs_terms.get(m, 0)}
-                    break
-        return {"identity": "QQstar", "ok": ok, "margin": depth, "witness": witness}
+        witness = _first_difference(lhs.terms, rhs_terms, "term",
+                                    LWeightMonomial.to_json)
+        return {"identity": "QQstar", "ok": witness is None, "margin": depth,
+                "witness": witness}
     if kind == "charqf_sl2":
         return _check_charqf_sl2(cd, i, r, depth)
     raise ValueError(f"unknown identity {kind!r}")
@@ -584,12 +595,6 @@ def _check_charqf_sl2(cd, i, r, depth):
                 out[k] = c
         return out
 
-    a, b = ht_slice(lhs), ht_slice(rhs)
-    ok = a == b
-    witness = None
-    if not ok:
-        for k in set(a) | set(b):
-            if a.get(k, 0) != b.get(k, 0):
-                witness = {"weight": repr(k), "lhs": a.get(k, 0), "rhs": b.get(k, 0)}
-                break
-    return {"identity": "charqf_sl2", "ok": ok, "margin": depth, "witness": witness}
+    witness = _first_difference(ht_slice(lhs), ht_slice(rhs), "weight", repr)
+    return {"identity": "charqf_sl2", "ok": witness is None, "margin": depth,
+            "witness": witness}

@@ -8,6 +8,7 @@ of the truncation are searched as Z * prod Lambda^{-v} with v >= 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -16,14 +17,22 @@ from .cartan import build_cartan, invert_quantum_cartan
 from .lweight import (
     NEIGHBOUR_OFFSETS,
     LWeightMonomial,
-    factor_in_basis,
     generator,
     is_dominant,
     leq_certificate,
+    node_sums,
     pair_class,
     residue_classes,
 )
-from .qchar import qc_mul, qc_neg_prefund_limit, qc_one, qc_simple_sl2, qc_monomial
+from .qchar import (
+    _string_eigen_terms,
+    _string_products,
+    qc_monomial,
+    qc_mul,
+    qc_neg_prefund_limit,
+    qc_one,
+    qc_simple_sl2,
+)
 from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, ONE
 from .smith import solve_rational
 
@@ -31,6 +40,9 @@ STATUS_NECESSARY = "NecessaryOnly"
 STATUS_STRONG = "StrongCandidate"
 STATUS_REFUTED = "Refuted"
 STATUS_CONFIRMED = "ConfirmedByPaper"
+
+# enumerate_candidates refuses a search over more exponent maps than this
+MAX_COMBOS = 20_000_000
 
 
 class TruncationError(ValueError):
@@ -168,12 +180,6 @@ class Candidate:
         self.z = z
         self.notes = dict(notes or {})
 
-    def a_sums(self):
-        out = [0] * self.psi.cd.n
-        for (i, _), v in self.lambda_exps.items():
-            out[i - 1] += v
-        return tuple(out)
-
     def to_json(self):
         return {
             "psi": self.psi.to_json(),
@@ -191,16 +197,13 @@ def abar_eigenvalue(z, psi, i, cert=None):
     """Root multiset of Ybar^+_{i, Z Psi^{-1}}(z q_i^{-1}) and its constant class.
 
     Returns {"roots": [shifts], "const_qexp": Fraction, "sign": "+-"} with the
-    polynomial c * prod (1 - z q^root); None when Z Psi^{-1} has no Lambda
-    factorization.
+    polynomial c * prod (1 - z q^root); None when Z Psi^{-1} is not a
+    nonnegative Lambda monomial.  cert, when given, is its Lambda certificate.
     """
     cd = z.cd
-    v = cert
+    v = cert if cert is not None else leq_certificate(psi, z.z_monomial(), "zorder")
     if v is None:
-        diff = z.z_monomial().combine(psi, -1)
-        v = factor_in_basis(diff, "Lambda")
-        if v is None:
-            return None
+        return None
     roots = []
     for (j, u), e in sorted(v.items()):
         if j == i:
@@ -241,7 +244,7 @@ def abar_series_oracle(z, psi, i, order=8):
         E.append(acc.reduced())
     ev = abar_eigenvalue(z, psi, i)
     if ev is None:
-        return {"ok": False, "reason": "no Lambda factorization"}
+        return {"ok": False, "reason": "no nonnegative Lambda factorization"}
     # product polynomial at z (roots shifted back by +r_i): Ybar(z) has roots q^u
     from .modrep import _poly_from_shifts
 
@@ -274,19 +277,15 @@ def maint_check(z, lam, mu, psi, cert=None):
         report["reason"] = "deg Psi_i != alpha_i(mu)"
         return report
     report["clauses"]["degree"] = True
-    v = cert
+    v = cert if cert is not None else leq_certificate(psi, z.z_monomial(), "zorder")
     if v is None:
-        v = factor_in_basis(z.z_monomial().combine(psi, -1), "Lambda")
-    if v is None or any(e < 0 for e in v.values()):
         report["clauses"]["a_lambda_factorization"] = False
         report["reason"] = "Z Psi^{-1} is not a nonnegative Lambda monomial"
         return report
-    sums = [0] * cd.n
-    for (i, _), e in v.items():
-        sums[i - 1] += e
-    if tuple(sums) != a:
+    sums = node_sums(cd, v)
+    if sums != a:
         report["clauses"]["a_lambda_factorization"] = False
-        report["reason"] = f"Lambda-exponent sums {sums} != a {list(a)}"
+        report["reason"] = f"Lambda-exponent sums {list(sums)} != a {list(a)}"
         return report
     report["clauses"]["a_lambda_factorization"] = True
     report["lambda_exps"] = [[i, u, e] for (i, u), e in sorted(v.items())]
@@ -465,7 +464,7 @@ def _covered_choices(per_node, caps):
             stack.append((iter(opts), nxt))
 
 
-def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
+def enumerate_candidates(z, lam, mu):
     """Exhaustive finite search for descent candidates.
 
     Searches Lambda-exponent maps v >= 0 with per-node sums a_i and supports
@@ -485,7 +484,7 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
     once a decided need exceeds the decided gifts plus the most the
     undecided nodes can still give.  The maps are visited in the order of
     the full product of per-node multisets, whose size is counted (and
-    refused above max_combos) before anything is built.
+    refused above MAX_COMBOS) before anything is built.
     """
     from .kernel import exps_combine
 
@@ -506,7 +505,7 @@ def enumerate_candidates(z, lam, mu, max_combos=20_000_000):
             total *= comb(len(usable[i]) + k - 1, k)
     if not total:
         return []
-    if total > max_combos:
+    if total > MAX_COMBOS:
         raise TruncationError(
             f"enumeration space has {total} exponent maps; narrow the window"
         )
@@ -591,8 +590,6 @@ def _character_slice(cand, depth):
     rank-1 dominant weights, or the trivial case; None when unavailable."""
     psi = cand.psi
     cd = psi.cd
-    if not psi.exps:
-        return qc_monomial(psi)
     if all(e > 0 for e in psi.exps.values()):
         return qc_monomial(psi)
     if all(e < 0 for e in psi.exps.values()):
@@ -607,38 +604,12 @@ def _character_slice(cand, depth):
     return None
 
 
-def _compose_paths(per_factor, depth):
-    """All combined A-site multisets with total length <= depth, from lists
-    of per-factor site lists."""
-    out = [{}]
-    for options in per_factor:
-        nxt = []
-        for base in out:
-            used = sum(base.values())
-            for sites in options:
-                if used + len(sites) > depth:
-                    continue
-                p = dict(base)
-                for s in sites:
-                    p[s] = p.get(s, 0) + 1
-                nxt.append(p)
-        out = nxt
-    dedup = {}
-    for p in out:
-        dedup[tuple(sorted(p.items()))] = p
-    return list(dedup.values())
-
-
 def _node_rank1_paths(exps_i, ri, depth):
     """A-site paths (shifts at one node) of the rank-1 character of a node
     component, per residue class: negative prefundamental ladders for an
     all-negative class, KR string characters for a dominant one.  Classes
     in distinct q^{2r_i Z}-cosets are always in general position, so the
     character multiplies.  None when some class is mixed non-dominant."""
-    from .qchar import _string_eigen_terms
-
-    if not exps_i:
-        return [{}]
     step = 2 * ri
     factors = []
     for seq in residue_classes(exps_i, step):
@@ -653,9 +624,8 @@ def _node_rank1_paths(exps_i, ri, depth):
             return None  # mixed non-dominant class: character unknown
         for s, t in paired[0]:
             factors.append(_string_eigen_terms(t - ri, (t - s) // step, step))
-    if not factors:
-        return [{}]
-    return _compose_paths(factors, depth)
+    products, _ = _string_products(factors, depth)
+    return [Counter(shifts) for shifts in products]
 
 
 def _check_term_paths(z, cand, paths, node=None):
@@ -714,11 +684,7 @@ def descent_refine(z, cand, depth):
     for m in x.terms:
         path = x.paths.get(m)
         if path is None:
-            vt = leq_certificate(m, z.z_monomial(), "zorder")
-            if vt is None or any(e < 0 for e in vt.values()):
-                bad = True
-            else:
-                bad = False
+            bad = leq_certificate(m, z.z_monomial(), "zorder") is None
         else:
             bad = _check_term_paths(z, cand, [path]) is not None
         if bad:
@@ -728,7 +694,7 @@ def descent_refine(z, cand, depth):
             return cand
     if cand.status != STATUS_CONFIRMED:
         cand.status = STATUS_STRONG
-        if not any(cand.a_sums()):
+        if not any(node_sums(cd, cand.lambda_exps)):
             cand.status = STATUS_CONFIRMED  # lambda = mu (semisimple case)
     cand.notes["descent_depth"] = depth
     cand.notes["terms_checked"] = len(x.terms)
@@ -742,7 +708,7 @@ def _is_fundamental_psitilde_case(z, cand):
     if sum(z.lam) != 1:
         return False
     i = next(j for j in cd.nodes() if z.lam[j - 1])
-    a = cand.a_sums()
+    a = node_sums(cd, cand.lambda_exps)
     if any(a[j - 1] != (1 if j == i else 0) for j in cd.nodes()):
         return False
     (m,) = z.zroots[i]

@@ -15,6 +15,7 @@ from shiftedq.lweight import (
     generator,
     is_dominant,
     leq,
+    leq_certificate,
 )
 from shiftedq.scalars import ConstantFactor
 from shiftedq.smith import solve_rational
@@ -471,3 +472,14 @@ def test_dominant_product_closure_property(factors):
     for kind, i, r in factors:
         m = m * generator(B2, kind, i, r)
     assert is_dominant(m)
+
+
+@pytest.mark.parametrize("order,basis", [("nakajima", "A"), ("zorder", "Lambda")])
+def test_leq_certificate_is_nonnegative_or_none(order, basis):
+    lo = generator(B2, "Y", 1, 0) * generator(B2, "Psi", 2, 3)
+    v = {(1, 2): 1, (2, -1): 2}
+    assert leq_certificate(lo, lo * expand_in_basis(B2, basis, v), order) == v
+    assert leq_certificate(lo, lo, order) == {}
+    # factorizable with a negative exponent, and not factorizable at all
+    assert leq_certificate(lo, lo / generator(B2, basis, 1, 2), order) is None
+    assert leq_certificate(lo, lo * generator(B2, "Psi", 1, 0), order) is None

@@ -243,6 +243,13 @@ def test_invalid_module_params():
         build_module("eval_sl2", {}, cutoff=0)
 
 
+@pytest.mark.parametrize("kind", ["psitilde", "psistar"])
+@pytest.mark.parametrize("node", [0, 5])
+def test_build_module_node_out_of_range(kind, node):
+    with pytest.raises(ValueError, match=f"node {node} out of range for A2"):
+        build_module(kind, {"type": "A2", "node": node})
+
+
 def test_coproducts():
     assert check_coproduct(+1, 2, -1, cutoff=5)["ok"]
     assert check_coproduct(-1, 0, 3, cutoff=5)["ok"]

@@ -1,13 +1,20 @@
+import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
 
+from shiftedq import cli
 from shiftedq.cartan import build_cartan
-from shiftedq.lweight import LWeightMonomial, generator
+from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator
 from shiftedq.qchar import (
     FMError,
     QCharacter,
+    _string_eigen_terms,
+    _string_products,
     _y_exps_of_a,
     check_identity,
     check_triangularity,
@@ -291,3 +298,62 @@ def test_qcharacter_json_roundtrip():
     assert back.terms == x.terms
     assert back.head == x.head
     assert back.complete == x.complete
+
+
+# --- terms from Y-exponents, string products -------------------------------
+
+@pytest.mark.parametrize("label,head,depth", [
+    ("A2", {(1, 0): 1}, 8), ("B2", {(2, 0): 1, (2, 2): 1}, 3),
+    ("G2", {(1, 0): 1}, 40), ("G2", {(2, 1): 1, (1, 0): 1}, 4),
+    ("C3", {(3, 0): 1}, 30), ("D4", {(2, 0): 1}, 6),
+])
+def test_fm_terms_are_head_times_path(label, head, depth):
+    # the monomial built from a term's Y-exponents is the head times the
+    # inverse A-monomial of its path, constants included
+    cd = build_cartan(label)
+    x = qc_frenkel_mukhin(cd, head, depth)
+    assert x.head == expand_in_basis(cd, "Y", head)
+    for m, path in x.paths.items():
+        assert m == x.head * expand_in_basis(cd, "A", path).pow(-1)
+        assert m == expand_in_basis(cd, "Y", x.term_yexps[m])
+
+
+@pytest.mark.parametrize("label,i", [("A2", 1), ("B2", 1), ("B2", 2), ("G2", 2)])
+def test_neg_prefund_terms_in_sorted_path_order(label, i):
+    cd = build_cartan(label)
+    x = qc_neg_prefund_limit(cd, i, 3, 3)
+    keys = [sorted(x.paths[m].items()) for m in x.terms]
+    assert keys == sorted(keys)
+    head = generator(cd, "Psi", i, 3).pow(-1)
+    for m, path in x.paths.items():
+        assert m == head * expand_in_basis(cd, "A", path).pow(-1)
+
+
+def test_string_products_against_full_product():
+    rng = random.Random(5)
+    for _ in range(200):
+        factors = [_string_eigen_terms(rng.randrange(-6, 7), rng.randrange(0, 4), 2)
+                   for _ in range(rng.randrange(0, 4))]
+        cap = rng.randrange(0, 7)
+        want = {}
+        longest = 0
+        for combo in product(*factors):
+            shifts = [s for part in combo for s in part]
+            longest = max(longest, len(shifts))
+            if len(shifts) <= cap:
+                key = tuple(sorted(shifts))
+                want[key] = want.get(key, 0) + 1
+        got, dropped = _string_products(factors, cap)
+        assert list(got.items()) == list(want.items())
+        assert dropped == (longest > cap)
+
+
+def test_g2_fm_depth_40_pinned():
+    # stdout digest of the expansion whose terms were rebuilt from A-paths
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["qchar", "--type", "G2", "--family", "fm", "--head", "1:0",
+                         "--depth", "40"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "3a3bb3cecc0e0bab231ff09cb5c28db24c6de7f0ca62c820c08c26f63ff23be0")

@@ -1,10 +1,13 @@
+import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
 
-from shiftedq import truncation
+from shiftedq import cli, truncation
 from shiftedq.cartan import build_cartan
 from shiftedq.kernel import exps_combine
 from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator
@@ -105,6 +108,15 @@ def test_abar_b2_fixture():
     ev1 = abar_eigenvalue(Z_B2, psi1, 1)
     assert ev1["roots"] == [-6] and ev1["const_qexp"] == 3
     assert abar_eigenvalue(Z_B2, generator(B2, "Psi", 1, 0), 1) is None
+
+
+def test_abar_negative_lambda_exponent_is_none():
+    # Z Psi^{-1} = Lambda_{1,4}^{-1} factors, but not with exponents >= 0
+    z = TruncationData(A1, {1: [0]})
+    psi = z.z_monomial() * generator(A1, "Lambda", 1, 4)
+    assert abar_eigenvalue(z, psi, 1) is None
+    rep = abar_series_oracle(z, psi, 1)
+    assert not rep["ok"] and rep["reason"]
 
 
 def test_abar_series_oracle():
@@ -490,3 +502,18 @@ def test_need_gift_form_of_clause_b_random(label):
         assert covered == _pole_cover(cd, psi.exps, v), (zroots, ms)
         seen.add(covered)
     assert seen == {True, False}
+
+
+# --- pinned outputs ------------------------------------------------------------
+
+def test_truncate_descent_witness_pinned():
+    # the refuting witness is the first failing term of the negative
+    # prefundamental slices, taken in sorted-path order; digest of the stdout
+    # printed when those slices were rebuilt from their A-paths
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["truncate", "--type", "A2", "--lambda", "1,0",
+                         "--zroots", "1:-6", "--mu=-2,0"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "3d59fb560c8bc62b3f33f30795cab928a57a7a49279642ec04a6536d9194f021")
