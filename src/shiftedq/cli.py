@@ -39,9 +39,14 @@ class UsageError(Exception):
     """An argument the parser accepted but the command cannot use (exit 2)."""
 
 
-def _emit(args, payload, text_lines=None):
-    if getattr(args, "text", False) and text_lines is not None:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+def _emit(args, payload, text_lines):
+    """Write the text lines under --text, the canonical JSON otherwise.
+
+    text_lines is a callable returning the lines, so that they are built only
+    when they are printed.
+    """
+    if args.text:
+        sys.stdout.write("\n".join(text_lines()) + "\n")
     else:
         sys.stdout.write(
             json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -130,14 +135,14 @@ def cmd_factor(args):
     v = factor_in_basis(m, basis)
     if v is None:
         _emit(args, {"basis": basis, "factorizable": False},
-              ["not factorizable"])
+              lambda: ["not factorizable"])
         return 1
     payload = {
         "basis": basis,
         "factorizable": True,
         "exponents": [[i, u, e] for (i, u), e in sorted(v.items())],
     }
-    _emit(args, payload, [f"{basis}-exponents: " + " ".join(
+    _emit(args, payload, lambda: [f"{basis}-exponents: " + " ".join(
         f"({i},{u})^{e}" for (i, u), e in sorted(v.items())) if v else "empty certificate"])
     return 0
 
@@ -146,7 +151,7 @@ def cmd_dominant(args):
     cd = _cartan_of(args)
     m = _monomial_arg(cd, args.monomial)
     d = is_dominant(m)
-    _emit(args, {"dominant": d}, ["dominant" if d else "not dominant"])
+    _emit(args, {"dominant": d}, lambda: ["dominant" if d else "not dominant"])
     return 0
 
 
@@ -211,9 +216,13 @@ def cmd_qchar(args):
         x = qc_frenkel_mukhin(cd, head, args.depth)
     elif fam == "simple_sl2":
         x = qc_simple_sl2(_monomial_arg(cd, args.monomial))
-    lines = [f"{len(x.terms)} term(s), depth={x.depth}, complete={x.complete}"]
-    for m in sorted(x.terms, key=lambda t: t.key()):
-        lines.append(f"  {x.terms[m]} * {m!r}")
+    def lines():
+        flag = ", heuristic" if x.heuristic else ""
+        out = [f"{len(x.terms)} term(s), depth={x.depth}, complete={x.complete}{flag}"]
+        for m in sorted(x.terms, key=lambda t: t.key()):
+            out.append(f"  {x.terms[m]} * {m!r}")
+        return out
+
     _emit(args, x.to_json(), lines)
     return 0
 
@@ -240,10 +249,13 @@ def cmd_verify_relations(args):
         mod = build_module(args.kind, params, cutoff=args.cutoff,
                            mode_window=args.window)
         rep = check_relations(mod)
-    lines = [f"{args.kind}: {'PASS' if rep['ok'] else 'FAIL'}"]
-    for fam in rep["families"]:
-        status = "ok" if not fam["failures"] else f"FAIL {fam['failures'][:1]}"
-        lines.append(f"  {fam['family']:8s} x{fam['instances']:<5d} {status}")
+    def lines():
+        out = [f"{args.kind}: {'PASS' if rep['ok'] else 'FAIL'}"]
+        for fam in rep["families"]:
+            status = "ok" if not fam["failures"] else f"FAIL {fam['failures'][:1]}"
+            out.append(f"  {fam['family']:8s} x{fam['instances']:<5d} {status}")
+        return out
+
     _emit(args, rep, lines)
     return 0 if rep["ok"] else 1
 
@@ -262,7 +274,7 @@ def cmd_truncate(args):
         "a": list(truncation_shifts(z, mu)),
         "candidates": [c.to_json() for c in cands],
     }
-    _emit(args, payload, _candidate_lines(cands))
+    _emit(args, payload, lambda: _candidate_lines(cands))
     return 0
 
 
@@ -277,7 +289,7 @@ def cmd_classify_sl2(args):
         "mu": list(mu),
         "modules": [c.to_json() for c in cands],
     }
-    _emit(args, payload, _candidate_lines(cands))
+    _emit(args, payload, lambda: _candidate_lines(cands))
     return 0
 
 
@@ -288,13 +300,16 @@ def cmd_conjecture(args):
     lam = _lambda_arg(z, args.lam) if args.lam else z.lam
     rep = conjecture_report(z, lam, depth=args.depth,
                             up_to_signtwist=args.up_to_signtwist)
-    lines = [f"chi_L terms: {rep['chi_L_terms']}  ok={rep['ok']}"]
-    for w in rep["weights"]:
-        lines.append(
-            f"  mu={w['mu']}: monomials={len(w['monomials'])} "
-            f"matched={w['matched']} surplus={len(w.get('unconfirmed_surplus', []))} "
-            f"discrepancies={len(w['discrepancies'])}"
-        )
+    def lines():
+        out = [f"chi_L terms: {rep['chi_L_terms']}  ok={rep['ok']}"]
+        for w in rep["weights"]:
+            out.append(
+                f"  mu={w['mu']}: monomials={len(w['monomials'])} "
+                f"matched={w['matched']} surplus={len(w.get('unconfirmed_surplus', []))} "
+                f"discrepancies={len(w['discrepancies'])}"
+            )
+        return out
+
     _emit(args, rep, lines)
     if rep["zorder_violations"]:
         return 1
@@ -306,11 +321,10 @@ def cmd_truncfd(args):
     psi = _monomial_arg(cd, args.psi, "--psi")
     z, cert = truncfd_Z_for(psi)
     payload = {"truncation": z.to_json(), "certificate": cert}
-    lines = [
+    _emit(args, payload, lambda: [
         f"Z roots: {dict((i, list(v)) for i, v in z.zroots.items())}",
         f"certificate holds: {cert['holds']}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0 if cert["holds"] else 1
 
 

@@ -208,12 +208,6 @@ def psi_of_monomial(zexps, z, mu=None):
     return LWeightMonomial(cd, psi_exps, cls)
 
 
-def zorder_bound_holds(zexps, z):
-    """Hard invariant: Psi_M <=_Z Z for every dual-character monomial."""
-    psi = psi_of_monomial(zexps, z)
-    return leq_certificate(psi, z.z_monomial(), "zorder") is not None
-
-
 def conjecture_report(z, lam, depth=2, up_to_signtwist=True):
     """Compare the monomials of chi_q^L(V^L) (set A, via Psi_M) against the
     truncation candidates (set B) weight by weight, modulo sign-twist."""

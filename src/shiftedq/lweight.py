@@ -198,12 +198,46 @@ def generator(cd, kind, i, r):
 
 
 def expand_in_basis(cd, basis, vmap):
-    """Oracle: the monomial prod basis_{i,q^u}^{v} for vmap {(i,u): v}."""
+    """Oracle: the monomial prod basis_{i,q^u}^{v} for vmap {(i,u): v}.
+
+    One generator, power and product per variable.  This is the independent
+    check of y_monomial, which qc_frenkel_mukhin uses instead, and the
+    re-expansion that verifies factor_in_basis.
+    """
     out = LWeightMonomial(cd)
     for (i, u), v in sorted(vmap.items()):
         if v:
             out = out * generator(cd, basis, i, u).pow(v)
     return out
+
+
+def y_monomial(cd, y):
+    """prod Y_{i,q^t}^{e} for y {(i, t): e}, in closed form.
+
+    Y_{i,t}^e is Psi_{i,t-r_i}^e Psi_{i,t+r_i}^{-e} times omega-bar_i^e, and
+    omega-bar_i does not depend on t, so the constant has q-exponent
+    r_i * (sum of the node-i exponents) at coordinate i and zeta 0.  The
+    variables are taken in sorted order with the add/pop rule of
+    exps_combine, so exps has the insertion order of
+    expand_in_basis(cd, "Y", y), the oracle this equals.
+    """
+    nodes = cd.nodes()
+    exps = {}
+    q = [0] * cd.n
+    for (i, t), e in sorted(y.items()):
+        if not e:
+            continue
+        if i not in nodes:
+            raise ValueError(f"node {i} out of range for {cd.type_label}")
+        ri = cd.r[i - 1]
+        q[i - 1] += ri * e
+        for k, d in (((i, t - ri), e), ((i, t + ri), -e)):
+            s = exps.get(k, 0) + d
+            if s:
+                exps[k] = s
+            else:
+                exps.pop(k, None)
+    return LWeightMonomial(cd, exps, ConstantFactor(q, (0,) * cd.n))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ excluded rather than approximated (exactness over coverage).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .cartan import build_cartan
@@ -609,36 +608,3 @@ def t_series_ratio(psi_target, psi_head, i):
             minus.extend([-u] * v)
             plus.extend([u] * v)
     return {"minus_roots": sorted(minus), "plus_roots": sorted(plus)}
-
-
-# ---------------------------------------------------------------------------
-# reference operator-matrix fixtures (JSON scalar encoding)
-# ---------------------------------------------------------------------------
-
-def _scalar_from_json(data):
-    num = {int(e): Fraction(n, d) for e, n, d in data["num"]}
-    den = {int(e): Fraction(n, d) for e, n, d in data["den"]}
-    return ExactScalar(num, den)
-
-
-def load_matrix_fixture(name="square_head_t_matrices"):
-    """Load a fixture of exact operator matrices.
-
-    Matrices are {"size": n, "entries": [[row, col, poly], ...]} with poly a
-    list of [z_power, scalar] pairs; returns dicts {(r, c): {zpow: scalar}}.
-    """
-    import json
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
-    with open(path) as f:
-        raw = json.load(f)
-    out = {"weights_alpha_heights": raw.get("weights_alpha_heights")}
-    for key, mat in raw.items():
-        if not isinstance(mat, dict) or "entries" not in mat:
-            continue
-        entries = {}
-        for r, c, poly in mat["entries"]:
-            entries[(r, c)] = {int(k): _scalar_from_json(s) for k, s in poly}
-        out[key] = {"size": mat["size"], "entries": entries}
-    return out

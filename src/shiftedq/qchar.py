@@ -15,10 +15,10 @@ from .lweight import (
     NEIGHBOUR_OFFSETS,
     LWeightMonomial,
     dominant_factorization,
-    expand_in_basis,
     generator,
     is_dominant,
     leq_certificate,
+    y_monomial,
 )
 
 
@@ -86,12 +86,15 @@ class QCharacter:
             ((t.to_json(), c) for t, c in self.terms.items()),
             key=lambda x: (x[0]["exps"], x[0]["const"]),
         )
-        return {
+        out = {
             "head": self.head.to_json(),
             "depth": self.depth,
             "complete": self.complete,
             "terms": [[t, c] for t, c in items],
         }
+        if self.heuristic:
+            out["heuristic"] = True
+        return out
 
     @staticmethod
     def from_json(cd, data):
@@ -104,6 +107,7 @@ class QCharacter:
             terms,
             int(data["depth"]),
             bool(data["complete"]),
+            heuristic=bool(data.get("heuristic", False)),
         )
 
     def __repr__(self):
@@ -277,7 +281,10 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     """Node-wise sl2 completion from a dominant Y-monomial head.
 
     head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}.  Guaranteed
-    for KR/fundamental heads; anything else is flagged heuristic.
+    for KR/fundamental heads; anything else is flagged heuristic.  Terms are
+    tracked as Y-exponents (term_yexps) and turned into l-weights by the
+    closed form lweight.y_monomial; lweight.expand_in_basis(cd, "Y", y) is
+    the oracle it is tested against.
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
@@ -353,11 +360,11 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     paths = {}
     yexps = {}
     for mult, y, path, _w in state.values():
-        m = expand_in_basis(cd, "Y", y)
+        m = y_monomial(cd, y)
         terms[m] = mult  # Y-exponents determine the monomial injectively
         paths[m] = path
         yexps[m] = y
-    out = QCharacter(cd, expand_in_basis(cd, "Y", head_y), terms, depth,
+    out = QCharacter(cd, y_monomial(cd, head_y), terms, depth,
                      not truncated, paths, heuristic)
     out.term_yexps = yexps
     return out
@@ -412,32 +419,6 @@ def qc_neg_prefund_limit(cd, i, r, depth):
 # ---------------------------------------------------------------------------
 # rank-1 exact classification
 # ---------------------------------------------------------------------------
-
-def is_qset(shifts, step=2):
-    """Is the set of shifts {a q^{step k}} an interval in its lattice?"""
-    if not shifts:
-        return True
-    s = sorted(set(shifts))
-    return all((b - a) == step for a, b in zip(s, s[1:]))
-
-
-def kr_special_position(kr1, kr2, step=2):
-    """KR Y-support special position: union a q-set containing both properly."""
-    s1, s2 = set(kr1), set(kr2)
-    u = s1 | s2
-    return is_qset(u, step) and s1 < u and s2 < u
-
-
-def kr_prefund_special_position(kr, b, step=2):
-    """W-support vs positive prefundamental ladder {b+step/2 + step*k}."""
-    if not kr:
-        return False
-    lo = b + step // 2
-    hi = max(max(kr), lo) + step
-    ladder = set(range(lo, hi + 1, step))
-    u = set(kr) | ladder
-    return is_qset(u, step) and set(kr) < u and ladder < u
-
 
 def qc_simple_sl2(psi):
     """Exact complete character of L(psi) for rank 1, psi dominant:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from .cartan import build_cartan, invert_quantum_cartan
+from .cartan import build_cartan
 from .lweight import (
     NEIGHBOUR_OFFSETS,
     LWeightMonomial,
@@ -33,7 +33,7 @@ from .qchar import (
     qc_one,
     qc_simple_sl2,
 )
-from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, ONE
+from .scalars import ZETA_ORDER, ConstantFactor
 from .smith import solve_rational
 
 STATUS_NECESSARY = "NecessaryOnly"
@@ -210,52 +210,6 @@ def abar_eigenvalue(z, psi, i, cert=None):
             roots.extend([u - cd.ri(i)] * e)
     const_qexp = -Fraction(sum(roots), 2)
     return {"roots": sorted(roots), "const_qexp": const_qexp, "sign": "+-"}
-
-
-def abar_series_oracle(z, psi, i, order=8):
-    """Independent series cross-check of the eigenvalue: expand
-    exp(sum_{j,m>0,u} Ctilde_{j,i}(q^m) nu_{j,u} q^{um} z^m / (-m))
-    to the given order and compare with the product polynomial."""
-    cd = z.cd
-    diff = z.z_monomial().combine(psi, -1)
-    ctil = invert_quantum_cartan(cd)
-
-    def subst(s, m):
-        # q -> q^m on an ExactScalar (exponent scaling)
-        s._canonicalize()
-        num = {e * m: c for e, c in s.num.items()}
-        den = {e * m: c for e, c in s.den.items()}
-        return ExactScalar(num, den)
-
-    # series coefficients s_m of log Ybar
-    s = [None] * (order + 1)
-    for m in range(1, order + 1):
-        acc = ExactScalar.from_int(0)
-        for (j, u), nu in diff.exps.items():
-            c = subst(ctil[j - 1][i - 1], m)
-            acc = acc + c * ExactScalar.q_power(u * m) * Fraction(nu, -m)
-        s[m] = acc.reduced()
-    # exponentiate: E_0 = 1, E_k = (1/k) sum_{m<=k} m s_m E_{k-m}
-    E = [ONE]
-    for k in range(1, order + 1):
-        acc = ExactScalar.from_int(0)
-        for m in range(1, k + 1):
-            acc = acc + Fraction(m, k) * s[m] * E[k - m]
-        E.append(acc.reduced())
-    ev = abar_eigenvalue(z, psi, i)
-    if ev is None:
-        return {"ok": False, "reason": "no nonnegative Lambda factorization"}
-    # product polynomial at z (roots shifted back by +r_i): Ybar(z) has roots q^u
-    from .modrep import _poly_from_shifts
-
-    poly = _poly_from_shifts([r + cd.ri(i) for r in ev["roots"]])
-    ok = True
-    for k in range(order + 1):
-        want = poly[k] if k < len(poly) else ExactScalar.from_int(0)
-        if E[k] != want:
-            ok = False
-            break
-    return {"ok": ok, "order": order, "roots": ev["roots"]}
 
 
 def maint_check(z, lam, mu, psi, cert=None):

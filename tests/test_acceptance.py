@@ -9,7 +9,6 @@ from shiftedq.cartan import build_cartan, invert_quantum_cartan, quantum_cartan_
 from shiftedq.langlands import (
     chi_L_fundamental,
     chi_L_standard,
-    zorder_bound_holds,
     conjecture_report,
     truncfd_Z_for,
 )
@@ -38,6 +37,7 @@ from shiftedq.truncation import (
     maint_check,
     sl2_classify,
 )
+from support import zorder_bound_holds
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")

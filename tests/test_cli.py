@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -362,3 +363,95 @@ def test_rank_one_family_with_higher_rank_type_is_usage_error(capsys):
                   "--monomial", '{"exps":[]}')):
         err = assert_main_usage_error(capsys, *argv)
         assert "needs rank 1" in err and f"--type {argv[2]}" in err
+
+
+# --- --text bytes ------------------------------------------------------------
+
+_B2_FACTOR = ('{"exps":[[1,-6,1],[1,0,-1],[2,-4,-1],[2,-2,1],[2,0,1]],'
+              '"const":[[0,1,0],[0,1,0]]}')
+
+# name -> (argv, exit code, sha256 of stdout), recorded before the text lines
+# were built lazily
+_TEXT_PINS = {
+    "qchar-fm-G2": (
+        ("qchar", "--type", "G2", "--family", "fm", "--head", "1:0", "--depth", "40",
+         "--text"),
+        0, "55e78099d55cba0796c6971c948878cde4facae01f5da2b2cb31dd78bf56e740"),
+    "qchar-neg_prefund-B2": (
+        ("qchar", "--type", "B2", "--family", "neg_prefund", "--node", "1", "--text"),
+        0, "1b302dea3f5c5f7ccd17fb6db4515e3a4a4cd09edd46b19e8d28590cfaf07a64"),
+    "verify-psistar-B2": (
+        ("verify-relations", "--kind", "psistar", "--type", "B2", "--text"),
+        0, "4cdc961ec42276ea4c5c4cf7895527b8add84092610476b4943bd8072087b3c1"),
+    "truncate-B2": (
+        ("truncate", "--type", "B2", "--lambda", "1,1", "--zroots", "1:0;2:0",
+         "--mu=-1,0", "--text"),
+        0, "cf710564e311d949f639fd7552d7a1d9c9b5ced8d5b5efb72f44e20f061107de"),
+    "conjecture-A2": (
+        ("conjecture", "--type", "A2", "--zroots", "1:0;2:1", "--text"),
+        0, "9c273cb3ce53fe78e89e233e4d8f7877713222e83a97eba3669419ebb2745d44"),
+    "classify-sl2": (
+        ("classify-sl2", "--lambda", "2", "--zroots", "1:3,-1", "--mu", "0", "--text"),
+        0, "6d95e190901a1310b2d47dbca572e9893ef6977fb1ea580ca4bb4f492adc948b"),
+    "factor-B2": (
+        ("factor", "--type", "B2", "--basis", "lambda", "--monomial", _B2_FACTOR,
+         "--text"),
+        0, "fe37a435e492df0e4f071af4b9da00dd30060b101b601121f63325bb9d9dadd8"),
+    "factor-A1-rejected": (
+        ("factor", "--type", "A1", "--basis", "a", "--monomial",
+         '{"exps":[[1,0,1]],"const":[[0,1,0]]}', "--text"),
+        1, "2656d09b71491ad0ef227a4ec49c13924d30cb3855d96a61bc0b2bdb8057ad74"),
+    "dominant-A1": (
+        ("dominant", "--type", "A1", "--monomial",
+         '{"exps":[[1,-1,1],[1,3,-1],[1,5,1]],"const":[[0,1,0]]}', "--text"),
+        0, "92a8b471767e09c6766b559df9a013fd1f3c8cfa2e3edb0a6a238534635d995f"),
+    "truncfd-B2": (
+        ("truncfd", "--type", "B2", "--psi",
+         '{"exps":[[1,-2,1],[1,2,-1]],"const":[[0,1,0],[0,1,0]]}', "--text"),
+        0, "e006ba629d2bd75a1149db8f502afe5c276923ba1c09acf1c09c843b4142e9a8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_PINS))
+def test_text_output_bytes_pinned(capsys, name):
+    argv, rc, digest = _TEXT_PINS[name]
+    code, out, err = run_main(capsys, *argv)
+    assert (code, err) == (rc, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_lines_built_only_under_text(capsys, monkeypatch):
+    from shiftedq import cli
+    from shiftedq.lweight import LWeightMonomial
+
+    def refuse(*_):
+        raise AssertionError("text built for JSON output")
+
+    monkeypatch.setattr(LWeightMonomial, "__repr__", refuse)
+    monkeypatch.setattr(cli, "_candidate_lines", refuse)
+    for argv in (("qchar", "--type", "B2", "--family", "fm", "--head", "2:0"),
+                 ("truncate", "--type", "B2", "--lambda", "0,1", "--zroots", "2:0",
+                  "--mu", "0,0"),
+                 ("classify-sl2", "--lambda", "2", "--zroots", "1:3,-1", "--mu", "0")):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, err) == (0, "")
+        json.loads(out)
+
+
+@pytest.mark.parametrize("head", ["1:0;2:0", "1:0;1:0"])
+def test_fm_heuristic_head_is_reported(capsys, head):
+    # neither a KR nor a fundamental head: FM has no proof for it
+    argv = ("qchar", "--type", "A2", "--family", "fm", "--head", head)
+    code, out, _ = run_main(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["complete"] and data["heuristic"] is True
+    code, out, _ = run_main(capsys, *argv, "--text")
+    assert code == 0 and out.splitlines()[0].endswith("complete=True, heuristic")
+
+
+def test_fm_kr_head_is_not_heuristic(capsys):
+    argv = ("qchar", "--type", "A2", "--family", "fm", "--head", "1:0;1:2")
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0 and "heuristic" not in json.loads(out)
+    code, out, _ = run_main(capsys, *argv, "--text")
+    assert code == 0 and out.splitlines()[0].endswith("complete=True")

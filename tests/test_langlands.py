@@ -11,7 +11,6 @@ from shiftedq.langlands import (
     LanglandsError,
     chi_L_fundamental,
     chi_L_standard,
-    zorder_bound_holds,
     conjecture_report,
     psi_of_monomial,
     specialize_interpolating_b2,
@@ -19,6 +18,7 @@ from shiftedq.langlands import (
 )
 from shiftedq.qchar import qc_frenkel_mukhin, qc_mul
 from shiftedq.truncation import TruncationData
+from support import zorder_bound_holds
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")

@@ -16,6 +16,7 @@ from shiftedq.lweight import (
     is_dominant,
     leq,
     leq_certificate,
+    y_monomial,
 )
 from shiftedq.scalars import ConstantFactor
 from shiftedq.smith import solve_rational
@@ -483,3 +484,40 @@ def test_leq_certificate_is_nonnegative_or_none(order, basis):
     # factorizable with a negative exponent, and not factorizable at all
     assert leq_certificate(lo, lo / generator(B2, basis, 1, 2), order) is None
     assert leq_certificate(lo, lo * generator(B2, "Psi", 1, 0), order) is None
+
+
+# --- closed-form Y map against the expand_in_basis oracle -------------------
+
+# r_i runs through 1, 2 and 3 over these types
+Y_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "E6", "E7",
+            "E8", "F4", "G2"]
+
+
+def _random_ymap(rng, cd):
+    """Signed Y-exponents with cancelling pairs Y_{i,t}^e Y_{i,t+2r_i}^{-e}
+    (their shared Psi_{i,t+r_i} is popped) and an explicit zero."""
+    y = {}
+    for _ in range(rng.randint(0, 5)):
+        key = (rng.choice(list(cd.nodes())), rng.randint(-8, 8))
+        y[key] = y.get(key, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+    for _ in range(rng.randint(0, 2)):
+        i = rng.choice(list(cd.nodes()))
+        t, e = rng.randint(-8, 8), rng.choice((-2, -1, 1, 2))
+        y[(i, t)] = y.get((i, t), 0) + e
+        y[(i, t + 2 * cd.ri(i))] = y.get((i, t + 2 * cd.ri(i)), 0) - e
+    y[(rng.choice(list(cd.nodes())), 11)] = 0
+    return y
+
+
+@pytest.mark.parametrize("label", Y_LABELS)
+def test_y_monomial_matches_oracle(label):
+    cd = build_cartan(label)
+    rng = random.Random(f"ymap:{label}")
+    for y in [{}] + [_random_ymap(rng, cd) for _ in range(40)]:
+        m, want = y_monomial(cd, y), expand_in_basis(cd, "Y", y)
+        assert m == want
+        assert m.key() == want.key()
+        # insertion order too: the add/pop rule of exps_combine
+        assert list(m.exps) == list(want.exps)
+    with pytest.raises(ValueError, match="out of range"):
+        y_monomial(cd, {(cd.n + 1, 0): 1})

@@ -342,7 +342,7 @@ def _zpoly_mul(a, b):
 
 
 def test_matrix_fixture_diagonal_matches_t_ratio():
-    from shiftedq.modrep import load_matrix_fixture
+    from support import load_matrix_fixture
     from shiftedq.qchar import qc_frenkel_mukhin
 
     fx = load_matrix_fixture()
@@ -367,7 +367,7 @@ def test_matrix_fixture_diagonal_matches_t_ratio():
 
 
 def test_matrix_fixture_constant_operator_not_diagonalizable():
-    from shiftedq.modrep import load_matrix_fixture
+    from support import load_matrix_fixture
 
     fx = load_matrix_fixture()
     cop = fx["constant_operator"]["entries"]
@@ -378,7 +378,7 @@ def test_matrix_fixture_constant_operator_not_diagonalizable():
 
 def test_matrix_fixture_truncation_series_relations():
     # A^{Z,+}(z) = (z q^{-1})^2 A^{Z,-}(z) and A^+(0) A^-(inf) = q^2 Id
-    from shiftedq.modrep import load_matrix_fixture
+    from support import load_matrix_fixture
 
     fx = load_matrix_fixture()
     am = fx["a_minus_shifted"]["entries"]

@@ -18,8 +18,6 @@ from shiftedq.qchar import (
     _y_exps_of_a,
     check_identity,
     check_triangularity,
-    kr_prefund_special_position,
-    kr_special_position,
     qc_closed_form,
     qc_frenkel_mukhin,
     qc_kr,
@@ -28,6 +26,7 @@ from shiftedq.qchar import (
     qc_one,
     qc_simple_sl2,
 )
+from support import kr_prefund_special_position, kr_special_position
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -300,6 +299,14 @@ def test_qcharacter_json_roundtrip():
     assert back.complete == x.complete
 
 
+def test_heuristic_flag_in_json_only_when_set():
+    x = qc_frenkel_mukhin(A2, {(1, 0): 1, (2, 0): 1}, 4)
+    data = json.loads(json.dumps(x.to_json()))
+    assert x.heuristic and data["heuristic"] is True
+    assert QCharacter.from_json(A2, data).heuristic
+    assert "heuristic" not in qc_kr(A2, 1, 0, 2).to_json()
+
+
 # --- terms from Y-exponents, string products -------------------------------
 
 @pytest.mark.parametrize("label,head,depth", [
@@ -316,6 +323,22 @@ def test_fm_terms_are_head_times_path(label, head, depth):
     for m, path in x.paths.items():
         assert m == x.head * expand_in_basis(cd, "A", path).pow(-1)
         assert m == expand_in_basis(cd, "Y", x.term_yexps[m])
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "E6", "F4", "G2"])
+def test_fm_terms_match_y_oracle(label):
+    # FM builds its terms with lweight.y_monomial; each must be the oracle
+    # expansion of its Y-exponents, key and exponent order alike
+    cd = build_cartan(label)
+    for i in cd.nodes():
+        head = {(i, 0): 1}
+        x = qc_frenkel_mukhin(cd, head, 6)
+        want = expand_in_basis(cd, "Y", head)
+        assert x.head.key() == want.key() and list(x.head.exps) == list(want.exps)
+        for m, y in x.term_yexps.items():
+            want = expand_in_basis(cd, "Y", y)
+            assert m.key() == want.key() and list(m.exps) == list(want.exps)
+            assert x.terms[m] >= 1
 
 
 @pytest.mark.parametrize("label,i", [("A2", 1), ("B2", 1), ("B2", 2), ("G2", 2)])

@@ -21,7 +21,6 @@ from shiftedq.truncation import (
     TruncationData,
     TruncationError,
     abar_eigenvalue,
-    abar_series_oracle,
     descent_refine,
     enumerate_candidates,
     fuse_truncations,
@@ -30,6 +29,7 @@ from shiftedq.truncation import (
     truncation_shifts,
     usable_lambda_sites,
 )
+from support import abar_series_oracle
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
