@@ -42,14 +42,14 @@ class UsageError(Exception):
 def _emit(args, payload, text_lines):
     """Write the text lines under --text, the canonical JSON otherwise.
 
-    text_lines is a callable returning the lines, so that they are built only
-    when they are printed.
+    payload and text_lines are callables returning the JSON payload and the
+    lines, so that each is built only when it is printed.
     """
     if args.text:
         sys.stdout.write("\n".join(text_lines()) + "\n")
     else:
         sys.stdout.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            json.dumps(payload(), sort_keys=True, separators=(",", ":")) + "\n"
         )
 
 
@@ -134,16 +134,14 @@ def cmd_factor(args):
     basis = {"a": "A", "lambda": "Lambda"}[args.basis]
     v = factor_in_basis(m, basis)
     if v is None:
-        _emit(args, {"basis": basis, "factorizable": False},
+        _emit(args, lambda: {"basis": basis, "factorizable": False},
               lambda: ["not factorizable"])
         return 1
-    payload = {
-        "basis": basis,
-        "factorizable": True,
-        "exponents": [[i, u, e] for (i, u), e in sorted(v.items())],
-    }
-    _emit(args, payload, lambda: [f"{basis}-exponents: " + " ".join(
-        f"({i},{u})^{e}" for (i, u), e in sorted(v.items())) if v else "empty certificate"])
+    exps = sorted(v.items())
+    _emit(args, lambda: {"basis": basis, "factorizable": True,
+                         "exponents": [[i, u, e] for (i, u), e in exps]},
+          lambda: [f"{basis}-exponents: " + " ".join(
+              f"({i},{u})^{e}" for (i, u), e in exps) if v else "empty certificate"])
     return 0
 
 
@@ -151,7 +149,7 @@ def cmd_dominant(args):
     cd = _cartan_of(args)
     m = _monomial_arg(cd, args.monomial)
     d = is_dominant(m)
-    _emit(args, {"dominant": d}, lambda: ["dominant" if d else "not dominant"])
+    _emit(args, lambda: {"dominant": d}, lambda: ["dominant" if d else "not dominant"])
     return 0
 
 
@@ -223,7 +221,7 @@ def cmd_qchar(args):
             out.append(f"  {x.terms[m]} * {m!r}")
         return out
 
-    _emit(args, x.to_json(), lines)
+    _emit(args, x.to_json, lines)
     return 0
 
 
@@ -256,7 +254,7 @@ def cmd_verify_relations(args):
             out.append(f"  {fam['family']:8s} x{fam['instances']:<5d} {status}")
         return out
 
-    _emit(args, rep, lines)
+    _emit(args, lambda: rep, lines)
     return 0 if rep["ok"] else 1
 
 
@@ -268,13 +266,12 @@ def cmd_truncate(args):
     mu = _parse_intlist(args.mu, cd.n, "--mu")
     cands = enumerate_candidates(z, lam, mu)
     cands = [descent_refine(z, c, args.depth) for c in cands]
-    payload = {
+    _emit(args, lambda: {
         "truncation": z.to_json(),
         "mu": list(mu),
         "a": list(truncation_shifts(z, mu)),
         "candidates": [c.to_json() for c in cands],
-    }
-    _emit(args, payload, lambda: _candidate_lines(cands))
+    }, lambda: _candidate_lines(cands))
     return 0
 
 
@@ -284,12 +281,11 @@ def cmd_classify_sl2(args):
     lam = _lambda_arg(z, args.lam)
     mu = _parse_intlist(args.mu, 1, "--mu")
     cands = sl2_classify(z, lam, mu)
-    payload = {
+    _emit(args, lambda: {
         "truncation": z.to_json(),
         "mu": list(mu),
         "modules": [c.to_json() for c in cands],
-    }
-    _emit(args, payload, lambda: _candidate_lines(cands))
+    }, lambda: _candidate_lines(cands))
     return 0
 
 
@@ -310,7 +306,7 @@ def cmd_conjecture(args):
             )
         return out
 
-    _emit(args, rep, lines)
+    _emit(args, lambda: rep, lines)
     if rep["zorder_violations"]:
         return 1
     return 0 if rep["ok"] else 1
@@ -320,8 +316,7 @@ def cmd_truncfd(args):
     cd = _cartan_of(args)
     psi = _monomial_arg(cd, args.psi, "--psi")
     z, cert = truncfd_Z_for(psi)
-    payload = {"truncation": z.to_json(), "certificate": cert}
-    _emit(args, payload, lambda: [
+    _emit(args, lambda: {"truncation": z.to_json(), "certificate": cert}, lambda: [
         f"Z roots: {dict((i, list(v)) for i, v in z.zroots.items())}",
         f"certificate holds: {cert['holds']}",
     ])

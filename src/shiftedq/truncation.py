@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
 from .cartan import build_cartan
@@ -345,16 +344,16 @@ def _gift_caps(site_keys, a, givers):
     return cap
 
 
-def _extend(state, option, cap):
-    """The search state after one more node's option, or None once a need
+def _extend(state, need, gift, cap):
+    """The search state after one more node's multiset, or None once a need
     exceeds its gifts plus cap, the most the later nodes can still give.
 
     state is (short, given): short maps each (j, t) of a decided node to its
     need minus the gifts so far, where positive; given maps each (j, t) of
-    an undecided node to the gifts so far.
+    an undecided node to the gifts so far.  need and gift are _need_gift of
+    the multiset.
     """
     short, given = state
-    _, need, gift = option
     short = dict(short)
     for key, n in need:
         n -= given.get(key, 0)
@@ -375,47 +374,57 @@ def _extend(state, option, cap):
     return {key: n for key, n in short.items() if n > 0}, given
 
 
-def _covered_choices(per_node, caps):
-    """Depth-first over one option per node, in itertools.product order.
+def _node_multisets(sites, k, state, cap, zexps):
+    """The k-multisets of one node's sites, built one site at a time in
+    nondecreasing order (so in combinations_with_replacement order), less
+    the partial multisets that _extend would reject whatever their rest:
 
-    per_node holds (multiset, need, gift) options.  Yields each full choice
-    in which every need is covered by the gifts of the other nodes.  A
-    partial choice of depth d is dropped once some need exceeds its gifts
-    plus caps[d], the most the later nodes can add; a need that only the
-    next node can still cover restricts it to the options giving there.
+    1. a count at a site's own key (i, u + r_i) above Z, the decided gifts
+       and cap there: counts only grow, and a node gives nothing to its own
+       keys;
+    2. a decided shortage above cap plus the sites still to choose: a site
+       gives at most once to a key, so each site that does not give there
+       uses up one unit of the slack cap + k - shortage.
+
+    sites is _site_keys of the node; state and cap are as in _extend.
     """
-    last = len(per_node) - 1
-    gifted = []  # per node: (j, t) -> indices of the options giving there
-    for opts in per_node:
-        idx = {}
-        for n, (_, _, gift) in enumerate(opts):
-            for key in set(gift):
-                idx.setdefault(key, []).append(n)
-        gifted.append(idx)
-    chosen = [None] * len(per_node)
-    stack = [(iter(per_node[0]), ({}, {}))]
-    while stack:
-        options, state = stack[-1]
-        d = len(stack) - 1
-        for option in options:
-            nxt = _extend(state, option, caps[d])
-            if nxt is not None:
-                break
-        else:
-            stack.pop()
+    short, given = state
+    us = [(u, room, gives) for u, (key, gives) in sites.items()
+          if (room := zexps.get(key, 0) + given.get(key, 0) + cap.get(key, 0))]
+    keys = list(short)
+    out = []
+
+    def walk(start, ms, slack):
+        if len(ms) == k:
+            out.append(ms)
+            return
+        for idx in range(start, len(us)):
+            u, room, gives = us[idx]
+            left = [n - (key not in gives) for key, n in zip(keys, slack)]
+            if -1 not in left and ms.count(u) < room:
+                walk(idx, ms + (u,), left)
+
+    walk(0, (), [cap.get(key, 0) + k - short[key] for key in keys])
+    return out
+
+
+def _covered_choices(site_keys, a, zexps, caps, d, state):
+    """Depth-first over one a_i-multiset per node from node d + 1 on, from
+    the search state of the nodes before, in itertools.product order.
+    Yields each choice in which every need is covered by the gifts of the
+    other nodes; each multiset that _node_multisets builds is checked whole
+    by _extend against caps[d], the most the later nodes can still give.
+    """
+    sites = site_keys[d + 1]
+    for ms in _node_multisets(sites, a[d], state, caps[d], zexps):
+        nxt = _extend(state, *_need_gift(ms, sites, zexps), caps[d])
+        if nxt is None:
             continue
-        chosen[d] = option
-        if d == last:
-            yield tuple(chosen)
-            continue
-        # a need the nodes after d + 1 cannot cover needs a gift from d + 1
-        forced = [gifted[d + 1].get(key, ()) for key, n in nxt[0].items()
-                  if n > caps[d + 1].get(key, 0)]
-        opts = per_node[d + 1]
-        if forced:
-            stack.append((map(opts.__getitem__, min(forced, key=len)), nxt))
+        if d + 1 == len(a):
+            yield (ms,)
         else:
-            stack.append((iter(opts), nxt))
+            for rest in _covered_choices(site_keys, a, zexps, caps, d + 1, nxt):
+                yield (ms, *rest)
 
 
 def enumerate_candidates(z, lam, mu):
@@ -433,10 +442,11 @@ def enumerate_candidates(z, lam, mu):
 
     where N_j(t) >= 0 is what the other nodes' Lambda sites give at (j, t)
     through NEIGHBOUR_OFFSETS[C_kj].  need_j depends on node j's multiset
-    only and N_j grows as sites are chosen, so the search picks one a_i-
-    multiset per node depth-first, in node order, and drops a partial choice
-    once a decided need exceeds the decided gifts plus the most the
-    undecided nodes can still give.  The maps are visited in the order of
+    only and N_j grows as sites are chosen, so the search takes the nodes
+    depth-first in order and builds each node's a_i-multiset site by site,
+    in nondecreasing order, dropping a partial multiset once its own need or
+    a decided need exceeds what the decided gifts, the sites still to choose
+    and the undecided nodes can cover.  The maps come out in the order of
     the full product of per-node multisets, whose size is counted (and
     refused above MAX_COMBOS) before anything is built.
     """
@@ -470,17 +480,12 @@ def enumerate_candidates(z, lam, mu):
     }
     zexps = zmono.exps
     site_keys = {i: _site_keys(cd, i, usable[i]) for i in cd.nodes()}
-    per_node = [
-        [(ms, *_need_gift(ms, site_keys[i], zexps))
-         for ms in combinations_with_replacement(usable[i], a[i - 1])]
-        for i in cd.nodes()
-    ]
     caps = [_gift_caps(site_keys, a, range(i + 1, cd.n + 1)) for i in cd.nodes()]
 
     seen = {}
-    for choice in _covered_choices(per_node, caps):
+    for choice in _covered_choices(site_keys, a, zexps, caps, 0, ({}, {})):
         combo = []
-        for i, (ms, _, _) in zip(cd.nodes(), choice):
+        for i, ms in zip(cd.nodes(), choice):
             acc = {}
             vloc = {}
             for u in ms:

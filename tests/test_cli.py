@@ -438,7 +438,27 @@ def test_text_lines_built_only_under_text(capsys, monkeypatch):
         json.loads(out)
 
 
-@pytest.mark.parametrize("head", ["1:0;2:0", "1:0;1:0"])
+def test_json_payload_built_only_without_text(capsys, monkeypatch):
+    from shiftedq.qchar import QCharacter
+    from shiftedq.truncation import Candidate, TruncationData
+
+    def refuse(*_):
+        raise AssertionError("JSON payload built for --text output")
+
+    for cls in (QCharacter, Candidate, TruncationData):
+        monkeypatch.setattr(cls, "to_json", refuse)
+    for argv in (("qchar", "--type", "B2", "--family", "fm", "--head", "2:0"),
+                 ("truncate", "--type", "B2", "--lambda", "0,1", "--zroots", "2:0",
+                  "--mu", "0,0"),
+                 ("classify-sl2", "--lambda", "2", "--zroots", "1:3,-1", "--mu", "0"),
+                 ("truncfd", "--type", "B2", "--psi",
+                  '{"exps":[[1,-2,1],[1,2,-1]],"const":[[0,1,0],[0,1,0]]}')):
+        code, out, err = run_main(capsys, *argv, "--text")
+        assert (code, err) == (0, "")
+        assert out and not out.startswith("{")
+
+
+@pytest.mark.parametrize("head",["1:0;2:0", "1:0;1:0"])
 def test_fm_heuristic_head_is_reported(capsys, head):
     # neither a KR nor a fundamental head: FM has no proof for it
     argv = ("qchar", "--type", "A2", "--family", "fm", "--head", head)

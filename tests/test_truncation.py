@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -464,6 +465,112 @@ def test_enumerate_matches_product_oracle(label, zroots):
             [list(c.psi.exps.items()) for c in want]
         found += len(got)
     assert found
+
+
+# --- oracles that hold at any size ---------------------------------------------
+
+def _candidate_data(cands):
+    """(Psi exponents, constant, Lambda certificate, status) per candidate."""
+    return [(c.psi.exps_key(), c.psi.const.qexps, c.psi.const.zetas,
+             tuple(sorted(c.lambda_exps.items())), c.status) for c in cands]
+
+
+def _refined(z, mu, depth=2):
+    return [descent_refine(z, c, depth) for c in enumerate_candidates(z, z.lam, mu)]
+
+
+def _spectral_shift_cases():
+    """B2 "1:0;2:0" at mu = (-1, 0), and every weight of the A2 "1:0;2:0"
+    conjecture report; all are above the product oracle's size."""
+    from shiftedq.langlands import chi_L_standard
+
+    cases = [(TruncationData(B2, {1: [-2], 2: [-1]}), (-1, 0))]
+    z = TruncationData(A2, {1: [-1], 2: [-1]})
+    for mu in sorted(chi_L_standard(z).by_weight()):
+        try:
+            truncation_shifts(z, mu)
+        except TruncationError:
+            continue
+        cases.append((z, mu))
+    return cases
+
+
+def test_spectral_shift_invariance():
+    # z -> z q^s moves every Psi and Lambda shift by s; the constant c with
+    # c_i^2 prod_t (-q^t)^{e_{i,t}} = phi_{i,Z} gains q^{s (lambda_i - mu_i) / 2}
+    cases = _spectral_shift_cases()
+    assert len(cases) > 2
+    assert max(_space(z, mu) for z, mu in cases) > 100_000
+    for z, mu in cases:
+        base = _candidate_data(_refined(z, mu))
+        assert base, mu
+        for s in (-5, 0, 3):
+            zs = TruncationData(z.cd, {i: [m + s for m in ms]
+                                       for i, ms in z.zroots.items()})
+            want = [
+                (tuple(((i, t + s), e) for (i, t), e in exps),
+                 tuple(q + Fraction(s * (lam - m), 2)
+                       for q, lam, m in zip(qexps, z.lam, mu)),
+                 zetas,
+                 tuple(((i, u + s), e) for (i, u), e in lam_exps),
+                 status)
+                for exps, qexps, zetas, lam_exps, status in base
+            ]
+            assert _candidate_data(_refined(zs, mu)) == want, (z, mu, s)
+
+
+def _flipped_data(n, cands):
+    """_candidate_data under the A_n flip i -> n + 1 - i, sorted."""
+    return sorted(
+        (tuple(sorted(((n + 1 - i, t), e) for (i, t), e in exps)),
+         qexps[::-1], zetas[::-1],
+         tuple(sorted(((n + 1 - i, u), e) for (i, u), e in lam_exps)),
+         status)
+        for exps, qexps, zetas, lam_exps, status in _candidate_data(cands))
+
+
+# the A2 and A3 oracle truncations at every weight the guard admits, and A3
+# "1:0;3:2" at mu = (-1, -1, 1)
+_FLIP_CASES = [(label, zroots, None) for label, zroots in ORACLE_TRUNCATIONS
+               if label in ("A2", "A3")] + [("A3", {1: [-1], 3: [1]}, (-1, -1, 1))]
+
+
+@pytest.mark.parametrize("label,zroots,mu", _FLIP_CASES,
+                         ids=[t + "-" + ";".join(f"{i}:{','.join(map(str, m))}"
+                                                 for i, m in sorted(z.items()))
+                              + "-mu" + (",".join(map(str, mu)) if mu else "*")
+                              for t, z, mu in _FLIP_CASES])
+def test_diagram_flip_invariance(label, zroots, mu):
+    # the flip maps the candidates of (Z, mu) onto those of the flipped Z at
+    # the flipped mu (A_n is simply laced, so the Z-roots keep their shifts)
+    cd = build_cartan(label)
+    z = TruncationData(cd, zroots)
+    zf = TruncationData(cd, {cd.n + 1 - i: ms for i, ms in z.zroots.items()})
+    weights = [mu] if mu else _weights_below(z, truncation.MAX_COMBOS)
+    found = 0
+    for w in weights:
+        got = _refined(z, w)
+        flipped = _refined(zf, w[::-1])
+        assert _flipped_data(cd.n, got) == sorted(_candidate_data(flipped)), w
+        found += len(got)
+    assert found
+
+
+def test_site_search_work_bound(monkeypatch):
+    # B2 "1:0;2:0" at mu = (-1, 0): a search over whole node multisets
+    # checks 49,532 of them against the decided nodes; building them site by
+    # site leaves 1,325 to check
+    calls = [0]
+    extend = truncation._extend
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(truncation, "_extend", counted)
+    z = TruncationData(B2, {1: [-2], 2: [-1]})
+    assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
+    assert 0 < calls[0] <= 5_000
 
 
 def _pole_cover(cd, psi_exps, v):
