@@ -251,6 +251,8 @@ def cmd_verify_relations(args):
         out = [f"{args.kind}: {'PASS' if rep['ok'] else 'FAIL'}"]
         for fam in rep["families"]:
             status = "ok" if not fam["failures"] else f"FAIL {fam['failures'][:1]}"
+            if fam.get("unchecked"):
+                status += f", {fam['unchecked']} unchecked"
             out.append(f"  {fam['family']:8s} x{fam['instances']:<5d} {status}")
         return out
 

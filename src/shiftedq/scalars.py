@@ -89,7 +89,11 @@ class ExactScalar:
 
     Arithmetic is lazy (no gcd); zero tests and equality are exact via
     cross-multiplication, and canonical reduced form is computed on demand
-    (key / hash / reduced / evaluate).
+    (key / hash / reduced / evaluate).  The denominator is kept normalized:
+    its lowest term is exactly v**0 with coefficient 1.  Products and
+    same-denominator sums of normalized denominators are normalized, so the
+    ring ops other than division skip the normalizing constructor (see
+    _trusted); no num or den dict is mutated once built, so results share them.
     """
 
     __slots__ = ("num", "den", "_key", "_canon")
@@ -151,16 +155,18 @@ class ExactScalar:
         return ExactScalar({0: k} if k else {})
 
     @staticmethod
-    def v_power(k, coeff=1):
-        return ExactScalar({k: coeff})
+    def v_power(k):
+        return _trusted({k: 1}, _TRIVIAL_DEN)
 
     @staticmethod
-    def q_power(e, coeff=1):
+    def q_power(e):
         """q**e for rational e; requires 2e integral (v = q**(1/2))."""
+        if type(e) is int:
+            return _trusted({2 * e: 1}, _TRIVIAL_DEN)
         ve = 2 * Fraction(e)
         if ve.denominator != 1:
             raise ValueError(f"q**{e} is not in Q(v): needs v**{ve}")
-        return ExactScalar.v_power(int(ve), coeff)
+        return _trusted({int(ve): 1}, _TRIVIAL_DEN)
 
     # -- ring ops ------------------------------------------------------
     def __add__(self, other):
@@ -168,9 +174,9 @@ class ExactScalar:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return ExactScalar(poly_add(self.num, o.num), dict(self.den))
+            return _trusted(poly_add(self.num, o.num), self.den)
         num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return ExactScalar(num, poly_mul(self.den, o.den))
+        return _trusted(num, poly_mul(self.den, o.den))
 
     __radd__ = __add__
 
@@ -179,9 +185,9 @@ class ExactScalar:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return ExactScalar(poly_sub(self.num, o.num), dict(self.den))
+            return _trusted(poly_sub(self.num, o.num), self.den)
         num = poly_sub(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return ExactScalar(num, poly_mul(self.den, o.den))
+        return _trusted(num, poly_mul(self.den, o.den))
 
     def __rsub__(self, other):
         o = _coerce_scalar(other)
@@ -199,7 +205,12 @@ class ExactScalar:
             return self._monomial_mul(o.num)
         if len(self.num) == 1 and len(self.den) == 1:
             return o._monomial_mul(self.num)
-        return ExactScalar(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        num = poly_mul(self.num, o.num)
+        if len(o.den) == 1:
+            return _trusted(num, self.den)
+        if len(self.den) == 1:
+            return _trusted(num, o.den)
+        return _trusted(num, poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -208,7 +219,7 @@ class ExactScalar:
         (e, c), = mono.items()
         if e == 0 and c == 1:
             return self
-        return ExactScalar(poly_scale(self.num, c, e), self.den)
+        return _trusted(poly_scale(self.num, c, e), self.den)
 
     def __truediv__(self, other):
         o = _coerce_scalar(other)
@@ -225,7 +236,7 @@ class ExactScalar:
         return o / self
 
     def __neg__(self):
-        return ExactScalar(poly_neg(self.num), self.den)
+        return _trusted(poly_neg(self.num), self.den)
 
     def __bool__(self):
         return bool(self.num)
@@ -272,6 +283,17 @@ class ExactScalar:
         if len(self.den) == 1:
             return f"({side(self.num)})"
         return f"({side(self.num)}) / ({side(self.den)})"
+
+
+def _trusted(num, den):
+    """num/den for a den that is already normalized (lowest term v**0 with
+    coefficient 1): the ring ops build their results here."""
+    s = object.__new__(ExactScalar)
+    s.num = num
+    s.den = den if num else _TRIVIAL_DEN
+    s._key = None
+    s._canon = len(s.den) == 1
+    return s
 
 
 def _coerce_scalar(x):

@@ -412,6 +412,15 @@ _TEXT_PINS = {
 }
 
 
+def test_verify_text_reports_unchecked_instances(capsys):
+    code, out, _ = run_main(capsys, "verify-relations", "--kind", "eval_sl2",
+                            "--cutoff", "1", "--window", "2", "--text")
+    assert code == 0
+    assert out.splitlines()[:3] == ["eval_sl2: PASS", "  deux     x20    ok",
+                                    "  hdd      x32    ok, 16 unchecked"]
+    assert out.count("unchecked") == 1
+
+
 @pytest.mark.parametrize("name", sorted(_TEXT_PINS))
 def test_text_output_bytes_pinned(capsys, name):
     argv, rc, digest = _TEXT_PINS[name]

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -56,7 +56,7 @@ def test_component_series_multiplies_back():
     for _ in range(150):
         zeros = [rng.randrange(-4, 5) for _ in range(rng.randrange(4))]
         poles = [rng.randrange(-4, 5) for _ in range(rng.randrange(4))]
-        const = ExactScalar.q_power(rng.randrange(-3, 4), rng.choice((1, -1)))
+        const = ExactScalar.q_power(rng.randrange(-3, 4)) * rng.choice((1, -1))
         nmodes = rng.randrange(6)
         num, den = _expand_shifts(zeros), _expand_shifts(poles)
         top = len(zeros) - len(poles)
@@ -194,7 +194,7 @@ def _cancelling_module():
     return ExplicitModule(A1, "hand", {}, 3, None, gens, 0, dict.fromkeys(gens, 0))
 
 
-@pytest.mark.parametrize("mod", [
+WORD_MODULES = [
     build_module("eval_sl2", {"gamma_exp": 1, "shift": 2}, cutoff=3, mode_window=1),
     build_module("psitilde", {"type": "A2", "node": 2, "shift": 1}, cutoff=2, mode_window=1),
     build_module("psitilde", {"type": "B2", "node": 1}, cutoff=2, mode_window=1),
@@ -203,7 +203,10 @@ def _cancelling_module():
     build_module("osc_verma_minus", {"gamma_exp": -1}, cutoff=4),
     _tensor_module(),
     _cancelling_module(),
-], ids=lambda m: m.kind)
+]
+
+
+@pytest.mark.parametrize("mod", WORD_MODULES, ids=lambda m: m.kind)
 def test_apply_word_matches_dense_product(mod):
     symbols = list(mod.gens) + ["absent"]
     words = [[]] + [[s] for s in symbols] + [list(w) for w in product(symbols, repeat=2)]
@@ -217,23 +220,107 @@ def test_apply_word_matches_dense_product(mod):
     assert split == (mod.kind in ("osc_tensor", "hand"))
 
 
-def test_failure_witness_pinned():
-    # x^-_{1,1} v_1 scaled by v breaks (trois), (hdd) and (phix); no timed
-    # suite fails, so the report, witnesses included, is pinned here to the
-    # bytes of the sparse-accumulate apply_word
+def _tampered_eval_module():
+    """eval_sl2 with x^-_{1,1} v_1 scaled by v: (trois), (hdd) and (phix) fail."""
     mod = build_module("eval_sl2", {"gamma_exp": 1, "shift": 0}, cutoff=4, mode_window=2)
     gens = dict(mod.gens)
     sym = ("x-", 1, 1)
     gens[sym] = dict(gens[sym])
     gens[sym][(2, 1)] = gens[sym][(2, 1)] * ExactScalar.v_power(1)
-    bad = ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
-                         gens, mod.mode_window, mod.upshift, lweights=mod.lweights)
+    return ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
+                          gens, mod.mode_window, mod.upshift, lweights=mod.lweights)
+
+
+def _dense_residual(mod, products, j):
+    acc = {}
+    for coeff, word in products:
+        for r, v in _dense_word(mod, word, j).items():
+            acc[r] = acc.get(r, ZERO) + coeff * v
+    return {r: v for r, v in acc.items() if v}
+
+
+def _random_relations(mod, rng):
+    """40 linear combinations of words of length 0-3, absent symbols included."""
+    symbols = list(mod.gens) + ["absent"]
+    coeffs = [ONE, -ONE, ExactScalar.q_power(1), qnum(2), 2 - ExactScalar.v_power(-3),
+              ONE / (ExactScalar.q_power(1) - ExactScalar.q_power(-1))]
+    return [[(rng.choice(coeffs), [rng.choice(symbols) for _ in range(rng.randrange(4))])
+             for _ in range(rng.randrange(1, 5))]
+            for _ in range(40)]
+
+
+@pytest.mark.parametrize("mod,suite", [(m, False) for m in WORD_MODULES]
+                         + [(_tampered_eval_module(), True)],
+                         ids=[m.kind for m in WORD_MODULES] + ["tampered"])
+def test_residual_walk_matches_dense_product(mod, suite):
+    # random relations on every module of the apply_word test, and the
+    # Drinfeld suite of a tampered module, where some instances fail
+    relations = _random_relations(mod, random.Random(13))
+    if suite:
+        relations += [p for _, _, p in modrep._drinfeld_relations(mod)]
+    failing = 0
+    for products in relations:
+        dense = [_dense_residual(mod, products, j) for j in range(mod.size)]
+        walks = modrep._resolve(mod, products)[1]
+        for j in range(mod.size):
+            got = modrep._residual(walks, j)
+            assert got == dense[j], (products, j)
+            assert all(got.values()), (products, j)
+        # the verdict: the first unpolluted column with a nonzero residual
+        maxup = max((max(accumulate((mod.upshift.get(s, 0) for s in reversed(w)),
+                                    initial=0))
+                     for _, w in products), default=0)
+        top = mod.size - 1 - maxup
+        bad = [j for j in range(top + 1) if dense[j]]
+        res = modrep._check_products(mod, products)
+        if not bad:
+            assert res == {"ok": True, "columns": max(top + 1, 0)}
+            continue
+        failing += 1
+        j, row = bad[0], min(dense[bad[0]])
+        assert res == {"ok": False, "witness": {
+            "column": j, "row": row, "value": repr(dense[j][row])}}
+    assert failing
+
+
+def test_failure_witness_pinned():
+    # x^-_{1,1} v_1 scaled by v breaks (trois), (hdd) and (phix); no timed
+    # suite fails, so the report, witnesses included, is pinned here
+    bad = _tampered_eval_module()
     rep = check_relations(bad)
     assert not rep["ok"]
     assert {f["family"] for f in rep["families"] if f["failures"]} == {"hdd", "phix", "trois"}
     data = json.dumps(rep, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(data).hexdigest() == (
         "3278384249cbbb46fb1b69e217b819980df91e8ec4c086343801424b16129145")
+
+
+def test_vacuous_instances_reported_unchecked():
+    # at cutoff 1 the x^- words of (hdd) raise v_0 twice, past the cutoff,
+    # so those 16 instances have no column to be checked on
+    rep = check_relations(build_module("eval_sl2", {}, cutoff=1, mode_window=2))
+    assert rep["ok"]
+    fams = {f["family"]: f for f in rep["families"]}
+    assert (fams["hdd"]["instances"], fams["hdd"]["unchecked"]) == (32, 16)
+    assert [n for n, f in fams.items() if "unchecked" in f] == ["hdd"]
+    # the benchmark's size leaves every instance a column
+    rep = check_relations(build_module("eval_sl2", {}, cutoff=8, mode_window=4))
+    assert all("unchecked" not in f for f in rep["families"])
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("eval_sl2", {}),
+    ("psitilde", {"type": "B2", "node": 1}),
+    ("psistar", {"type": "A2", "node": 1}),
+])
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_relation_instances_are_distinct(kind, params, window):
+    mod = build_module(kind, params, cutoff=3, mode_window=window)
+    rels = list(modrep._drinfeld_relations(mod))
+    distinct = {(name, info) for name, info, _ in rels}
+    assert len(rels) == len(distinct)
+    rep = check_relations(mod)
+    assert sum(f["instances"] for f in rep["families"]) == len(distinct)
 
 
 def test_invalid_module_params():

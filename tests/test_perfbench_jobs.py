@@ -8,6 +8,7 @@ out).  The module's source is read and executed in a fresh module object;
 nothing under perfbench/ is written.
 """
 
+import hashlib
 import os
 import types
 
@@ -40,3 +41,27 @@ def test_workload_jobs_pass_their_oracles(workload):
         if reason is not None:
             failures[job.name] = reason
     assert failures == {}
+
+
+# sha256 of each relations job's canonical bytes (exit code and stdout).  A
+# relation report names the module kind, cutoff and window and counts the
+# instances per family, but carries no field that the seed picks (shift,
+# gamma_exp, beta_exp), so one digest per job holds at every seed.
+_RELATIONS_DIGESTS = {
+    "coproduct_minus": "85d80c4ffdeddbf65575a9cb0762963dac6d78ec063a9f4e8efee33f80ecb4e3",
+    "coproduct_plus": "07a188188a6dab2dd07e7b41cb1e5df66be6e0e50997118b5ef2573572705828",
+    "eval_sl2": "2290031c0a4b1f76a13f0b17f3c3e62584e344aadc4b24b2730d32d178bc2391",
+    "psistar-A2": "13e1650788d10fb6a0763d65ef50fdbb7976b1f7de7f031354d7ae60db3edc5b",
+    "psistar-B2": "13e1650788d10fb6a0763d65ef50fdbb7976b1f7de7f031354d7ae60db3edc5b",
+    "psitilde-A2": "bf7dda3d70198f996453da8f69beae3edf9e896b766949b2b8e1b3b78c9b06d3",
+    "psitilde-B2": "bf7dda3d70198f996453da8f69beae3edf9e896b766949b2b8e1b3b78c9b06d3",
+    "readme:coproduct-plus": "07a188188a6dab2dd07e7b41cb1e5df66be6e0e50997118b5ef2573572705828",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relations_job_bytes_pinned(seed):
+    jobs, _probes = JOBS_MOD.build("relations", seed)
+    got = {job.name: hashlib.sha256(job.canonical(job.run())).hexdigest()
+           for job in jobs}
+    assert got == _RELATIONS_DIGESTS

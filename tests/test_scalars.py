@@ -58,6 +58,37 @@ def test_evaluation_commutes(a, b, v0):
     assert (a * b).evaluate(v0) == ea * eb
 
 
+def _normalized(s):
+    """The denominator invariant: lowest term exactly v**0 with coefficient
+    1, and the zero scalar over 1."""
+    return min(s.den) == 0 and s.den[0] == 1 and (bool(s.num) or s.den == {0: 1})
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), scalars(), st.integers(-3, 3))
+def test_ring_ops_keep_denominators_normalized(a, b, k):
+    results = [a + b, a - b, a * b, -a, a + k, k - a, a * k, a * a,
+               a * ExactScalar.q_power(k), a + a, a - a]
+    if b:
+        results.append(a / b)
+    for r in results:
+        assert _normalized(r)
+        again = ExactScalar(dict(r.num), dict(r.den))
+        assert (again.num, again.den) == (r.num, r.den)
+        assert again == r
+
+
+@given(st.integers(-40, 40))
+def test_q_power_matches_fraction_path(k):
+    for e, ve in ((k, 2 * k), (Fraction(k), 2 * k), (Fraction(2 * k + 1, 2), 2 * k + 1)):
+        got = ExactScalar.q_power(e)
+        assert (got.num, got.den) == ({ve: 1}, {0: 1})
+        assert _coeff_types(got) == {int}
+        assert got == ExactScalar.v_power(ve) == ExactScalar({ve: Fraction(1)})
+    h = ExactScalar.q_power(Fraction(2 * k + 1, 2))
+    assert h * h == ExactScalar.q_power(2 * k + 1)
+
+
 def test_qnum_basics():
     # [2]_q = q + q^{-1}; [-1]_q = -1; [3]_q = q^2 + 1 + q^{-2}
     assert qnum(2) == ExactScalar.q_power(1) + ExactScalar.q_power(-1)
@@ -240,7 +271,7 @@ def _coeff_types(s):
 
 def test_integral_ring_ops_stay_int():
     v = ExactScalar.v_power(1)
-    a = 3 * v * v - 2 + ExactScalar.v_power(-3, 5)
+    a = 3 * v * v - 2 + 5 * ExactScalar.v_power(-3)
     b = qnum(3) * (v - 1)
     unit_low = 1 - 2 * v + 7 * v * v  # lowest denominator coefficient 1
     neg_low = -v + 4 * v * v  # lowest coefficient -1
@@ -257,7 +288,7 @@ def test_evaluate_is_exact_for_int_arguments():
     r = ExactScalar.v_power(-1).evaluate(2)
     assert r == Fraction(1, 2) and type(r) is Fraction
     assert qnum(2).evaluate(1) == 2 and type(qnum(2).evaluate(1)) is Fraction
-    assert (ExactScalar.v_power(2) / (1 + ExactScalar.v_power(1, 3))).evaluate(-2) == Fraction(-4, 5)
+    assert (ExactScalar.v_power(2) / (1 + 3 * ExactScalar.v_power(1))).evaluate(-2) == Fraction(-4, 5)
 
 
 def _random_mixed_scalar(rng):
@@ -279,7 +310,7 @@ def test_monomial_mul_matches_general_product():
         c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
         # c*v**e written three ways: plain, over Fraction(1), over d*v**k
         d, k = rng.choice([1, -2, Fraction(3, 2)]), rng.randint(-2, 2)
-        for m in (ExactScalar.v_power(e, c), ExactScalar({e: c}, {0: Fraction(1)}),
+        for m in (ExactScalar({e: c}), ExactScalar({e: c}, {0: Fraction(1)}),
                   ExactScalar({e + k: c * d}, {k: d})):
             assert len(m.num) == 1 and len(m.den) == 1
             general = ExactScalar(poly_mul(x.num, m.num), poly_mul(x.den, m.den))
@@ -287,4 +318,4 @@ def test_monomial_mul_matches_general_product():
             _same(m * x, general)
         assert ONE * x == x and x * ONE == x
         assert not ZERO * x and not x * ZERO
-        assert not ExactScalar.from_int(0) * ExactScalar.v_power(e, c)
+        assert not ExactScalar.from_int(0) * ExactScalar({e: c})
