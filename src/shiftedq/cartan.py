@@ -125,6 +125,7 @@ class CartanData:
         self._check()
         self._ctilde = None
         self._factor_solvers = {}
+        self._coroot_inverse = None
         self._basis_patterns = {}
 
     def _check(self):

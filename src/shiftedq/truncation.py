@@ -33,7 +33,7 @@ from .qchar import (
     qc_simple_sl2,
 )
 from .scalars import ZETA_ORDER, ConstantFactor
-from .smith import solve_rational
+from .smith import bareiss_adjugate, solve_mod
 
 STATUS_NECESSARY = "NecessaryOnly"
 STATUS_STRONG = "StrongCandidate"
@@ -87,11 +87,7 @@ class TruncationData:
         rhs_q = [cd.ri(i) * self.lam[i - 1] + sum(self.zroots[i]) for i in cd.nodes()]
         rhs_z = [4 * self.lam[i - 1] for i in cd.nodes()]
         Ct = [[cd.C[j][i] for j in range(n)] for i in range(n)]
-        x, consistent, _ = solve_rational(Ct, rhs_q)
-        if not consistent:
-            raise TruncationError("z' q-exponents are not solvable")
-        from .smith import solve_mod
-
+        x = _coroot_coordinates(cd, rhs_q)
         k = solve_mod(Ct, rhs_z, ZETA_ORDER)
         if k is None:
             raise TruncationError(
@@ -129,16 +125,22 @@ def fuse_truncations(z1, z2):
     return TruncationData(z1.cd, zr)
 
 
+def _coroot_coordinates(cd, w):
+    """The x with sum_j x_j C[j][i] = w_i for every node i, as Fractions:
+    x = adj(C^T) w / det C, with (det C, adj C^T) cached on cd.  C is
+    nonsingular, so every w has exactly one solution."""
+    if cd._coroot_inverse is None:
+        det, adj = bareiss_adjugate([[{0: c} if c else {} for c in col]
+                                     for col in zip(*cd.C)])
+        cd._coroot_inverse = (det[0], [[x.get(0, 0) for x in row] for row in adj])
+    det, adj = cd._coroot_inverse
+    return [Fraction(sum(c * v for c, v in zip(row, w)), det) for row in adj]
+
+
 def truncation_shifts(z, mu):
     """Solve lambda - mu = sum_i a_i alpha_i^vee for the lambda of the
     truncation data z; reject non-integral or negative a_i."""
-    cd = z.cd
-    n = cd.n
-    diff = [z.lam[k] - mu[k] for k in range(n)]
-    Ct = [[cd.C[j][i] for j in range(n)] for i in range(n)]
-    x, consistent, _ = solve_rational(Ct, diff)
-    if not consistent:
-        raise TruncationError("lambda - mu is not in the coroot lattice span")
+    x = _coroot_coordinates(z.cd, [lam - m for lam, m in zip(z.lam, mu)])
     shown = "[" + ", ".join(map(str, x)) + "]"
     a = []
     for v in x:
@@ -344,9 +346,39 @@ def _gift_caps(site_keys, a, givers):
     return cap
 
 
-def _extend(state, need, gift, cap):
+def _live_supply(site_keys, a, zexps, undecided):
+    """The giver sites of the undecided nodes, for the live-supply bound.
+
+    Maps each (j, t) to one (a_k, ((own, base), ...)) per undecided node k
+    with a site u giving there, over those sites: own = (k, u + r_k) and
+    base = Z(own) + what the undecided nodes other than k can give at own.
+    Once node k's turn comes, _node_multisets can choose u only if
+    Z(own) + given(own) + cap(own) > 0, and base + given(own) bounds that
+    from above (nodes between the decided ones and k add to given, later
+    ones are in cap), so k can give at (j, t) only while some of its sites
+    has base + given(own) > 0.
+    """
+    supply = {}
+    for k in undecided:
+        if not a[k - 1]:
+            continue
+        others = _gift_caps(site_keys, a, [m for m in undecided if m != k])
+        sites = {}
+        for own, gives in site_keys[k].values():
+            base = zexps.get(own, 0) + others.get(own, 0)
+            for key in gives:
+                sites.setdefault(key, []).append((own, base))
+        for key, ss in sites.items():
+            supply.setdefault(key, []).append((a[k - 1], tuple(ss)))
+    return supply
+
+
+def _extend(state, need, gift, supply):
     """The search state after one more node's multiset, or None once a need
-    exceeds its gifts plus cap, the most the later nodes can still give.
+    exceeds its gifts plus the live supply at its key: a_k summed over the
+    undecided nodes k with a giver site there that can still be chosen
+    (supply is _live_supply of the undecided nodes, read with the gifts of
+    this multiset added to given).
 
     state is (short, given): short maps each (j, t) of a decided node to its
     need minus the gifts so far, where positive; given maps each (j, t) of
@@ -359,19 +391,19 @@ def _extend(state, need, gift, cap):
         n -= given.get(key, 0)
         if n > 0:
             short[key] = n
-    rest = []
+    given = dict(given)
     for key in gift:
         if key in short:
             short[key] -= 1
         else:
-            rest.append(key)
+            given[key] = given.get(key, 0) + 1
+    short = {key: n for key, n in short.items() if n > 0}
     for key, n in short.items():
-        if n > cap.get(key, 0):
+        live = sum(ak for ak, sites in supply.get(key, ())
+                   if any(base + given.get(own, 0) for own, base in sites))
+        if n > live:
             return None
-    given = dict(given)
-    for key in rest:
-        given[key] = given.get(key, 0) + 1
-    return {key: n for key, n in short.items() if n > 0}, given
+    return short, given
 
 
 def _node_multisets(sites, k, state, cap, zexps):
@@ -408,22 +440,26 @@ def _node_multisets(sites, k, state, cap, zexps):
     return out
 
 
-def _covered_choices(site_keys, a, zexps, caps, d, state):
+def _covered_choices(site_keys, a, zexps, caps, supplies, d, state):
     """Depth-first over one a_i-multiset per node from node d + 1 on, from
     the search state of the nodes before, in itertools.product order.
     Yields each choice in which every need is covered by the gifts of the
-    other nodes; each multiset that _node_multisets builds is checked whole
-    by _extend against caps[d], the most the later nodes can still give.
+    other nodes.  _node_multisets builds node d + 1's multisets against
+    caps[d], the most the later nodes can give at each key; _extend checks
+    each one whole against supplies[d], the later nodes' live supply, so
+    the search does not enter a state whose shortage no choosable site can
+    cover.
     """
     sites = site_keys[d + 1]
     for ms in _node_multisets(sites, a[d], state, caps[d], zexps):
-        nxt = _extend(state, *_need_gift(ms, sites, zexps), caps[d])
+        nxt = _extend(state, *_need_gift(ms, sites, zexps), supplies[d])
         if nxt is None:
             continue
         if d + 1 == len(a):
             yield (ms,)
         else:
-            for rest in _covered_choices(site_keys, a, zexps, caps, d + 1, nxt):
+            for rest in _covered_choices(site_keys, a, zexps, caps, supplies,
+                                         d + 1, nxt):
                 yield (ms, *rest)
 
 
@@ -446,9 +482,15 @@ def enumerate_candidates(z, lam, mu):
     depth-first in order and builds each node's a_i-multiset site by site,
     in nondecreasing order, dropping a partial multiset once its own need or
     a decided need exceeds what the decided gifts, the sites still to choose
-    and the undecided nodes can cover.  The maps come out in the order of
-    the full product of per-node multisets, whose size is counted (and
-    refused above MAX_COMBOS) before anything is built.
+    and the undecided nodes can cover.  Each built multiset is then checked
+    against the live supply (_live_supply, precomputed here per depth): a
+    decided need left uncovered must not exceed a_k summed over the
+    undecided nodes k that still have a site giving there which can be
+    chosen, so the search does not descend to cover a shortage that no
+    choosable site can cover.
+    The maps come out in the order of the full product of per-node
+    multisets, whose size is counted (and refused above MAX_COMBOS) before
+    anything is built.
     """
     from .kernel import exps_combine
 
@@ -480,10 +522,12 @@ def enumerate_candidates(z, lam, mu):
     }
     zexps = zmono.exps
     site_keys = {i: _site_keys(cd, i, usable[i]) for i in cd.nodes()}
-    caps = [_gift_caps(site_keys, a, range(i + 1, cd.n + 1)) for i in cd.nodes()]
+    later = [range(i + 1, cd.n + 1) for i in cd.nodes()]
+    caps = [_gift_caps(site_keys, a, ks) for ks in later]
+    supplies = [_live_supply(site_keys, a, zexps, ks) for ks in later]
 
     seen = {}
-    for choice in _covered_choices(site_keys, a, zexps, caps, 0, ({}, {})):
+    for choice in _covered_choices(site_keys, a, zexps, caps, supplies, 0, ({}, {})):
         combo = []
         for i, ms in zip(cd.nodes(), choice):
             acc = {}

@@ -467,6 +467,20 @@ def test_enumerate_matches_product_oracle(label, zroots):
     assert found
 
 
+def test_enumerate_matches_product_oracle_e6_branch():
+    # Lambda_{2,-1} leaves a shortage at (2, 0) that only node 4's site 0 can
+    # cover, and that site has room at (4, 1) only through the gift of node
+    # 3's site 1.  A live-supply bound that counts only the nodes after node
+    # 4, or reads given before node 3's gifts are in it, loses this candidate.
+    z = TruncationData(build_cartan("E6"), {2: [0], 3: [1]})
+    mu = (1, 0, 0, 0, 1, 0)
+    assert _space(z, mu) == 15_625
+    got = enumerate_candidates(z, z.lam, mu)
+    want = _product_enumeration(z, z.lam, mu)
+    assert len(got) == 4
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
 # --- oracles that hold at any size ---------------------------------------------
 
 def _candidate_data(cands):
@@ -519,14 +533,20 @@ def test_spectral_shift_invariance():
             assert _candidate_data(_refined(zs, mu)) == want, (z, mu, s)
 
 
-def _flipped_data(n, cands):
-    """_candidate_data under the A_n flip i -> n + 1 - i, sorted."""
+def _permuted_data(sigma, cands):
+    """_candidate_data under the diagram automorphism i -> sigma[i], sorted."""
+    order = sorted(sigma, key=sigma.get)  # the node that lands at each place
     return sorted(
-        (tuple(sorted(((n + 1 - i, t), e) for (i, t), e in exps)),
-         qexps[::-1], zetas[::-1],
-         tuple(sorted(((n + 1 - i, u), e) for (i, u), e in lam_exps)),
+        (tuple(sorted(((sigma[i], t), e) for (i, t), e in exps)),
+         tuple(qexps[i - 1] for i in order), tuple(zetas[i - 1] for i in order),
+         tuple(sorted(((sigma[i], u), e) for (i, u), e in lam_exps)),
          status)
         for exps, qexps, zetas, lam_exps, status in _candidate_data(cands))
+
+
+def _flipped_data(n, cands):
+    """_candidate_data under the A_n flip i -> n + 1 - i, sorted."""
+    return _permuted_data({i: n + 1 - i for i in range(1, n + 1)}, cands)
 
 
 # the A2 and A3 oracle truncations at every weight the guard admits, and A3
@@ -556,6 +576,50 @@ def test_diagram_flip_invariance(label, zroots, mu):
     assert found
 
 
+def test_d4_triality(monkeypatch):
+    # the truncfd truncations of Y_{1,0}, Y_{3,0} and Y_{4,0} are images of
+    # each other under the swaps 1 <-> 3 and 1 <-> 4 of the D4 legs, and so
+    # are their candidates at mu_Psi; each space is above MAX_COMBOS
+    from shiftedq.langlands import truncfd_Z_for
+
+    monkeypatch.setattr(truncation, "MAX_COMBOS", 10 ** 9)
+    D4 = build_cartan("D4")
+    data = {}
+    for i in (1, 3, 4):
+        psi = generator(D4, "Y", i, 0)
+        z, _ = truncfd_Z_for(psi)
+        mu = psi.coweight()
+        assert _space(z, mu) > 20_000_000
+        got = _refined(z, mu)
+        assert len(got) == 24
+        assert psi.exps_key() in [c.psi.exps_key() for c in got]
+        data[i] = got
+    for leg in (3, 4):
+        swap = {1: leg, 2: 2, leg: 1, 7 - leg: 7 - leg}
+        assert _permuted_data(swap, data[1]) == sorted(_candidate_data(data[leg]))
+
+
+# stdout sha256 of the guard-refused classify probes, recorded with the guard
+# lifted before the live-supply bound
+_LIFTED_TRUNCATIONS = [
+    (["--type", "B2", "--lambda", "1,1", "--zroots", "1:0;2:0", "--mu=-1,-1"],
+     "702a11b1618eb72a121fada804942570bfbb9817cfc5f5659d1b8a2b76158081"),
+    (["--type", "A2", "--lambda", "2,1", "--zroots", "1:0,2;2:0", "--mu=-1,-2"],
+     "52b740f221fa276e02872561d53d32aa924318bec5eb099bd2b6f7763cd3617f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _LIFTED_TRUNCATIONS,
+                         ids=[argv[1] for argv, _ in _LIFTED_TRUNCATIONS])
+def test_truncate_above_guard_pinned(monkeypatch, argv, digest):
+    monkeypatch.setattr(truncation, "MAX_COMBOS", 10 ** 9)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["truncate", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_site_search_work_bound(monkeypatch):
     # B2 "1:0;2:0" at mu = (-1, 0): a search over whole node multisets
     # checks 49,532 of them against the decided nodes; building them site by
@@ -571,6 +635,23 @@ def test_site_search_work_bound(monkeypatch):
     z = TruncationData(B2, {1: [-2], 2: [-1]})
     assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
     assert 0 < calls[0] <= 5_000
+
+
+def test_live_supply_work_bound(monkeypatch):
+    # the same search: with every giver counted in the supply, 1,313 states
+    # reach _node_multisets; counting only givers with a site that can still
+    # be chosen leaves 18
+    calls = [0]
+    node_multisets = truncation._node_multisets
+
+    def counted(*args):
+        calls[0] += 1
+        return node_multisets(*args)
+
+    monkeypatch.setattr(truncation, "_node_multisets", counted)
+    z = TruncationData(B2, {1: [-2], 2: [-1]})
+    assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
+    assert 0 < calls[0] <= 50
 
 
 def _pole_cover(cd, psi_exps, v):
