@@ -3,7 +3,10 @@
 Matrices are sparse {(row, col): ExactScalar} over Q(v).  Relations are
 evaluated column-by-column as exact identities for all modes inside the
 window; basis columns whose raising chains would cross the cutoff are
-excluded rather than approximated (exactness over coverage).
+excluded rather than approximated (exactness over coverage).  The verifier
+walks each module's column tables packed once at v = 2**W (scalars.pack), so
+a relation residual is a sum of plain int products; a nonzero residual is
+unpacked back into an ExactScalar only to be returned or reported.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from .cartan import build_cartan
 from .kernel import poly_add
 from .lweight import leq_certificate
 from .qchar import qc_closed_form
-from .scalars import ExactScalar, ONE, ZERO, ConstantFactor, qnum, qbinom
+from .scalars import (PACK_WIDTH, ExactScalar, ONE, ZERO, ConstantFactor, fit_width, pack,
+                      packed_add, packed_mul, qbinom, qnum, unpack)
 
 X_PLUS, X_MINUS, PHI_PLUS, PHI_MINUS = "x+", "x-", "phi+", "phi-"
 
@@ -23,10 +27,11 @@ X_PLUS, X_MINUS, PHI_PLUS, PHI_MINUS = "x+", "x-", "phi+", "phi-"
 # sparse matrix helpers
 # ---------------------------------------------------------------------------
 
-def mat_by_cols(mat):
+def _pack_cols(mat, width):
+    """{col: [(row, packed entry)]} of a sparse matrix, packed at v = 2**width."""
     cols = {}
     for (r, c), s in mat.items():
-        cols.setdefault(c, []).append((r, s))
+        cols.setdefault(c, []).append((r, pack(s, width)))
     return cols
 
 
@@ -42,7 +47,7 @@ class ExplicitModule:
         self.mode_window = mode_window
         self.upshift = upshift  # symbol -> basis-index shift of its action
         self.lweights = lweights  # optional l-weight per basis vector
-        self._cols = {s: mat_by_cols(m) for s, m in gens.items()}
+        self._cols = {s: _pack_cols(m, PACK_WIDTH) for s, m in gens.items()}
         self.cutoff_note = (
             f"rows within raising reach of basis index {size - 1} are "
             "truncation-polluted and excluded from checks"
@@ -287,15 +292,26 @@ def build_module(kind, params=None, cutoff=8, mode_window=4):
 # relation verification
 # ---------------------------------------------------------------------------
 
-def _resolve(mod, products):
+def _resolve(mod, products, width=PACK_WIDTH, packs=None):
     """(max up-shift, walks) of a relation given as [(coeff, word)].
 
-    A word is resolved once into its column tables, rightmost first, and its
-    max prefix cumulative up-shift is read in the same pass.  A word with a
-    missing or empty table acts by zero, so it has no walk; its up-shift
-    still counts.
+    A word is resolved once into its column tables packed at v = 2**width
+    (the module's own at PACK_WIDTH, packed again from its matrices at any
+    other width), rightmost first, and its max prefix cumulative up-shift is
+    read in the same pass.  A word with a missing or empty table acts by
+    zero, so it has no walk; its up-shift still counts.  packs maps id(coeff)
+    to (coeff, packed coeff) at this width; a caller that passes one dict for
+    many relations packs each shared coefficient object once.
     """
-    all_cols, upshift = mod._cols, mod.upshift
+    upshift = mod.upshift
+    if packs is None:
+        packs = {}
+    if width == PACK_WIDTH:
+        all_cols = mod._cols
+    else:
+        used = {sym for _, word in products for sym in word}
+        all_cols = {sym: _pack_cols(mod.gens[sym], width)
+                    for sym in used if sym in mod.gens}
     maxup = 0
     walks = []
     for coeff, word in products:
@@ -307,57 +323,73 @@ def _resolve(mod, products):
                 maxup = tot
             tables.append(all_cols.get(sym))
         if all(tables):
-            walks.append((coeff, tables))
-    return maxup, walks
+            hit = packs.get(id(coeff))
+            if hit is None:
+                hit = packs[id(coeff)] = (coeff, pack(coeff, width))
+            walks.append((hit[1], tables))
+    return maxup, (mod, products, width, walks)
 
 
 def _residual(walks, j):
-    """Sum of coeff * word applied to basis vector j; {} means exact zero.
+    """Sum of coeff * word applied to basis vector j as {row: ExactScalar}
+    of its nonzero rows; {} means exact zero.
 
-    Each word walks its tables starting from its coefficient.  The
+    Each word walks its packed tables starting from its coefficient.  The
     generators of the ladder and oscillator modules have at most one entry
-    per column, so a walk carries one (row, scalar) pair; from a column with
-    two or more entries on (the coproduct tensor module) the rest of the
-    walk is a sparse accumulate over a vector (_spread).
+    per column, so a walk carries one (row, packed scalar) pair; from a
+    column with two or more entries on (the coproduct tensor module) the
+    rest of the walk is a sparse accumulate over a vector (_spread).  A row
+    is read only while its bound proves its digits (scalars.pack); otherwise
+    the relation is packed again at a width past the largest bound and
+    walked again.
     """
+    mod, products, width, pairs = walks
     acc = {}
-    for val, tables in walks:
+    for val, tables in pairs:
         row = j
         for k, cols in enumerate(tables):
             entries = cols.get(row)
             if not entries:
                 break
             if len(entries) > 1:
-                _spread(tables, k, {row: val}, acc)
+                _spread(tables, k, {row: val}, acc, width)
                 break
             row, s = entries[0]
-            val = s * val
+            val = packed_mul(s, val)
         else:
             cur = acc.get(row)
-            acc[row] = val if cur is None else cur + val
-    return {r: v for r, v in acc.items() if v}
+            acc[row] = val if cur is None else packed_add(cur, val, width)
+    out = {}
+    for r, p in acc.items():
+        if p[3] >> (width - 1):
+            top = max(q[3] for q in acc.values())
+            return _residual(_resolve(mod, products, fit_width(top))[1], j)
+        if p[1]:
+            out[r] = unpack(p, width)
+    return out
 
 
-def _spread(tables, k, vec, acc):
-    """Add the sparse vector vec, walked through tables[k:], into acc."""
+def _spread(tables, k, vec, acc, width):
+    """Add the sparse packed vector vec, walked through tables[k:], into acc."""
     for cols in tables[k:]:
         out = {}
         for c, v in vec.items():
             for r, s in cols.get(c, ()):
-                p = s * v
+                p = packed_mul(s, v)
                 cur = out.get(r)
-                out[r] = p if cur is None else cur + p
-        vec = {r: v for r, v in out.items() if v}
+                out[r] = p if cur is None else packed_add(cur, p, width)
+        # a zero N is dropped only where its bound proves the value zero
+        vec = {r: v for r, v in out.items() if v[1] or v[3] >> (width - 1)}
         if not vec:
             return
     for r, v in vec.items():
         cur = acc.get(r)
-        acc[r] = v if cur is None else cur + v
+        acc[r] = v if cur is None else packed_add(cur, v, width)
 
 
-def _check_products(mod, products, columns=None):
+def _check_products(mod, products, columns=None, packs=None):
     """Evaluate a relation (list of (coeff, word)) on all unpolluted columns."""
-    maxup, walks = _resolve(mod, products)
+    maxup, walks = _resolve(mod, products, packs=packs)
     top = mod.size - 1 - maxup
     cols = range(0, top + 1) if columns is None else [j for j in columns if j <= top]
     for j in cols:
@@ -376,16 +408,20 @@ def _qpow(e):
     return ExactScalar.q_power(e)
 
 
-def _q_commutator(qb, u1, w0, u0, w1):
-    """u1 w0 - q^b w0 u1 - q^b u0 w1 + w1 u0, the shape of (hdd) and (phix);
-    in this term order the residuals take fewer polynomial products."""
-    return [(ONE, [u1, w0]), (-qb, [w0, u1]), (-qb, [u0, w1]), (ONE, [w1, u0])]
+_MINUS_ONE = ExactScalar.from_int(-1)
+
+
+def _q_commutator(neg_qb, u1, w0, u0, w1):
+    """u1 w0 - q^b w0 u1 - q^b u0 w1 + w1 u0 for neg_qb = -q^b, the shape of
+    (hdd) and (phix)."""
+    return [(ONE, [u1, w0]), (neg_qb, [w0, u1]), (neg_qb, [u0, w1]), (ONE, [w1, u0])]
 
 
 def _drinfeld_relations(mod):
     """Relation instances (name, info, products) for the shifted algebra,
     yielded one at a time: each is checked and dropped before the next is
-    built."""
+    built.  Each coefficient is built once per family loop, so the instances
+    of a loop share the coefficient objects."""
     cd = mod.cd
     M = mod.mode_window
     modes = range(-M, M + 1)
@@ -397,7 +433,7 @@ def _drinfeld_relations(mod):
                     for m2 in (0, 1, -M):
                         p = [
                             (ONE, [_phi_symbol(e1, i, m1), _phi_symbol(e2, jn, m2)]),
-                            (-ONE, [_phi_symbol(e2, jn, m2), _phi_symbol(e1, i, m1)]),
+                            (_MINUS_ONE, [_phi_symbol(e2, jn, m2), _phi_symbol(e1, i, m1)]),
                         ]
                         yield ("un", (i, jn, e1, m1, e2, m2), p)
     # (deux): leading Cartan modes quasi-commute with x^{+-}
@@ -407,23 +443,24 @@ def _drinfeld_relations(mod):
         leads = ((1, (PHI_PLUS, i, 0), "+0"), (-1, (PHI_MINUS, i, lead_minus), "-lead"))
         for jn in cd.nodes():
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
+                neg_qds = [-_qpow(eps * sgn * cd.ri(i) * cd.c(i, jn)) for eps, _, _ in leads]
                 for r in modes:
-                    for eps, phi, tag in leads:
-                        qd = _qpow(eps * sgn * cd.ri(i) * cd.c(i, jn))
-                        p = [(ONE, [phi, (xop, jn, r)]), (-qd, [(xop, jn, r), phi])]
+                    for (_, phi, tag), neg_qd in zip(leads, neg_qds):
+                        p = [(ONE, [phi, (xop, jn, r)]), (neg_qd, [(xop, jn, r), phi])]
                         yield ("deux", (i, jn, xop, r, tag), p)
     # (trois): [x^+_{i,r}, x^-_{j,s}] = delta_ij (phi^+_{r+s} - phi^-_{r+s})/(q_i - q_i^{-1})
     for i in cd.nodes():
         inv = ONE / (_qpow(cd.ri(i)) - _qpow(-cd.ri(i)))
+        neg_inv = -inv
         for jn in cd.nodes():
             for r in modes:
                 for s in modes:
                     p = [
                         (ONE, [(X_PLUS, i, r), (X_MINUS, jn, s)]),
-                        (-ONE, [(X_MINUS, jn, s), (X_PLUS, i, r)]),
+                        (_MINUS_ONE, [(X_MINUS, jn, s), (X_PLUS, i, r)]),
                     ]
                     if i == jn:
-                        p.append((-inv, [_phi_symbol(1, i, r + s)]))
+                        p.append((neg_inv, [_phi_symbol(1, i, r + s)]))
                         p.append((inv, [_phi_symbol(-1, i, r + s)]))
                     yield ("trois", (i, jn, r, s), p)
     # (hdd): x_{i,r+1} x_{j,s} - q^{+-B} x_{i,r} x_{j,s+1}
@@ -432,10 +469,10 @@ def _drinfeld_relations(mod):
         for jn in cd.nodes():
             b = cd.b(i, jn)
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
-                qb = _qpow(sgn * b)
+                neg_qb = -_qpow(sgn * b)
                 for r in range(-M, M):
                     for s in range(-M, M):
-                        p = _q_commutator(qb, (xop, i, r + 1), (xop, jn, s),
+                        p = _q_commutator(neg_qb, (xop, i, r + 1), (xop, jn, s),
                                           (xop, i, r), (xop, jn, s + 1))
                         yield ("hdd", (i, jn, xop, r, s), p)
     # (phix) coefficientwise: phi^eps_a x_b-1 - q^{+-B} phi^eps_{a-1} x_b
@@ -444,11 +481,11 @@ def _drinfeld_relations(mod):
         for jn in cd.nodes():
             b = cd.b(i, jn)
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
-                qb = _qpow(sgn * b)
+                neg_qb = -_qpow(sgn * b)
                 for eps in (1, -1):
                     for a in range(-M - 1, M + 2):
                         for bb in range(-M + 1, M + 1):
-                            p = _q_commutator(qb, _phi_symbol(eps, i, a), (xop, jn, bb - 1),
+                            p = _q_commutator(neg_qb, _phi_symbol(eps, i, a), (xop, jn, bb - 1),
                                               _phi_symbol(eps, i, a - 1), (xop, jn, bb))
                             yield ("phix", (i, jn, xop, eps, a, bb), p)
     # (seq) Drinfeld-Serre for i != j with C_{ij} < 0, small mode tuples
@@ -458,6 +495,7 @@ def _drinfeld_relations(mod):
             if i == jn or cij >= 0:
                 continue
             s = 1 - cij
+            coeffs = [(-1) ** rr * qbinom(s, rr, cd.ri(i)) for rr in range(s + 1)]
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
                 # every Serre word contains x factors at the two nodes: if
                 # either family acts by zero the instance holds trivially
@@ -468,8 +506,7 @@ def _drinfeld_relations(mod):
                 for mtuple in set(iproduct((0, 1), repeat=s)):
                     p = []
                     for pi in set(permutations(range(s))):
-                        for rr in range(s + 1):
-                            coeff = (-1) ** rr * qbinom(s, rr, cd.ri(i))
+                        for rr, coeff in enumerate(coeffs):
                             word = (
                                 [(xop, i, mtuple[pi[t]]) for t in range(rr)]
                                 + [(xop, jn, 0)]
@@ -483,10 +520,10 @@ def _sl2_relations(ef_tail):
     """(name, products) of k kinv = 1, k e = q^2 e k, k f = q^-2 f k and
     e f - f e + ef_tail = 0."""
     return [
-        ("kkinv", [(ONE, ["k", "kinv"]), (-ONE, [])]),
+        ("kkinv", [(ONE, ["k", "kinv"]), (_MINUS_ONE, [])]),
         ("ke", [(ONE, ["k", "e"]), (-_qpow(2), ["e", "k"])]),
         ("kf", [(ONE, ["k", "f"]), (-_qpow(-2), ["f", "k"])]),
-        ("ef", [(ONE, ["e", "f"]), (-ONE, ["f", "e"])] + ef_tail),
+        ("ef", [(ONE, ["e", "f"]), (_MINUS_ONE, ["f", "e"])] + ef_tail),
     ]
 
 
@@ -514,12 +551,13 @@ def check_relations(module):
         rels = _drinfeld_relations(module)
     families = {}
     ok = True
+    packs = {}
     for name, info, products in rels:
         fam = families.setdefault(name, {"family": name, "instances": 0, "failures": []})
         fam["instances"] += 1
         if not products:
             continue
-        res = _check_products(module, products)
+        res = _check_products(module, products, packs=packs)
         if not res["ok"]:
             ok = False
             fam["failures"].append({"instance": list(map(str, info)), **res["witness"]})

@@ -2,7 +2,11 @@
 
 ExactScalar is a fraction of sparse Laurent polynomials in v over Q.  Its
 coefficients are plain ints; a Fraction appears only where a division by a
-coefficient other than +-1 needs one.  ConstantFactor is the group (C*)^I
+coefficient other than +-1 needs one.  pack / unpack / packed_mul /
+packed_add give the same field as plain ints by Kronecker substitution at
+v = 2**PACK_WIDTH, read back only where a carried coefficient bound proves
+them exact (see the comment above PACK_WIDTH); the relation verifier of
+modrep walks this form.  ConstantFactor is the group (C*)^I
 restricted to coordinates zeta**k * q**e with e rational and zeta a fixed
 primitive 8th root of unity (ZETA_ORDER): the exact home of the constants
 omega-bar(w) appearing on l-weights.  Only the coordinates with zeta**k = +-1
@@ -11,6 +15,7 @@ are scalars of Q(v).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .kernel import poly_add, poly_mul, poly_neg, poly_scale, poly_sub
@@ -326,6 +331,91 @@ def qbinom(n, k, r=1):
     for j in range(1, k + 1):
         out = out * qnum(n - j + 1, r) / qnum(j, r)
     return out
+
+
+# -- packed Q(v): Kronecker substitution at v = 2**W -------------------------
+#
+# A packed value is the int tuple (e, N, D, B) of the scalar v**e * n(v)/d(v)
+# with n, d in Z[v], N = n(2**W), D = d(2**W) and B >= max(||n||_1, ||d||_1),
+# B >= 1.  Evaluation at 2**W is a ring homomorphism, so packed_mul and
+# packed_add are exact on the ints, and a nonzero N always means a nonzero
+# value.  While B < 2**(W-1) every coefficient of n and d is a signed
+# base-2**W digit of N and D: only then does N == 0 mean zero, and only then
+# can unpack read n/d.  A result whose B reaches 2**(W-1) is not read: its
+# inputs are packed again at fit_width(B) and it is computed again.  B never
+# grows with W (a wider width takes every common-denominator sum a narrower
+# one takes), so that second pass can always be read.
+
+PACK_WIDTH = 32  # W
+
+
+def fit_width(bound):
+    """The width at which values of this bound can be read."""
+    return max(PACK_WIDTH, bound.bit_length() + 1)
+
+
+def _eval_at(p, width, shift):
+    return sum(c << (width * (e - shift)) for e, c in p.items())
+
+
+def pack(s, width=PACK_WIDTH):
+    """The ExactScalar s as (e, N, D, B) at v = 2**width.
+
+    The Fraction coefficients of s are cleared by the lcm of their
+    denominators, and n and d start at v**0: for a normalized s.den, d is
+    s.den times that lcm.  Zero packs as (0, 0, 1, 1).
+    """
+    num, den = s.num, s.den
+    if not num:
+        return (0, 0, 1, 1)
+    lcm = math.lcm(*[c.denominator for p in (num, den) for c in p.values()])
+    num = {e: c.numerator * (lcm // c.denominator) for e, c in num.items()}
+    den = {e: c.numerator * (lcm // c.denominator) for e, c in den.items()}
+    nlo, dlo = min(num), min(den)
+    bound = max(sum(map(abs, num.values())), sum(map(abs, den.values())))
+    return (nlo - dlo, _eval_at(num, width, nlo), _eval_at(den, width, dlo), bound)
+
+
+def _digits(x, width, shift):
+    """The polynomial with signed base-2**width digits x, times v**shift."""
+    out = {}
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << width
+        if c:
+            out[shift] = c
+        x = (x - c) >> width
+        shift += 1
+    return out
+
+
+def unpack(p, width=PACK_WIDTH):
+    """The ExactScalar of a packed value; its bound must be below 2**(W-1)."""
+    e, n, d, bound = p
+    if bound >> (width - 1):
+        raise ValueError(f"packed bound {bound} does not fit width {width}")
+    return ExactScalar(_digits(n, width, e), _digits(d, width, 0))
+
+
+def packed_mul(a, b):
+    """a * b."""
+    return (a[0] + b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3])
+
+
+def packed_add(a, b, width=PACK_WIDTH):
+    """a + b: e aligned by a left shift; the N's add over a common D when
+    both bounds prove the D's equal as polynomials, else cross-multiply."""
+    if a[0] > b[0]:
+        a, b = b, a
+    e, an, ad, ab = a
+    be, bn, bd, bb = b
+    shift = width * (be - e)
+    if ad == bd and not (ab | bb) >> (width - 1):
+        return (e, an + (bn << shift), ad, ab + bb)
+    return (e, an * bd + ((bn * ad) << shift), ad * bd, 2 * ab * bb)
 
 
 _ZETA_SCALARS = {0: ONE, 4: ExactScalar.from_int(-1)}  # the zeta-powers in Q

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
@@ -18,7 +19,7 @@ from shiftedq.modrep import (
     component_series,
     t_series_ratio,
 )
-from shiftedq.scalars import ExactScalar, ONE, ZERO, qnum
+from shiftedq.scalars import PACK_WIDTH, ExactScalar, ONE, ZERO, qnum
 
 A1 = build_cartan("A1")
 B2 = build_cartan("B2")
@@ -194,6 +195,15 @@ def _cancelling_module():
     return ExplicitModule(A1, "hand", {}, 3, None, gens, 0, dict.fromkeys(gens, 0))
 
 
+def _false_zero_module():
+    """2**W - v, which is not zero but vanishes at v = 2**W (W = PACK_WIDTH),
+    on a split column of "a" and on single paths of "a" and "b"."""
+    z = ExactScalar({0: 2 ** PACK_WIDTH, 1: -1})
+    gens = {"a": {(0, 0): z, (1, 0): ONE, (1, 1): z},
+            "b": {(0, 1): ONE, (1, 1): z}}
+    return ExplicitModule(A1, "false_zero", {}, 2, None, gens, 0, dict.fromkeys(gens, 0))
+
+
 WORD_MODULES = [
     build_module("eval_sl2", {"gamma_exp": 1, "shift": 2}, cutoff=3, mode_window=1),
     build_module("psitilde", {"type": "A2", "node": 2, "shift": 1}, cutoff=2, mode_window=1),
@@ -203,6 +213,7 @@ WORD_MODULES = [
     build_module("osc_verma_minus", {"gamma_exp": -1}, cutoff=4),
     _tensor_module(),
     _cancelling_module(),
+    _false_zero_module(),
 ]
 
 
@@ -217,7 +228,7 @@ def test_apply_word_matches_dense_product(mod):
             assert all(got.values()), (word, j)
     # only the hand-built modules reach the sparse fallback
     split = any(n > 1 for m in mod.gens.values() for n in Counter(c for _, c in m).values())
-    assert split == (mod.kind in ("osc_tensor", "hand"))
+    assert split == (mod.kind in ("osc_tensor", "hand", "false_zero"))
 
 
 def _tampered_eval_module():
@@ -240,21 +251,36 @@ def _dense_residual(mod, products, j):
 
 
 def _random_relations(mod, rng):
-    """40 linear combinations of words of length 0-3, absent symbols included."""
+    """40 linear combinations of words of length 0-3, absent symbols
+    included, and one whose 2**80 and -2**80 terms on the same word cancel
+    exactly."""
     symbols = list(mod.gens) + ["absent"]
+    big, minus_big = ExactScalar.from_int(2 ** 80), ExactScalar.from_int(-2 ** 80)
     coeffs = [ONE, -ONE, ExactScalar.q_power(1), qnum(2), 2 - ExactScalar.v_power(-3),
-              ONE / (ExactScalar.q_power(1) - ExactScalar.q_power(-1))]
-    return [[(rng.choice(coeffs), [rng.choice(symbols) for _ in range(rng.randrange(4))])
+              ONE / (ExactScalar.q_power(1) - ExactScalar.q_power(-1)),
+              ExactScalar.from_int(Fraction(3, 2)), big, minus_big]
+    rels = [[(rng.choice(coeffs), [rng.choice(symbols) for _ in range(rng.randrange(4))])
              for _ in range(rng.randrange(1, 5))]
             for _ in range(40)]
+    word = [rng.choice([s for s in symbols if mod.gens.get(s)]) for _ in range(2)]
+    return rels + [[(big, word), (minus_big, word)]]
 
 
 @pytest.mark.parametrize("mod,suite", [(m, False) for m in WORD_MODULES]
                          + [(_tampered_eval_module(), True)],
                          ids=[m.kind for m in WORD_MODULES] + ["tampered"])
-def test_residual_walk_matches_dense_product(mod, suite):
+def test_residual_walk_matches_dense_product(monkeypatch, mod, suite):
     # random relations on every module of the apply_word test, and the
-    # Drinfeld suite of a tampered module, where some instances fail
+    # Drinfeld suite of a tampered module, where some instances fail; the
+    # 2**80 coefficients send some walks through a wider packing
+    widths = set()
+    resolve = modrep._resolve
+
+    def recorded(mod, products, width=PACK_WIDTH, packs=None):
+        widths.add(width)
+        return resolve(mod, products, width, packs)
+
+    monkeypatch.setattr(modrep, "_resolve", recorded)
     relations = _random_relations(mod, random.Random(13))
     if suite:
         relations += [p for _, _, p in modrep._drinfeld_relations(mod)]
@@ -281,6 +307,7 @@ def test_residual_walk_matches_dense_product(mod, suite):
         assert res == {"ok": False, "witness": {
             "column": j, "row": row, "value": repr(dense[j][row])}}
     assert failing
+    assert min(widths) == PACK_WIDTH < max(widths)
 
 
 def test_failure_witness_pinned():
@@ -293,6 +320,25 @@ def test_failure_witness_pinned():
     data = json.dumps(rep, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(data).hexdigest() == (
         "3278384249cbbb46fb1b69e217b819980df91e8ec4c086343801424b16129145")
+
+
+def test_relation_walk_makes_no_scalar_products(monkeypatch):
+    # the walk multiplies and adds packed ints: once the module is built, an
+    # eval_sl2 suite makes no ExactScalar product or sum (the ExactScalar
+    # walk made 23,436 and 8,368)
+    mod = build_module("eval_sl2", {}, cutoff=8, mode_window=4)
+    calls = Counter()
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _name=name, _op=getattr(ExactScalar, name)):
+            calls[_name] += 1
+            return _op(self, other)
+
+        monkeypatch.setattr(ExactScalar, name, counted)
+    rep = check_relations(mod)
+    assert rep["ok"]
+    assert sum(f["instances"] for f in rep["families"]) == 621
+    assert not calls, calls
 
 
 def test_vacuous_instances_reported_unchecked():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,19 @@ from hypothesis import strategies as st
 
 from shiftedq.kernel import poly_mul
 from shiftedq.scalars import (
+    PACK_WIDTH,
     ZETA_ORDER,
     ConstantFactor,
     ExactScalar,
     ONE,
     ZERO,
+    fit_width,
+    pack,
+    packed_add,
+    packed_mul,
     qbinom,
     qnum,
+    unpack,
 )
 
 coeffs = st.fractions(
@@ -319,3 +326,81 @@ def test_monomial_mul_matches_general_product():
         assert ONE * x == x and x * ONE == x
         assert not ZERO * x and not x * ZERO
         assert not ExactScalar.from_int(0) * ExactScalar({e: c})
+
+
+
+def _random_laurent_fraction(rng):
+    """A Laurent fraction with negative exponents, a denominator of one to
+    three terms, int or Fraction coefficients and, now and then, one at or
+    past 2**(PACK_WIDTH - 1); zero one time in ten."""
+    def coeff():
+        if rng.random() < 0.08:
+            return rng.choice([1, -1]) * 2 ** rng.randint(PACK_WIDTH - 1, 2 * PACK_WIDTH)
+        return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    if rng.randrange(10) == 0:
+        return ZERO
+    num = {rng.randint(-6, 6): coeff() for _ in range(rng.randint(1, 4))}
+    den = {rng.randint(-4, 4): coeff() for _ in range(rng.randint(1, 3))}
+    return ExactScalar({e: c for e, c in num.items() if c},
+                       {e: c for e, c in den.items() if c} or {0: 1})
+
+
+def _packed_result(op, xs, width=PACK_WIDTH):
+    """op on the packed xs, read by the exactness rule: a result whose bound
+    reaches 2**(W-1) is computed again from xs packed at fit_width."""
+    p = op(*[pack(x, width) for x in xs], width)
+    if p[3] >> (width - 1):
+        return _packed_result(op, xs, fit_width(p[3]))
+    return unpack(p, width), width
+
+
+def _packed_id(x, width):
+    return x
+
+
+def _packed_mul(x, y, width):
+    return packed_mul(x, y)
+
+
+def test_packed_ops_match_exact_scalar():
+    rng = random.Random(15)
+    widened = Counter()
+    for _ in range(250):
+        a, b = _random_laurent_fraction(rng), _random_laurent_fraction(rng)
+        cases = [
+            ("unpack", _packed_id, (a,), a),
+            ("mul", _packed_mul, (a, b), a * b),
+            ("add", packed_add, (a, b), a + b),
+            ("common D", packed_add, (a, a), a + a),
+            ("cancel", packed_add, (a, -a), ZERO),
+        ]
+        for name, op, xs, want in cases:
+            got, width = _packed_result(op, xs)
+            _same(got, want)
+            widened[name] += width > PACK_WIDTH
+            # evaluation is a ring homomorphism: zero packs to N == 0 at any
+            # width, and N == 0 with a readable bound is zero
+            p = op(*[pack(x) for x in xs], PACK_WIDTH)
+            if not want:
+                assert p[1] == 0
+            elif not p[1]:
+                assert p[3] >> (PACK_WIDTH - 1)
+    # every operation is read both at PACK_WIDTH and, after the wide
+    # coefficients, at fit_width
+    assert all(30 <= n <= 220 for n in widened.values()), widened
+
+
+def test_packed_format():
+    assert pack(ZERO) == (0, 0, 1, 1)
+    # v**-3 (2 - v/3) / (1 + 2v): cleared by 3, n = 6 - v, d = 3 + 6v
+    s = ExactScalar({-3: 2, -2: Fraction(-1, 3)}, {0: 1, 1: 2})
+    w = PACK_WIDTH
+    assert pack(s) == (-3, 6 - 2 ** w, 3 + 6 * 2 ** w, 9)
+    assert unpack(pack(s)) == s
+    # a coefficient of 2**(W-1) cannot be read at W; it can at fit_width
+    big = ExactScalar.from_int(2 ** (w - 1))
+    with pytest.raises(ValueError):
+        unpack(pack(big))
+    assert fit_width(2 ** (w - 1)) == w + 1 and fit_width(5) == w
+    assert unpack(pack(big, w + 1), w + 1) == big
