@@ -1,15 +1,24 @@
-"""Cartan/Dynkin data for the finite types and the quantum Cartan matrix.
+"""Cartan/Dynkin data for the finite types and the tables computed from it.
 
 Conventions: C[i][j] = alpha_j(alpha_i^vee) (0-indexed internally, nodes
 reported 1-indexed), r_i minimal positive integers making B = diag(r) C
 symmetric, q_i = q^{r_i}.  For the doubly-laced types the short node row
 carries the -2 entry (C[short][long] = -2), matching r_long = 2, r_short = 1.
+
+Every per-type table (the A and Lambda patterns, A_i in Y-variables, the
+pattern-matrix solvers, the coroot inverse and the inverse quantum Cartan
+matrix) is a functools.cache'd function of a CartanData.  CartanData hashes
+and compares by its type label, so every object of one type shares one
+entry; it has __slots__, so no table can be hung on it instead.  The cached
+tables are shared: callers read them and never mutate them.
 """
 
 from __future__ import annotations
 
-from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, ONE, qnum
-from .smith import invariant_factors
+from functools import cache
+
+from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, qnum
+from .smith import bareiss_adjugate, invariant_factors
 
 
 class CartanError(ValueError):
@@ -107,6 +116,9 @@ def _build_matrix(label, n):
 
 
 class CartanData:
+    __slots__ = ("type_label", "letter", "n", "C", "r", "lacing", "B",
+                 "dual_coxeter", "bar_involution")
+
     def __init__(self, type_label, n):
         label = type_label.upper()
         C, r, bar = _build_matrix(label, n)
@@ -123,10 +135,6 @@ class CartanData:
         self.dual_coxeter = hv(n) if callable(hv) else hv[n]
         self.bar_involution = tuple(bar)
         self._check()
-        self._ctilde = None
-        self._factor_solvers = {}
-        self._coroot_inverse = None
-        self._basis_patterns = {}
 
     def _check(self):
         n = self.n
@@ -210,12 +218,11 @@ def build_cartan(type_label, rank=None):
     """build_cartan('B', 2) or build_cartan('B2')."""
     if rank is None:
         label = type_label.strip()
-        head = label[0]
         try:
             rank = int(label[1:])
         except ValueError:
             raise CartanError(f"cannot parse type {type_label!r}")
-        return CartanData(head, rank)
+        return CartanData(label[:1], rank)
     return CartanData(type_label, int(rank))
 
 
@@ -230,31 +237,90 @@ def quantum_cartan_matrix(cd):
     return [[quantum_cartan(cd, i, j) for j in cd.nodes()] for i in cd.nodes()]
 
 
+@cache
 def invert_quantum_cartan(cd):
-    """Exact inverse C-tilde(q) of the quantum Cartan matrix."""
-    if cd._ctilde is not None:
-        return cd._ctilde
-    n = cd.n
-    A = quantum_cartan_matrix(cd)
-    aug = [[A[i][j] for j in range(n)] for i in range(n)]
-    inv = [[ONE if i == j else ExactScalar.from_int(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = None
-        for r in range(c, n):
-            if aug[r][c]:
-                p = r
-                break
-        if p is None:
-            raise CartanError("quantum Cartan matrix is singular")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv[c], inv[p] = inv[p], inv[c]
-        pv = aug[c][c]
-        aug[c] = [(x / pv).reduced() for x in aug[c]]
-        inv[c] = [(x / pv).reduced() for x in inv[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [(x - f * y).reduced() for x, y in zip(aug[r], aug[c])]
-                inv[r] = [(x - f * y).reduced() for x, y in zip(inv[r], inv[c])]
-    cd._ctilde = inv
-    return inv
+    """Exact inverse C-tilde(q) of the quantum Cartan matrix, as adj / det.
+
+    The entries of C(q) are Laurent polynomials in v with int coefficients,
+    so one Bareiss elimination gives det and adj exactly; each entry is the
+    reduced ExactScalar adj[i][j] / det.
+    """
+    det, adj = bareiss_adjugate([[x.num for x in row]
+                                 for row in quantum_cartan_matrix(cd)])
+    return tuple(tuple(ExactScalar(x, det).reduced() for x in row) for row in adj)
+
+
+# ---------------------------------------------------------------------------
+# the A and Lambda patterns, A_i in Y-variables, and their solvers
+# ---------------------------------------------------------------------------
+
+# Keyed by a Cartan entry c < 0: the shifts o of the factors Psi_{j,q^o}^{-1}
+# of Lambda_{i,q^0} when C_{i,j} = c, and of the Y_{j,q^o}^{-1} of A_{i,q^0}
+# when C_{j,i} = c.
+NEIGHBOUR_OFFSETS = {-1: (0,), -2: (-1, 1), -3: (-2, 0, 2)}
+
+
+def _neighbour_pattern(cd, i, entry):
+    """The pattern with 1 at (i, -r_i) and (i, r_i), then -1 at every (j, o)
+    with o in NEIGHBOUR_OFFSETS[entry(j)], nodes j in order."""
+    ri = cd.ri(i)
+    pat = {(i, -ri): 1, (i, ri): 1}
+    for j in cd.nodes():
+        for o in NEIGHBOUR_OFFSETS.get(entry(j), ()):
+            pat[(j, o)] = -1
+    return pat
+
+
+@cache
+def basis_generator(cd, basis, j):
+    """basis_{j, q^0} as ({(k, offset): coeff}, constant).
+
+    A_{j,q^0} has Psi_{k, q^{+-B_jk}}^{-+1} for every B_jk != 0 and the
+    constant alpha-bar_j; Lambda_{j,q^0} is Psi_{j,q^{-r_j}} Psi_{j,q^{r_j}}
+    times Psi_{k,q^o}^{-1} for o in NEIGHBOUR_OFFSETS[C_jk].  The negative
+    entries of the Lambda pattern are the neighbour sites of node j, which
+    Psi-tilde and the truncation search read.
+    """
+    if basis == "A":
+        pat = {}
+        for k in cd.nodes():
+            b = cd.b(j, k)
+            if b:
+                pat[(k, b)] = -1
+                pat[(k, -b)] = 1
+        return pat, cd.alpha_bar(j)
+    if basis == "Lambda":
+        return _neighbour_pattern(cd, j, lambda k: cd.c(j, k)), cd.const_one()
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+@cache
+def a_in_y(cd, i):
+    """A_{i,q^0} in Y-variables as {(j, offset): exp}: Y_{i,q^-r_i} Y_{i,q^r_i}
+    times Y_{j,q^o}^{-1} for o in NEIGHBOUR_OFFSETS[C_ji] (Frenkel-Reshetikhin)."""
+    return _neighbour_pattern(cd, i, lambda j: cd.c(j, i))
+
+
+@cache
+def factor_solver(cd, basis):
+    """(det P, adj P) of the pattern matrix P of the basis.
+
+    P[k][j] = sum of c x^o over the pattern of basis_{j,q^0}, so that at
+    node k the monomial prod basis_{j,q^u}^{v_{j,u}} has the Laurent
+    polynomial sum_j P[k][j] v_j with v_j = sum_u v_{j,u} x^u.  adj P is
+    stored as (exponent, coefficient) pairs per entry.
+    """
+    P = [[{} for _ in cd.nodes()] for _ in cd.nodes()]
+    for j in cd.nodes():
+        for (k, o), c in basis_generator(cd, basis, j)[0].items():
+            P[k - 1][j - 1][o] = c
+    det, adj = bareiss_adjugate(P)
+    return det, tuple(tuple(tuple(x.items()) for x in row) for row in adj)
+
+
+@cache
+def coroot_inverse(cd):
+    """(det C, adj C^T) over Z, so that adj(C^T) w / det C solves C^T x = w."""
+    det, adj = bareiss_adjugate([[{0: c} if c else {} for c in col]
+                                 for col in zip(*cd.C)])
+    return det[0], tuple(tuple(x.get(0, 0) for x in row) for row in adj)

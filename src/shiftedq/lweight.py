@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import json
 
+from .cartan import basis_generator, factor_solver
 from .kernel import exps_combine
 from .scalars import ConstantFactor, json_int
-from .smith import bareiss_adjugate, laurent_divide
+from .smith import laurent_divide
 
 GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiStar")
-
-# Keyed by a Cartan entry c < 0: the shifts o of the factors Psi_{j,q^o}^{-1}
-# of Lambda_{i,q^0} when C_{i,j} = c, and of the Y_{j,q^o}^{-1} of A_{i,q^0}
-# when C_{j,i} = c.
-NEIGHBOUR_OFFSETS = {-1: (0,), -2: (-1, 1), -3: (-2, 0, 2)}
 
 
 class LWeightMonomial:
@@ -162,7 +158,7 @@ def generator(cd, kind, i, r):
         ri = cd.ri(i)
         return LWeightMonomial(cd, {(i, r - ri): 1, (i, r + ri): -1})
     if kind in ("A", "Lambda"):
-        pat, const = _basis_generator(cd, kind, i)
+        pat, const = basis_generator(cd, kind, i)
         return LWeightMonomial(
             cd, {(k, r + o): c for (k, o), c in pat.items()}, const
         )
@@ -170,8 +166,8 @@ def generator(cd, kind, i, r):
         # Psi_{i,r}^{-1} prod_j Psi_{j,r+r_i+o} = Psi_{i,r+2r_i} / Lambda_{i,r+r_i}
         ri = cd.ri(i)
         exps = {(i, r): -1}
-        for j in cd.nodes():
-            for o in NEIGHBOUR_OFFSETS.get(cd.c(i, j), ()):
+        for (j, o), c in basis_generator(cd, "Lambda", i)[0].items():
+            if c < 0:
                 exps[(j, r + ri + o)] = 1
         return LWeightMonomial(cd, exps)
     if kind == "PsiStar":
@@ -244,66 +240,11 @@ def y_monomial(cd, y):
 # factorization in the A / Lambda bases
 # ---------------------------------------------------------------------------
 
-def _basis_generator(cd, basis, j):
-    """basis_{j, q^0} as ({(k, offset): coeff}, constant), cached on cd.
-
-    A_{j,q^0} has Psi_{k, q^{+-B_jk}}^{-+1} for every B_jk != 0 and the
-    constant alpha-bar_j; Lambda_{j,q^0} is Psi_{j,q^{-r_j}} Psi_{j,q^{r_j}}
-    times Psi_{k,q^o}^{-1} for o in NEIGHBOUR_OFFSETS[C_jk].
-    """
-    hit = cd._basis_patterns.get((basis, j))
-    if hit is None:
-        if basis == "A":
-            pat = {}
-            for k in cd.nodes():
-                b = cd.b(j, k)
-                if b:
-                    pat[(k, b)] = -1
-                    pat[(k, -b)] = 1
-            const = cd.alpha_bar(j)
-        elif basis == "Lambda":
-            rj = cd.ri(j)
-            pat = {(j, -rj): 1, (j, rj): 1}
-            for k in cd.nodes():
-                for o in NEIGHBOUR_OFFSETS.get(cd.c(j, k), ()):
-                    pat[(k, o)] = -1
-            const = cd.const_one()
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        hit = cd._basis_patterns[(basis, j)] = (pat, const)
-    return hit
-
-
-def _basis_pattern(cd, basis, j):
-    """Contributions of basis_{j, q^0} as {(k, offset): coeff}."""
-    return _basis_generator(cd, basis, j)[0]
-
-
-def _factor_solver(cd, basis):
-    """(det P, adj P) of the pattern matrix P of the basis, cached on cd.
-
-    P[k][j] = sum of c x^o over _basis_pattern(cd, basis, j), so that at node
-    k the monomial prod basis_{j,q^u}^{v_{j,u}} has the Laurent polynomial
-    sum_j P[k][j] v_j with v_j = sum_u v_{j,u} x^u.  adj P is stored as
-    (exponent, coefficient) pairs per entry.
-    """
-    solver = cd._factor_solvers.get(basis)
-    if solver is None:
-        P = [[{} for _ in cd.nodes()] for _ in cd.nodes()]
-        for j in cd.nodes():
-            for (k, o), c in _basis_pattern(cd, basis, j).items():
-                P[k - 1][j - 1][o] = c
-        det, adj = bareiss_adjugate(P)
-        solver = (det, [[tuple(x.items()) for x in row] for row in adj])
-        cd._factor_solvers[basis] = solver
-    return solver
-
-
 def factor_in_basis(m, basis):
     """Exponent map v with monomial(m) = prod basis_{i,q^u}^{v_{i,u}}, or None.
 
     The constant prefactor of m is ignored.  With m_k the Laurent polynomial
-    of m at node k and P the pattern matrix of the basis (_factor_solver),
+    of m at node k and P the pattern matrix of the basis (cartan.factor_solver),
     v = adj(P) m / det(P): m factorizes exactly when every entry of adj(P) m
     is divisible by det(P) in Z[x^+-1], and the solution is then unique.  The
     result is verified by re-expansion.
@@ -311,7 +252,7 @@ def factor_in_basis(m, basis):
     cd = m.cd
     if not m.exps:
         return {}
-    det, adj = _factor_solver(cd, basis)
+    det, adj = factor_solver(cd, basis)
     node_polys = [[] for _ in cd.nodes()]
     for (k, t), e in m.exps.items():
         node_polys[k - 1].append((t, e))

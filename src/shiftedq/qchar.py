@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cartan import a_in_y
 from .lweight import (
-    NEIGHBOUR_OFFSETS,
     LWeightMonomial,
     dominant_factorization,
     generator,
@@ -267,16 +267,6 @@ def _string_products(factors, cap):
     return out, dropped
 
 
-def _y_exps_of_a(cd, i):
-    """A_{i,0} in Y-variables: {(j, offset): exp} (the Y-product form)."""
-    ri = cd.ri(i)
-    out = {(i, -ri): 1, (i, ri): 1}
-    for j in cd.nodes():
-        for o in NEIGHBOUR_OFFSETS.get(cd.c(j, i), ()):
-            out[(j, o)] = -1
-    return out
-
-
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     """Node-wise sl2 completion from a dominant Y-monomial head.
 
@@ -289,7 +279,7 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
         raise FMError("head must be a dominant Y-monomial")
-    a_pat = {i: _y_exps_of_a(cd, i) for i in cd.nodes()}
+    a_pat = {i: a_in_y(cd, i) for i in cd.nodes()}
 
     # KR/fundamental contract: one node, one maximal string
     nodes_used = {i for (i, _) in head_y}
@@ -495,10 +485,7 @@ def check_identity(cd, kind, i, r, depth):
         )
         tw = LWeightMonomial(cd, {}, cd.alpha_bar(i).inv())
         x2 = x2.scale_monomial(tw)
-        m2 = LWeightMonomial(cd)
-        for j in cd.nodes():
-            for o in NEIGHBOUR_OFFSETS.get(cd.c(i, j), ()):
-                m2 = m2 * generator(cd, "Psi", j, r + ri + o)
+        m2 = generator(cd, "PsiTilde", i, r) * generator(cd, "Psi", i, r)
         rhs_terms = dict(x2.terms)
         rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
         margin = depth - 1

@@ -422,8 +422,9 @@ _ZETA_SCALARS = {0: ONE, 4: ExactScalar.from_int(-1)}  # the zeta-powers in Q
 
 
 def json_int(x, what):
-    """An integer read from outside JSON: an int or an integral float."""
-    if isinstance(x, int):
+    """An integer read from outside JSON: an int or an integral float, not a
+    boolean (bool is a subclass of int)."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, float) and x.is_integer():
         return int(x)

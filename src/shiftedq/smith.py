@@ -1,10 +1,13 @@
 """Integer Smith normal form and small exact linear solvers.
 
 Used for: structure of the sign-twist group K (torsion of coker C^T),
-solving C^T x = b over Q (z'-class construction and truncation shifts) and
-C^T k = b over Z/M (root-of-unity parts), and the determinant and adjugate
-of a square matrix over Z[x^+-1] (factorization of l-weights in the A and
-Lambda bases).
+solving C^T k = b over Z/M (root-of-unity parts), and the determinant and
+adjugate of a square matrix over Z[x^+-1] (bareiss_adjugate, the one exact
+elimination of the library: the z'-class and truncation shifts through
+adj(C^T) / det C, the inverse quantum Cartan matrix, and factorization of
+l-weights in the A and Lambda bases).  solve_rational, a dense Fraction
+solve over Q, is kept only as an independent test oracle and as a hook of
+the benchmark tracer.
 
 A Laurent polynomial over Z is a dict {exponent: int} with no zero values.
 """

@@ -12,9 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from .cartan import build_cartan
+from .cartan import basis_generator, build_cartan, coroot_inverse
 from .lweight import (
-    NEIGHBOUR_OFFSETS,
     LWeightMonomial,
     generator,
     is_dominant,
@@ -33,7 +32,7 @@ from .qchar import (
     qc_simple_sl2,
 )
 from .scalars import ZETA_ORDER, ConstantFactor
-from .smith import bareiss_adjugate, solve_mod
+from .smith import solve_mod
 
 STATUS_NECESSARY = "NecessaryOnly"
 STATUS_STRONG = "StrongCandidate"
@@ -127,13 +126,10 @@ def fuse_truncations(z1, z2):
 
 def _coroot_coordinates(cd, w):
     """The x with sum_j x_j C[j][i] = w_i for every node i, as Fractions:
-    x = adj(C^T) w / det C, with (det C, adj C^T) cached on cd.  C is
+    x = adj(C^T) w / det C, with (det C, adj C^T) the per-type table
+    cartan.coroot_inverse (one Bareiss elimination over Z per type).  C is
     nonsingular, so every w has exactly one solution."""
-    if cd._coroot_inverse is None:
-        det, adj = bareiss_adjugate([[{0: c} if c else {} for c in col]
-                                     for col in zip(*cd.C)])
-        cd._coroot_inverse = (det[0], [[x.get(0, 0) for x in row] for row in adj])
-    det, adj = cd._coroot_inverse
+    det, adj = coroot_inverse(cd)
     return [Fraction(sum(c * v for c, v in zip(row, w)), det) for row in adj]
 
 
@@ -282,38 +278,36 @@ def usable_lambda_sites(z, a):
     """Chain closure from the finiteness proof: a site (i, u) can carry a
     nonzero Lambda exponent only if u + r_i is covered by a Z_i zero (u is
     a Z-root shift of node i) or by a neighbor site one chain step up.
-    Steps from (i, u) up to node j with C_{j,i} < 0: u_j = u + r_i - o for
-    o in NEIGHBOUR_OFFSETS[C_{j,i}] (u + r_i for a single bond, u + {1,3}
-    for a double, u + {1,3,5} for a triple).  Intersected with the
-    proof-bound window."""
+    Steps from (i, u) up to node j: u_j = u + r_i - o for each neighbour
+    site (i, o) of Lambda_{j,q^0}, the negative entries of its pattern
+    (u + r_i for a single bond, u + {1,3} for a double, u + {1,3,5} for a
+    triple).  Intersected with the proof-bound window."""
     cd = z.cd
     win = set(_window(z, a))
     usable = {i: set(m for m in z.zroots[i] if m in win) for i in cd.nodes()}
     changed = True
     while changed:
         changed = False
-        for i in cd.nodes():
-            ri = cd.ri(i)
-            for j in cd.nodes():
-                for o in NEIGHBOUR_OFFSETS.get(cd.c(j, i), ()):
-                    for uj in usable[j]:
-                        u = uj - ri + o
-                        if u in win and u not in usable[i]:
-                            usable[i].add(u)
-                            changed = True
+        for j in cd.nodes():
+            for (i, o), c in basis_generator(cd, "Lambda", j)[0].items():
+                if c > 0:
+                    continue
+                for uj in usable[j]:
+                    u = uj - cd.ri(i) + o
+                    if u in win and u not in usable[i]:
+                        usable[i].add(u)
+                        changed = True
     return {i: sorted(usable[i]) for i in cd.nodes()}
 
 
 def _site_keys(cd, i, us):
-    """For each site u of node i: ((i, u + r_i), the keys (j, u + o) for o
-    in NEIGHBOUR_OFFSETS[C_ij]).  Built once per node, so every multiset
-    shares these key tuples."""
+    """For each site u of node i: ((i, u + r_i), the keys (j, u + o) for the
+    neighbour sites (j, o) of Lambda_{i,q^0}, the negative entries of its
+    pattern).  Built once per node, so every multiset shares these key
+    tuples."""
     ri = cd.ri(i)
-    return {
-        u: ((i, u + ri), tuple((j, u + o) for j in cd.nodes()
-                               for o in NEIGHBOUR_OFFSETS.get(cd.c(i, j), ())))
-        for u in us
-    }
+    gives = [k for k, c in basis_generator(cd, "Lambda", i)[0].items() if c < 0]
+    return {u: ((i, u + ri), tuple((j, u + o) for j, o in gives)) for u in us}
 
 
 def _need_gift(ms, sites, zexps):
@@ -477,7 +471,7 @@ def enumerate_candidates(z, lam, mu):
         need_j(t) := v(j, t - r_j) - Z(j, t) <= N_j(t)  for every (j, t),
 
     where N_j(t) >= 0 is what the other nodes' Lambda sites give at (j, t)
-    through NEIGHBOUR_OFFSETS[C_kj].  need_j depends on node j's multiset
+    through their Lambda patterns.  need_j depends on node j's multiset
     only and N_j grows as sites are chosen, so the search takes the nodes
     depth-first in order and builds each node's a_i-multiset site by site,
     in nondecreasing order, dropping a partial multiset once its own need or

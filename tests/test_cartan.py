@@ -2,11 +2,14 @@ import pytest
 
 from shiftedq.cartan import (
     CartanError,
+    a_in_y,
     build_cartan,
+    factor_solver,
     invert_quantum_cartan,
     quantum_cartan,
     quantum_cartan_matrix,
 )
+from shiftedq.lweight import generator, y_monomial
 from shiftedq.scalars import ExactScalar, ONE, qnum
 
 ALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "E6", "E7", "E8", "F4", "G2"]
@@ -56,6 +59,9 @@ def test_unsupported_rejected():
         build_cartan("H3")
     with pytest.raises(CartanError):
         build_cartan("D", 3)
+    for label in ("", "  ", "B"):
+        with pytest.raises(CartanError):
+            build_cartan(label)
 
 
 def test_quantum_cartan_entries():
@@ -67,7 +73,9 @@ def test_quantum_cartan_entries():
     assert quantum_cartan(b2, 2, 1) == -qnum(2)
 
 
-@pytest.mark.parametrize("t", ["A1", "A2", "B2", "C3", "D4", "G2", "F4"])
+@pytest.mark.parametrize(
+    "t", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "E6", "E7", "E8", "G2", "F4"]
+)
 def test_quantum_cartan_inverse(t):
     cd = build_cartan(t)
     C = quantum_cartan_matrix(cd)
@@ -80,6 +88,25 @@ def test_quantum_cartan_inverse(t):
             for k in range(n):
                 s = s + C[i][k] * Ct[k][j]
             assert s == (ONE if i == j else zero)
+
+
+@pytest.mark.parametrize("t", ALL_TYPES)
+def test_a_in_y_is_the_a_generator(t):
+    # Frenkel-Reshetikhin's A_i in Y-variables and the A pattern are two
+    # definitions of one l-weight; == compares them as l-weights, since the
+    # insertion orders of their exps differ
+    cd = build_cartan(t)
+    for i in cd.nodes():
+        assert y_monomial(cd, a_in_y(cd, i)) == generator(cd, "A", i, 0)
+
+
+def test_tables_shared_per_type():
+    b2, again = build_cartan("B2"), build_cartan("B2")
+    assert b2 is not again
+    assert factor_solver(b2, "A") is factor_solver(again, "A")
+    assert invert_quantum_cartan(b2) is invert_quantum_cartan(again)
+    with pytest.raises(AttributeError):
+        b2.cache = {}
 
 
 def test_a2_inverse_denominator():

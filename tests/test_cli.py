@@ -215,6 +215,12 @@ def test_monomial_json_validated_at_boundary(capsys):
     assert ok == run_main(capsys, "dominant", "--type", "A1", "--monomial", json.dumps(
         {"exps": [[1.0, -1, 1], [1, 3, -1.0], [1, 5, 1]], "const": [[0, 1.0, 0]]}))
     assert ok[0] == 0
+    # JSON booleans are not integers, though bool is a subclass of int
+    for argv in (("factor", "--type", "A1", "--basis", "a", "--monomial",
+                  '{"exps":[[true,-1,true],[1,1,-1]]}'),
+                 ("dominant", "--type", "A2", "--monomial",
+                  '{"exps":[[1,0,1]],"const":[[false,true,0],[0,1,0]]}')):
+        assert "is not an integer" in assert_main_usage_error(capsys, *argv)
 
 
 def test_rank_option_removed():
@@ -228,6 +234,7 @@ def test_unknown_type_is_usage_error(capsys):
     mono = json.dumps({"exps": []})
     for argv in (("factor", "--type", "Q7", "--basis", "a", "--monomial", mono),
                  ("dominant", "--type", "B", "--monomial", mono),
+                 ("dominant", "--type", "", "--monomial", mono),
                  ("qchar", "--type", "G3", "--family", "pos_prefund"),
                  ("truncate", "--type", "Q7", "--lambda", "0", "--zroots", "1:0",
                   "--mu", "0"),

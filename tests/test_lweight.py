@@ -3,11 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from shiftedq.cartan import build_cartan
+from shiftedq.cartan import basis_generator, build_cartan, factor_solver
 from shiftedq.lweight import (
     LWeightMonomial,
-    _basis_pattern,
-    _factor_solver,
     dominant_factorization,
     equal_mod_signtwist,
     expand_in_basis,
@@ -239,10 +237,10 @@ def _laurent_matmul(X, Y):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_factor_solver_adjugate(label, basis):
     cd = build_cartan(label)
-    det, adj = _factor_solver(cd, basis)
+    det, adj = factor_solver(cd, basis)
     P = [[{} for _ in cd.nodes()] for _ in cd.nodes()]
     for j in cd.nodes():
-        for (k, o), c in _basis_pattern(cd, basis, j).items():
+        for (k, o), c in basis_generator(cd, basis, j)[0].items():
             P[k - 1][j - 1][o] = c
     prod = _laurent_matmul([[dict(x) for x in row] for row in adj], P)
     assert prod == [[det if i == j else {} for j in range(cd.n)] for i in range(cd.n)]
@@ -265,7 +263,7 @@ def _windowed_factor(m, basis):
     row_index = {rr: k for k, rr in enumerate(rows)}
     A = [[0] * len(cols) for _ in rows]
     for (j, u) in cols:
-        for (k, o), c in _basis_pattern(cd, basis, j).items():
+        for (k, o), c in basis_generator(cd, basis, j)[0].items():
             rr = row_index.get((k, u + o))
             if rr is not None:
                 A[rr][col_index[(j, u)]] += c

@@ -8,14 +8,13 @@ from itertools import product
 import pytest
 
 from shiftedq import cli
-from shiftedq.cartan import build_cartan
+from shiftedq.cartan import a_in_y, build_cartan
 from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator
 from shiftedq.qchar import (
     FMError,
     QCharacter,
     _string_eigen_terms,
     _string_products,
-    _y_exps_of_a,
     check_identity,
     check_triangularity,
     qc_closed_form,
@@ -96,10 +95,10 @@ def test_g2_a_in_y_variables_pinned():
     # A_{i,q^0} = Y_{i,q^-r_i} Y_{i,q^r_i} prod_j Y_{j,q^o}^{-1}, o in (0,),
     # (-1, 1), (-2, 0, 2) for C_ji = -1, -2, -3; G2: r = (3, 1), C_21 = -3.
     G2 = build_cartan("G2")
-    assert _y_exps_of_a(G2, 1) == {
+    assert a_in_y(G2, 1) == {
         (1, -3): 1, (1, 3): 1, (2, -2): -1, (2, 0): -1, (2, 2): -1,
     }
-    assert _y_exps_of_a(G2, 2) == {(2, -1): 1, (2, 1): 1, (1, 0): -1}
+    assert a_in_y(G2, 2) == {(2, -1): 1, (2, 1): 1, (1, 0): -1}
 
 
 def test_fm_rejects_non_dominant_and_budget():

@@ -226,7 +226,8 @@ def test_constant_factor_int_and_fraction_coordinates_agree():
 
 @pytest.mark.parametrize(
     "data",
-    [[[1, 0, 0]], [[0, 1, 1.5]], [[1.5, 1, 0]], [["1", 1, 0]], [[0, 1]]],
+    [[[1, 0, 0]], [[0, 1, 1.5]], [[1.5, 1, 0]], [["1", 1, 0]], [[0, 1]],
+     [[False, True, 0]], [[0, 1, True]]],
 )
 def test_constant_factor_from_json_rejects(data):
     with pytest.raises(ValueError):
