@@ -34,7 +34,6 @@ from .truncation import (
     truncation_shifts,
 )
 from .langlands import (
-    LanglandsChar,
     chi_L_fundamental,
     chi_L_standard,
     conjecture_report,

@@ -296,8 +296,7 @@ def cmd_conjecture(args):
     cd = _cartan_of(args)
     z = _parse_zroots(cd, args.zroots)
     lam = _lambda_arg(z, args.lam) if args.lam else z.lam
-    rep = conjecture_report(z, lam, depth=args.depth,
-                            up_to_signtwist=args.up_to_signtwist)
+    rep = conjecture_report(z, lam, depth=args.depth)
     def lines():
         out = [f"chi_L terms: {rep['chi_L_terms']}  ok={rep['ok']}"]
         for w in rep["weights"]:
@@ -396,12 +395,6 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", default="")
     sp.add_argument("--zroots", required=True)
     sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--up-to-signtwist", dest="up_to_signtwist",
-                    action="store_true", default=True,
-                    help="match l-weights modulo the sign-twist group K (default)")
-    sp.add_argument("--exact-constants", dest="up_to_signtwist",
-                    action="store_false",
-                    help="require exact constant equality in the matching")
     sp.set_defaults(func=cmd_conjecture)
 
     sp = sub.add_parser("truncfd", help="descent truncation for a dominant l-weight")

@@ -1,11 +1,13 @@
 """Langlands-dual q-characters, the monomial -> l-weight map, and the
 conjecture-verification reports on the worked types (A_n/D_n/E_n, B2).
 
+A dual character is a multiplicity map {sorted Z-exponent tuple: mult}.
 For simply-laced types the dual character of a fundamental module is the
-node-wise sl2 completion with Z = Y.  For B2 the two fundamental tables
-are embedded: node 2 as the full 11-term interpolating character which is
-specialized programmatically (alpha-terms dropped, t = 1, Z-rewrite), and
-node 1 as its displayed 4-term specialization.
+node-wise sl2 completion with Z = Y: the multiplicities of qchar.fm_expand
+over its Y-exponent keys, with no l-weights built.  For B2 the two
+fundamental tables are embedded: node 2 as the full 11-term interpolating
+character which is specialized programmatically (alpha-terms dropped,
+t = 1, Z-rewrite), and node 1 as its displayed 4-term specialization.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from .lweight import (
     leq_certificate,
     node_sums,
 )
-from .qchar import qc_frenkel_mukhin, qc_kr_chains
+from .qchar import fm_expand, qc_kr_chains
 from .truncation import (
     STATUS_NECESSARY,
     STATUS_REFUTED,
     TruncationData,
+    TruncationError,
     descent_refine,
     enumerate_candidates,
     required_const_class,
@@ -37,38 +40,6 @@ class LanglandsError(ValueError):
 
 def _zkey(zexps):
     return tuple(sorted((k, e) for k, e in zexps.items() if e))
-
-
-class LanglandsChar:
-    """Finite multiset of Laurent monomials in the Z_{i,q^m} variables."""
-
-    def __init__(self, cd, terms, head, provenance):
-        self.cd = cd
-        self.terms = terms  # zkey -> multiplicity
-        self.head = head  # zexps dict
-        self.provenance = list(provenance)  # (node, shift) fundamental factors
-
-    def monomials(self):
-        return [dict(k) for k in self.terms]
-
-    def by_weight(self):
-        out = {}
-        for k, mult in sorted(self.terms.items()):
-            out.setdefault(node_sums(self.cd, dict(k)), []).append((dict(k), mult))
-        return out
-
-    def to_json(self):
-        return {
-            "head": [[i, m, e] for (i, m), e in sorted(self.head.items())],
-            "provenance": [list(p) for p in self.provenance],
-            "terms": [
-                [[[i, m, e] for (i, m), e in k], mult]
-                for k, mult in sorted(self.terms.items())
-            ],
-        }
-
-    def __repr__(self):
-        return f"LanglandsChar({len(self.terms)} terms over {self.cd.type_label})"
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +107,13 @@ def specialize_interpolating_b2(table=_B2_NODE2_INTERPOLATING):
 
 
 def chi_L_fundamental(cd, i, shift):
-    """Langlands dual q-character of the fundamental V_i^L(q^shift)."""
+    """Langlands dual q-character of the fundamental V_i^L(q^shift), as
+    {sorted Z-exponent tuple: multiplicity} with the head Z_{i,q^shift}
+    first."""
     if cd.lacing == 1:
-        x = qc_frenkel_mukhin(cd, {(i, shift): 1}, 6 * cd.n * cd.dual_coxeter,
-                              require_complete=True)
-        terms = {}
-        for m, mult in x.terms.items():
-            y = x.term_yexps[m]
-            terms[_zkey(y)] = mult
-        head = {(i, shift): 1}
-        return LanglandsChar(cd, terms, head, [(i, shift)])
+        state, _ = fm_expand(cd, {(i, shift): 1}, 6 * cd.n * cd.dual_coxeter,
+                             require_complete=True)
+        return {k: rec[0] for k, rec in state.items()}
     if cd.type_label == "B2":
         if i == 2:
             base = specialize_interpolating_b2()
@@ -158,8 +126,7 @@ def chi_L_fundamental(cd, i, shift):
             sh = {(node, m + shift): e for (node, m), e in z.items()}
             k = _zkey(sh)
             terms[k] = terms.get(k, 0) + 1
-        head = {(i, shift): 1}
-        return LanglandsChar(cd, terms, head, [(i, shift)])
+        return terms
     raise LanglandsError(
         "out of scope: general interpolating (q,t)-characters "
         f"(type {cd.type_label})"
@@ -168,25 +135,21 @@ def chi_L_fundamental(cd, i, shift):
 
 def chi_L_standard(z):
     """Product over the Z-roots of fundamental dual characters at the
-    shifts of q_i^{-1} z_{i,s}^{-1}; head M_0."""
+    shifts of q_i^{-1} z_{i,s}^{-1}, as {sorted Z-exponent tuple:
+    multiplicity} with the head M_0 first."""
     cd = z.cd
-    out_terms = {(): 1}
-    head = {}
-    prov = []
+    out = {(): 1}
     for i in cd.nodes():
         for m in z.zroots[i]:
-            shift = -cd.ri(i) - m
-            f = chi_L_fundamental(cd, i, shift)
-            prov.extend(f.provenance)
-            head = exps_combine(head, f.head, 1)
+            f = chi_L_fundamental(cd, i, -cd.ri(i) - m)
             nxt = {}
-            for k1, c1 in out_terms.items():
+            for k1, c1 in out.items():
                 d1 = dict(k1)
-                for k2, c2 in f.terms.items():
+                for k2, c2 in f.items():
                     k = _zkey(exps_combine(d1, dict(k2), 1))
                     nxt[k] = nxt.get(k, 0) + c1 * c2
-            out_terms = nxt
-    return LanglandsChar(cd, out_terms, head, prov)
+            out = nxt
+    return out
 
 
 def psi_of_monomial(zexps, z, mu=None):
@@ -208,18 +171,24 @@ def psi_of_monomial(zexps, z, mu=None):
     return LWeightMonomial(cd, psi_exps, cls)
 
 
-def conjecture_report(z, lam, depth=2, up_to_signtwist=True):
+def conjecture_report(z, lam, depth=2):
     """Compare the monomials of chi_q^L(V^L) (set A, via Psi_M) against the
-    truncation candidates (set B) weight by weight, modulo sign-twist."""
+    truncation candidates (set B) weight by weight.
+
+    A monomial matches an unused candidate with the same monomial part.  Both
+    constants are then required_const_class of the same (z, mu, exponents),
+    so they agree exactly, sign-twist included."""
     cd = z.cd
     if tuple(lam) != z.lam:
         raise LanglandsError("lambda does not match the truncation data")
     chi = chi_L_standard(z)
-    strata = chi.by_weight()
+    strata = {}
+    for k, mult in sorted(chi.items()):
+        strata.setdefault(node_sums(cd, dict(k)), []).append((dict(k), mult))
     report = {
         "type": cd.type_label,
         "lambda": list(lam),
-        "chi_L_terms": sum(chi.terms.values()),
+        "chi_L_terms": sum(chi.values()),
         "weights": [],
         "zorder_violations": [],
         "ok": True,
@@ -229,7 +198,7 @@ def conjecture_report(z, lam, depth=2, up_to_signtwist=True):
                  "matched": 0, "discrepancies": []}
         try:
             truncation_shifts(z, mu)
-        except Exception as e:  # weight outside the cone
+        except TruncationError as e:  # weight outside the cone
             entry["error"] = str(e)
             report["weights"].append(entry)
             report["ok"] = False
@@ -255,15 +224,7 @@ def conjecture_report(z, lam, depth=2, up_to_signtwist=True):
                 report["ok"] = False
             match = None
             for idx, c in enumerate(cands):
-                if idx in used:
-                    continue
-                if c.psi.exps != psi.exps:
-                    continue
-                if up_to_signtwist:
-                    hit = cd.in_K(c.psi.const.mul(psi.const, -1))
-                else:
-                    hit = c.psi.const == psi.const
-                if hit:
+                if idx not in used and c.psi.exps == psi.exps:
                     match = idx
                     used.add(idx)
                     break

@@ -293,20 +293,30 @@ def pair_class(seq):
     """LIFO matching of one residue class: each -1 at t closes the latest
     open +1 at some s < t.
 
-    Returns (chains, leftovers): chains lists (s, t) in matching order and
-    leftovers the unmatched +1 shifts; None when some -1 has no open +1.
+    Shifts are kept as (shift, count) runs, so the work grows with the
+    number of distinct shifts, not with the exponents.  Returns (chains,
+    leftovers): chains lists (s, t, count) runs in matching order and
+    leftovers the unmatched +1 shifts as (s, count) runs; None when some -1
+    has no open +1.
     """
-    stack = []  # open +1 shifts, multiplicity-expanded
+    stack = []  # open +1 runs [shift, count], latest last
     chains = []
     for r, e in seq:
         if e > 0:
-            stack.extend([r] * e)
-        else:
-            for _ in range(-e):
-                if not stack:
-                    return None
-                chains.append((stack.pop(), r))
-    return chains, stack
+            stack.append([r, e])
+            continue
+        need = -e
+        while need:
+            if not stack:
+                return None
+            top = stack[-1]
+            k = min(top[1], need)
+            chains.append((top[0], r, k))
+            need -= k
+            top[1] -= k
+            if not top[1]:
+                stack.pop()
+    return chains, [tuple(run) for run in stack]
 
 
 def is_dominant(m):
@@ -340,10 +350,10 @@ def dominant_factorization(m):
             paired = pair_class(seq)
             if paired is None:
                 raise ValueError("monomial is not dominant")
-            for s, t in paired[0]:
-                chains.append((i, s, (t - s) // step))
-            for s in paired[1]:
-                leftovers[(i, s)] = leftovers.get((i, s), 0) + 1
+            for s, t, k in paired[0]:
+                chains.extend([(i, s, (t - s) // step)] * k)
+            for s, k in paired[1]:
+                leftovers[(i, s)] = leftovers.get((i, s), 0) + k
     return sorted(chains), leftovers
 
 

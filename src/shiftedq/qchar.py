@@ -3,7 +3,9 @@
 Infinite characters are represented by depth-truncated slices: every
 retained term sits at A^{-1}-distance <= depth from the head, and identity
 checks only compare inside the guaranteed margin.  The node-wise sl2
-completion (qc_frenkel_mukhin) is contract-restricted to KR/fundamental
+completion (fm_expand) works over Y-exponent keys; the Langlands-dual
+characters read its multiplicities directly, and qc_frenkel_mukhin turns
+its terms into l-weights.  It is contract-restricted to KR/fundamental
 heads; other dominant heads are accepted but flagged heuristic.
 """
 
@@ -39,7 +41,6 @@ class QCharacter:
         self.complete = complete
         self.paths = paths or {}
         self.heuristic = heuristic
-        self.term_yexps = None  # set by the FM expansion
         if terms.get(head, 0) != 1:
             raise ValueError("head must appear with multiplicity 1")
 
@@ -267,39 +268,26 @@ def _string_products(factors, cap):
     return out, dropped
 
 
-def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
-    """Node-wise sl2 completion from a dominant Y-monomial head.
+def fm_expand(cd, head_y, depth, require_complete=False):
+    """Node-wise sl2 completion from a dominant Y-monomial head, over
+    Y-exponent keys.
 
-    head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}.  Guaranteed
-    for KR/fundamental heads; anything else is flagged heuristic.  Terms are
-    tracked as Y-exponents (term_yexps) and turned into l-weights by the
-    closed form lweight.y_monomial; lweight.expand_in_basis(cd, "Y", y) is
-    the oracle it is tested against.
+    head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}.  Returns
+    (state, complete): state maps the sorted Y-exponent tuple of each term,
+    head first, to [multiplicity, {(i, t): exp}, A^{-1}-path {(i, s): count},
+    A^{-1}-distance from the head]; complete is False when a string product
+    longer than the remaining depth was dropped, which raises FMBudgetError
+    under require_complete.
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
         raise FMError("head must be a dominant Y-monomial")
     a_pat = {i: a_in_y(cd, i) for i in cd.nodes()}
 
-    # KR/fundamental contract: one node, one maximal string
-    nodes_used = {i for (i, _) in head_y}
-    heuristic = True
-    if len(nodes_used) <= 1:
-        if not head_y:
-            heuristic = False
-        else:
-            (i0,) = nodes_used
-            u = {t: e for (_, t), e in head_y.items()}
-            heuristic = not (
-                all(e == 1 for e in u.values())
-                and len(_strings(u, 2 * cd.ri(i0))) == 1
-            )
-
     def key_of(y):
         return tuple(sorted(y.items()))
 
     head_key = key_of(head_y)
-    # state: key -> [mult, yexps, path, weight]
     state = {head_key: [1, dict(head_y), {}, 0]}
     frontier = [head_key]
     truncated = False
@@ -346,18 +334,41 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
         raise FMBudgetError(
             f"expansion of {head_y} did not close within depth {depth}"
         )
+    return state, not truncated
+
+
+def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
+    """fm_expand as a QCharacter over l-weights.
+
+    lweight.y_monomial turns each term's Y-exponents into its l-weight;
+    lweight.expand_in_basis(cd, "Y", y) is the oracle it is tested against.
+    Guaranteed for KR/fundamental heads; anything else is flagged heuristic.
+    """
+    state, complete = fm_expand(cd, head_y, depth, require_complete)
     terms = {}
     paths = {}
-    yexps = {}
     for mult, y, path, _w in state.values():
         m = y_monomial(cd, y)
         terms[m] = mult  # Y-exponents determine the monomial injectively
         paths[m] = path
-        yexps[m] = y
-    out = QCharacter(cd, y_monomial(cd, head_y), terms, depth,
-                     not truncated, paths, heuristic)
-    out.term_yexps = yexps
-    return out
+
+    # KR/fundamental contract on the head (the first state, zero exponents
+    # dropped): one node, one maximal string
+    head_y = next(iter(state.values()))[1]
+    nodes_used = {i for (i, _) in head_y}
+    heuristic = True
+    if len(nodes_used) <= 1:
+        if not head_y:
+            heuristic = False
+        else:
+            (i0,) = nodes_used
+            u = {t: e for (_, t), e in head_y.items()}
+            heuristic = not (
+                all(e == 1 for e in u.values())
+                and len(_strings(u, 2 * cd.ri(i0))) == 1
+            )
+    return QCharacter(cd, next(iter(terms)), terms, depth, complete, paths,
+                      heuristic)
 
 
 def qc_kr(cd, i, top_shift, k, depth=None, require_complete=True):

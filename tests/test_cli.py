@@ -57,6 +57,16 @@ def test_dominant():
     assert r.returncode == 0 and json.loads(r.stdout)["dominant"]
 
 
+def test_dominant_huge_exponents():
+    # an exponent is never expanded into that many shifts
+    r = run("dominant", "--type", "A1", "--monomial", '{"exps":[[1,0,1e300]]}')
+    assert r.returncode == 0 and r.stdout == '{"dominant":true}\n'
+    for e, want in ((10**9, "true"), (-10**9, "false")):
+        mono = json.dumps({"exps": [[1, 0, e], [1, 2, -e]]})
+        r = run("dominant", "--type", "A1", "--monomial", mono)
+        assert r.returncode == 0 and r.stdout == '{"dominant":%s}\n' % want
+
+
 def test_qchar_and_verify():
     r = run("qchar", "--type", "A1", "--family", "neg_prefund_sl2", "--depth", "3")
     assert r.returncode == 0
@@ -104,13 +114,13 @@ def test_text_mode():
 
 
 def test_conjecture_signtwist_flags():
+    # matching on exact constants and modulo sign-twist gave the same bytes
+    # (test_matched_constants_identical), so neither flag exists any more
     base = ("conjecture", "--type", "A2", "--zroots", "1:3", "--depth", "2")
-    r = run(*base, "--up-to-signtwist")
-    assert r.returncode == 0 and json.loads(r.stdout)["ok"]
-    # exact-constant matching still succeeds here: the canonical classes on
-    # both sides are derived from the same normalization
-    r = run(*base, "--exact-constants")
-    assert r.returncode == 0
+    for flag in ("--up-to-signtwist", "--exact-constants"):
+        r = run(*base, flag)
+        assert r.returncode == 2 and not r.stdout
+        assert "unrecognized arguments: " + flag in r.stderr
 
 
 def assert_usage_error(r):

@@ -6,7 +6,7 @@ import pytest
 
 from shiftedq import cli
 from shiftedq.cartan import build_cartan
-from shiftedq.lweight import LWeightMonomial, generator
+from shiftedq.lweight import LWeightMonomial, generator, node_sums, y_monomial
 from shiftedq.langlands import (
     LanglandsError,
     chi_L_fundamental,
@@ -16,7 +16,7 @@ from shiftedq.langlands import (
     specialize_interpolating_b2,
     truncfd_Z_for,
 )
-from shiftedq.qchar import qc_frenkel_mukhin, qc_mul
+from shiftedq.qchar import fm_expand, qc_frenkel_mukhin, qc_mul
 from shiftedq.truncation import TruncationData
 from support import zorder_bound_holds
 
@@ -59,16 +59,16 @@ def test_specialization_procedure():
 def test_b2_fundamental_term_counts():
     f2 = chi_L_fundamental(B2, 2, 0)
     f1 = chi_L_fundamental(B2, 1, 0)
-    assert len(f2.terms) == 6
-    assert len(f1.terms) == 4
-    assert set(f2.terms) == {zk(t) for t in B2_NODE2_TERMS}
-    assert set(f1.terms) == {zk(t) for t in B2_NODE1_TERMS}
+    assert len(f2) == 6
+    assert len(f1) == 4
+    assert set(f2) == {zk(t) for t in B2_NODE2_TERMS}
+    assert set(f1) == {zk(t) for t in B2_NODE1_TERMS}
 
 
 def test_b2_fundamental_shifted():
     f = chi_L_fundamental(B2, 2, 3)
     want = {zk({(i, m + 3): e for (i, m), e in t.items()}) for t in B2_NODE2_TERMS}
-    assert set(f.terms) == want
+    assert set(f) == want
 
 
 def test_a2_fundamental_three_monomials():
@@ -78,7 +78,7 @@ def test_a2_fundamental_three_monomials():
         zk({(2, -2): 1, (1, -1): -1}),
         zk({(2, 0): -1}),
     }
-    assert set(f.terms) == want
+    assert set(f) == want
 
 
 def test_unsupported_type_rejected():
@@ -88,41 +88,57 @@ def test_unsupported_type_rejected():
 
 
 def test_chi_L_standard_fixtures():
-    assert chi_L_standard(TruncationData(B2, {})).terms == {(): 1}
+    assert chi_L_standard(TruncationData(B2, {})) == {(): 1}
     chi = chi_L_standard(Z_A2)
-    assert len(chi.terms) == 3
-    assert chi.head == {(1, -3): 1}
+    assert len(chi) == 3
+    assert next(iter(chi)) == zk({(1, -3): 1})  # the head M_0 comes first
     # sl2 with two roots: 2 x 2 = 4 terms before cancellation bookkeeping
     z = TruncationData(A1, {1: [0, 4]})
     chi2 = chi_L_standard(z)
-    assert sum(chi2.terms.values()) == 4
+    assert sum(chi2.values()) == 4
 
 
 def test_simply_laced_standard_is_fm_product():
     z = TruncationData(A2, {1: [2], 2: [0]})
     chi = chi_L_standard(z)
-    f1 = qc_frenkel_mukhin(A2, {(1, -3): 1}, 12)
-    f2 = qc_frenkel_mukhin(A2, {(2, -1): 1}, 12)
-    prod = qc_mul(f1, f2)
+    f1, _ = fm_expand(A2, {(1, -3): 1}, 12)
+    f2, _ = fm_expand(A2, {(2, -1): 1}, 12)
+    prod = qc_mul(qc_frenkel_mukhin(A2, {(1, -3): 1}, 12),
+                  qc_frenkel_mukhin(A2, {(2, -1): 1}, 12))
     # under Z = Y the standard dual character is the FM product character:
     # convolve the Y-exponent data of the two factors
     want = {}
-    for m1, c1 in f1.terms.items():
-        for m2, c2 in f2.terms.items():
-            y = dict(f1.term_yexps[m1])
-            for k, e in f2.term_yexps[m2].items():
+    for c1, y1, _p1, _w1 in f1.values():
+        for c2, y2, _p2, _w2 in f2.values():
+            y = dict(y1)
+            for k, e in y2.items():
                 y[k] = y.get(k, 0) + e
                 if not y[k]:
                     del y[k]
             k = zk(y)
             want[k] = want.get(k, 0) + c1 * c2
-    assert chi.terms == want
-    assert sum(chi.terms.values()) == prod.dim()
+    assert chi == want
+    assert sum(chi.values()) == prod.dim()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4"])
+def test_fundamental_is_fm_y_exponent_map(label):
+    # the simply-laced dual character is FM's own map over Y-exponent keys;
+    # turning those keys into l-weights gives the QCharacter terms
+    cd = build_cartan(label)
+    depth = 6 * cd.n * cd.dual_coxeter
+    for i in cd.nodes():
+        state, complete = fm_expand(cd, {(i, 2): 1}, depth)
+        assert complete
+        assert chi_L_fundamental(cd, i, 2) == {k: rec[0] for k, rec in state.items()}
+        x = qc_frenkel_mukhin(cd, {(i, 2): 1}, depth)
+        assert {y_monomial(cd, y): c for c, y, _p, _w in state.values()} == x.terms
 
 
 def test_psi_of_monomial_fixtures():
-    chi = chi_L_standard(Z_B2)
-    psi0 = psi_of_monomial(chi.head, Z_B2)
+    head = {(2, 0): 1}  # M_0 of Z_2 = 1 - z
+    assert chi_L_standard(Z_B2)[zk(head)] == 1
+    psi0 = psi_of_monomial(head, Z_B2)
     assert psi0.exps == Z_B2.z_monomial().exps  # Psi_{M_0} = Z up to constant
     p = psi_of_monomial({(1, 2): 1, (1, 4): -1}, Z_B2)
     assert p.exps == {(1, -2): 1, (1, -4): -1}
@@ -138,23 +154,23 @@ def test_a2_printed_constants_match():
     # reference classification: (1-zq^3, 1), (q/(1-zq), v^{-1}(1-zq^2)), (q, v^{-1}/(1-z))
     from fractions import Fraction
 
-    chi = chi_L_standard(Z_A2)
-    by_mu = chi.by_weight()
-    p1 = psi_of_monomial(by_mu[(1, 0)][0][0], Z_A2)
+    by_mu = {}
+    for k in sorted(chi_L_standard(Z_A2)):
+        by_mu.setdefault(node_sums(A2, dict(k)), []).append(dict(k))
+    p1 = psi_of_monomial(by_mu[(1, 0)][0], Z_A2)
     assert p1.exps == {(1, 3): 1} and p1.const.pow(2).is_one()
-    p2 = psi_of_monomial(by_mu[(-1, 1)][0][0], Z_A2)
+    p2 = psi_of_monomial(by_mu[(-1, 1)][0], Z_A2)
     assert p2.exps == {(1, 1): -1, (2, 2): 1}
     assert p2.const.qexps == (Fraction(1), Fraction(-1, 2))
-    p3 = psi_of_monomial(by_mu[(0, -1)][0][0], Z_A2)
+    p3 = psi_of_monomial(by_mu[(0, -1)][0], Z_A2)
     assert p3.exps == {(2, 0): -1}
     assert p3.const.qexps == (Fraction(1), Fraction(-1, 2))
 
 
 def test_zorder_bound_invariant_all_fixtures():
     for z in (Z_B2, Z_B2_1, Z_A2, TruncationData(A1, {1: [2, -2]})):
-        chi = chi_L_standard(z)
-        for m in chi.monomials():
-            assert zorder_bound_holds(m, z), m
+        for k in chi_L_standard(z):
+            assert zorder_bound_holds(dict(k), z), k
 
 
 def test_conjecture_report_sl2():
@@ -183,6 +199,29 @@ def test_conjecture_report_b2():
     for mu in [(0, 1), (2, -1), (-2, 1), (0, -1)]:
         assert by_mu[mu]["matched"] == 1
         assert not by_mu[mu]["discrepancies"]
+
+
+@pytest.mark.parametrize("label,zroots", [
+    ("A1", {1: [0, 4]}), ("A2", {1: [0], 2: [1]}), ("A3", {1: [0], 3: [2]}),
+    ("B2", {2: [0]}), ("B2", {1: [0]}),
+])
+def test_matched_constants_identical(label, zroots):
+    # a monomial is matched on its monomial part alone: both constants are
+    # required_const_class of the same (z, mu, exponents), so every candidate
+    # sharing a monomial's exponents carries the monomial's own constant, and
+    # matching modulo sign-twist and on exact constants cannot differ
+    z = TruncationData(build_cartan(label), zroots)
+    rep = conjecture_report(z, z.lam, depth=3)
+    pairs = 0
+    for w in rep["weights"]:
+        for mrec in w["monomials"]:
+            same = [c["psi"] for c in w["candidates"]
+                    if c["psi"]["exps"] == mrec["psi"]["exps"]]
+            assert (mrec["match_status"] == "matched") == bool(same)
+            for psi in same:
+                assert psi["const"] == mrec["psi"]["const"]
+                pairs += 1
+    assert pairs >= sum(w["matched"] for w in rep["weights"]) > 0
 
 
 # --- descent truncation construction --------------------------------------------

@@ -14,6 +14,7 @@ from shiftedq.lweight import (
     is_dominant,
     leq,
     leq_certificate,
+    pair_class,
     y_monomial,
 )
 from shiftedq.scalars import ConstantFactor
@@ -324,6 +325,55 @@ def test_dominant_factorization_roundtrip():
     chains, leftovers = dominant_factorization(m)
     assert chains == [(1, -1, 2)]
     assert leftovers == {(1, 5): 1}
+
+
+def _pair_expanded(seq):
+    """LIFO matching with one stack entry per unit of exponent."""
+    stack = []
+    chains = []
+    for r, e in seq:
+        if e > 0:
+            stack.extend([r] * e)
+        else:
+            for _ in range(-e):
+                if not stack:
+                    return None
+                chains.append((stack.pop(), r))
+    return chains, stack
+
+
+def test_pair_class_runs_match_expanded_matching():
+    # the (shift, count) runs expand to the unit-by-unit LIFO matching,
+    # chains and leftovers in the same order
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        shifts = sorted(rng.sample(range(-12, 13, 2), rng.randint(0, 6)))
+        seq = [(t, rng.choice([-3, -2, -1, 1, 2, 3, 4])) for t in shifts]
+        want = _pair_expanded(seq)
+        got = pair_class(seq)
+        seen[got is not None] += 1
+        if want is None:
+            assert got is None
+            continue
+        chains, leftovers = got
+        assert all(k >= 1 for _, _, k in chains) and all(k >= 1 for _, k in leftovers)
+        assert [(s, t) for s, t, k in chains for _ in range(k)] == want[0]
+        assert [s for s, k in leftovers for _ in range(k)] == want[1]
+    assert seen[True] and seen[False]
+
+
+def test_dominance_of_huge_exponents():
+    # work grows with the distinct shifts, not with the exponents
+    big = 10**9
+    assert is_dominant(psi(A1, (1, 0, big), (1, 2, -big)))
+    assert not is_dominant(psi(A1, (1, 0, -big), (1, 2, big)))
+    assert not is_dominant(psi(A1, (1, 0, big), (1, 2, -big - 1)))
+    assert is_dominant(psi(B2, (1, 0, 10**300), (1, 4, -10**300 + 1), (2, 1, 5)))
+    chains, leftovers = dominant_factorization(
+        psi(A1, (1, 0, 10**300), (1, 2, -3), (1, 6, -2)))
+    assert chains == [(1, 0, 1)] * 3 + [(1, 0, 3)] * 2
+    assert leftovers == {(1, 0): 10**300 - 5}
 
 
 @pytest.mark.parametrize("label", ["A1", "B2", "G2", "C3"])

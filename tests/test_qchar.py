@@ -9,7 +9,7 @@ import pytest
 
 from shiftedq import cli
 from shiftedq.cartan import a_in_y, build_cartan
-from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator
+from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, y_monomial
 from shiftedq.qchar import (
     FMError,
     QCharacter,
@@ -17,6 +17,7 @@ from shiftedq.qchar import (
     _string_products,
     check_identity,
     check_triangularity,
+    fm_expand,
     qc_closed_form,
     qc_frenkel_mukhin,
     qc_kr,
@@ -318,10 +319,13 @@ def test_fm_terms_are_head_times_path(label, head, depth):
     # inverse A-monomial of its path, constants included
     cd = build_cartan(label)
     x = qc_frenkel_mukhin(cd, head, depth)
+    state, complete = fm_expand(cd, head, depth)
     assert x.head == expand_in_basis(cd, "Y", head)
-    for m, path in x.paths.items():
+    assert len(x.terms) == len(state) and x.complete == complete
+    for (m, c), (mult, y, path, _w) in zip(x.terms.items(), state.values()):
+        assert c == mult and x.paths[m] == path
         assert m == x.head * expand_in_basis(cd, "A", path).pow(-1)
-        assert m == expand_in_basis(cd, "Y", x.term_yexps[m])
+        assert m == expand_in_basis(cd, "Y", y)
 
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "E6", "F4", "G2"])
@@ -332,12 +336,14 @@ def test_fm_terms_match_y_oracle(label):
     for i in cd.nodes():
         head = {(i, 0): 1}
         x = qc_frenkel_mukhin(cd, head, 6)
+        state, _ = fm_expand(cd, head, 6)
         want = expand_in_basis(cd, "Y", head)
         assert x.head.key() == want.key() and list(x.head.exps) == list(want.exps)
-        for m, y in x.term_yexps.items():
+        assert len(x.terms) == len(state)
+        for m, (mult, y, _path, _w) in zip(x.terms, state.values()):
             want = expand_in_basis(cd, "Y", y)
             assert m.key() == want.key() and list(m.exps) == list(want.exps)
-            assert x.terms[m] >= 1
+            assert y_monomial(cd, y) == m and x.terms[m] == mult >= 1
 
 
 @pytest.mark.parametrize("label,i", [("A2", 1), ("B2", 1), ("B2", 2), ("G2", 2)])
