@@ -1,7 +1,8 @@
 """Command-line front end with canonical JSON reports.
 
 Exit codes: 0 success, 1 mathematical rejection (e.g. a factorization that
-does not exist, a failed relation suite, a Z-order bound violation), 2 usage
+does not exist, a failed relation suite, a Z-order bound violation) or a
+candidate search stopped by its step budget (truncation.MAX_STEPS), 2 usage
 error (argparse errors and UsageError: malformed monomial JSON or integer
 lists, a non-integer in monomial JSON, a wrong-length coweight, a --lambda
 that differs from the --zroots counts, an unknown --type, a node out of

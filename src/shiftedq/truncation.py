@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 
 from .cartan import basis_generator, build_cartan, coroot_inverse
+from .kernel import exps_combine
 from .lweight import (
     LWeightMonomial,
     generator,
@@ -39,8 +40,8 @@ STATUS_STRONG = "StrongCandidate"
 STATUS_REFUTED = "Refuted"
 STATUS_CONFIRMED = "ConfirmedByPaper"
 
-# enumerate_candidates refuses a search over more exponent maps than this
-MAX_COMBOS = 20_000_000
+# enumerate_candidates stops a search that takes more site-walk steps than this
+MAX_STEPS = 100_000
 
 
 class TruncationError(ValueError):
@@ -346,7 +347,7 @@ def _live_supply(site_keys, a, zexps, undecided):
     Maps each (j, t) to one (a_k, ((own, base), ...)) per undecided node k
     with a site u giving there, over those sites: own = (k, u + r_k) and
     base = Z(own) + what the undecided nodes other than k can give at own.
-    Once node k's turn comes, _node_multisets can choose u only if
+    Once node k's turn comes, _covered_choices can choose u only if
     Z(own) + given(own) + cap(own) > 0, and base + given(own) bounds that
     from above (nodes between the decided ones and k add to given, later
     ones are in cap), so k can give at (j, t) only while some of its sites
@@ -400,61 +401,67 @@ def _extend(state, need, gift, supply):
     return short, given
 
 
-def _node_multisets(sites, k, state, cap, zexps):
-    """The k-multisets of one node's sites, built one site at a time in
-    nondecreasing order (so in combinations_with_replacement order), less
-    the partial multisets that _extend would reject whatever their rest:
+def _covered_choices(site_keys, a, zexps, caps, supplies):
+    """Depth-first over one a_i-multiset per node, in itertools.product order
+    of the nodes' combinations_with_replacement of their sites.  Yields each
+    choice in which every need is covered by the gifts of the other nodes.
+
+    Node d + 1's multiset is built one site at a time in nondecreasing
+    order, less the partial multisets that _extend would reject whatever
+    their rest:
 
     1. a count at a site's own key (i, u + r_i) above Z, the decided gifts
-       and cap there: counts only grow, and a node gives nothing to its own
-       keys;
-    2. a decided shortage above cap plus the sites still to choose: a site
-       gives at most once to a key, so each site that does not give there
-       uses up one unit of the slack cap + k - shortage.
+       and caps[d] there (the most the later nodes can give at each key):
+       counts only grow, and a node gives nothing to its own keys;
+    2. a decided shortage above caps[d] plus the sites still to choose: a
+       site gives at most once to a key, so each site that does not give
+       there uses up one unit of the slack cap + k - shortage.
 
-    sites is _site_keys of the node; state and cap are as in _extend.
+    Each whole multiset goes through _extend against supplies[d], the later
+    nodes' live supply, and the search descends into the next node before it
+    builds the next multiset.  Every entry into a site walk is one step;
+    past MAX_STEPS the search raises TruncationError.
     """
-    short, given = state
-    us = [(u, room, gives) for u, (key, gives) in sites.items()
-          if (room := zexps.get(key, 0) + given.get(key, 0) + cap.get(key, 0))]
-    keys = list(short)
-    out = []
+    steps = 0
 
-    def walk(start, ms, slack):
-        if len(ms) == k:
-            out.append(ms)
-            return
-        for idx in range(start, len(us)):
-            u, room, gives = us[idx]
-            left = [n - (key not in gives) for key, n in zip(keys, slack)]
-            if -1 not in left and ms.count(u) < room:
-                walk(idx, ms + (u,), left)
+    def node(d, state, chosen):
+        sites = site_keys[d + 1]
+        k = a[d]
+        short, given = state
+        cap = caps[d]
+        us = [(u, room, gives) for u, (key, gives) in sites.items()
+              if (room := zexps.get(key, 0) + given.get(key, 0) + cap.get(key, 0))]
+        keys = list(short)
 
-    walk(0, (), [cap.get(key, 0) + k - short[key] for key in keys])
-    return out
+        def walk(start, ms, slack):
+            nonlocal steps
+            steps += 1
+            if steps > MAX_STEPS:
+                raise TruncationError(f"candidate search passed {MAX_STEPS} steps "
+                                      f"at node {d + 1}; narrow the window")
+            if len(ms) < k:
+                for idx in range(start, len(us)):
+                    u, room, gives = us[idx]
+                    left = [n - (key not in gives) for key, n in zip(keys, slack)]
+                    if -1 not in left and ms.count(u) < room:
+                        yield from walk(idx, ms + (u,), left)
+                return
+            nxt = _extend(state, *_need_gift(ms, sites, zexps), supplies[d])
+            if nxt is None:
+                return
+            if d + 1 == len(a):
+                yield chosen + (ms,)
+            else:
+                yield from node(d + 1, nxt, chosen + (ms,))
 
+        yield from walk(0, (), [cap.get(key, 0) + k - short[key] for key in keys])
+        del walk
 
-def _covered_choices(site_keys, a, zexps, caps, supplies, d, state):
-    """Depth-first over one a_i-multiset per node from node d + 1 on, from
-    the search state of the nodes before, in itertools.product order.
-    Yields each choice in which every need is covered by the gifts of the
-    other nodes.  _node_multisets builds node d + 1's multisets against
-    caps[d], the most the later nodes can give at each key; _extend checks
-    each one whole against supplies[d], the later nodes' live supply, so
-    the search does not enter a state whose shortage no choosable site can
-    cover.
-    """
-    sites = site_keys[d + 1]
-    for ms in _node_multisets(sites, a[d], state, caps[d], zexps):
-        nxt = _extend(state, *_need_gift(ms, sites, zexps), supplies[d])
-        if nxt is None:
-            continue
-        if d + 1 == len(a):
-            yield (ms,)
-        else:
-            for rest in _covered_choices(site_keys, a, zexps, caps, supplies,
-                                         d + 1, nxt):
-                yield (ms, *rest)
+    # walk and node refer to themselves through their closures; the dels
+    # break those cycles, so each search state is freed as soon as it is
+    # done, not left to the cycle collector
+    yield from node(0, ({}, {}), ())
+    del node
 
 
 def enumerate_candidates(z, lam, mu):
@@ -462,8 +469,9 @@ def enumerate_candidates(z, lam, mu):
 
     Searches Lambda-exponent maps v >= 0 with per-node sums a_i and supports
     in the proof-bound window (restricted by the chain closure), keeps those
-    passing the necessary conditions (status NecessaryOnly), deduplicated
-    modulo sign-twist and canonically ordered.
+    passing the necessary conditions (status NecessaryOnly), canonically
+    ordered.  Distinct maps give distinct Psi, since the Lambda pattern
+    matrix is nonsingular, so no candidate comes out twice.
 
     With psi = Z prod Lambda^{-v}, clause (b) (every pole e < 0 of psi at
     (j, t) has v(j, t + r_j) >= -e) is equivalent to
@@ -483,11 +491,9 @@ def enumerate_candidates(z, lam, mu):
     chosen, so the search does not descend to cover a shortage that no
     choosable site can cover.
     The maps come out in the order of the full product of per-node
-    multisets, whose size is counted (and refused above MAX_COMBOS) before
-    anything is built.
+    multisets.  The search counts its steps, one per entry into a site walk,
+    and raises TruncationError once they pass MAX_STEPS.
     """
-    from .kernel import exps_combine
-
     cd = z.cd
     if tuple(lam) != z.lam:
         raise TruncationError("lambda does not match the truncation data")
@@ -497,18 +503,6 @@ def enumerate_candidates(z, lam, mu):
         cls = required_const_class(z, mu, zmono.exps, a)
         return [Candidate(zmono.with_const(cls), {}, mu, STATUS_NECESSARY, z)]
     usable = usable_lambda_sites(z, a)
-    # a_i-multisets of usable sites per node, counted before any is built
-    total = 1
-    for i in cd.nodes():
-        k = a[i - 1]
-        if k:
-            total *= comb(len(usable[i]) + k - 1, k)
-    if not total:
-        return []
-    if total > MAX_COMBOS:
-        raise TruncationError(
-            f"enumeration space has {total} exponent maps; narrow the window"
-        )
     pat = {
         (i, u): generator(cd, "Lambda", i, u).exps
         for i in cd.nodes()
@@ -520,8 +514,8 @@ def enumerate_candidates(z, lam, mu):
     caps = [_gift_caps(site_keys, a, ks) for ks in later]
     supplies = [_live_supply(site_keys, a, zexps, ks) for ks in later]
 
-    seen = {}
-    for choice in _covered_choices(site_keys, a, zexps, caps, supplies, 0, ({}, {})):
+    out = []
+    for choice in _covered_choices(site_keys, a, zexps, caps, supplies):
         combo = []
         for i, ms in zip(cd.nodes(), choice):
             acc = {}
@@ -541,10 +535,9 @@ def enumerate_candidates(z, lam, mu):
         if not rep["ok"]:
             continue
         cls = ConstantFactor.from_json(rep["const_class"])
-        cand = Candidate(psi.with_const(cls), v, mu, STATUS_NECESSARY, z,
-                         notes={"maint": "pass"})
-        seen.setdefault(cand.psi.exps_key(), cand)
-    return sorted(seen.values(), key=lambda c: c.psi.exps_key())
+        out.append(Candidate(psi.with_const(cls), v, mu, STATUS_NECESSARY, z,
+                             notes={"maint": "pass"}))
+    return sorted(out, key=lambda c: c.psi.exps_key())
 
 
 def sl2_classify(z, lam, mu):
@@ -558,8 +551,6 @@ def sl2_classify(z, lam, mu):
     (a,) = truncation_shifts(z, mu)
     # zeros of Z(z q^{-2}) sit at shifts m + r - 2 = m - 1
     roots = sorted(m - 1 for m in z.zroots[1])
-    from itertools import combinations
-
     zmono = z.z_monomial()
     out = {}
     for pick in set(combinations(roots, a)):

@@ -3,9 +3,10 @@
 perfbench/jobs.py builds the seeded job lists of the benchmark workloads from
 the public API and the CLI.  An API change that breaks a job or its oracle
 would otherwise show only in a benchmark run, so every job of every workload
-runs once here at seed 1 (the probes, which run known defects, are left
-out).  The module's source is read and executed in a fresh module object;
-nothing under perfbench/ is written.
+runs once here at seed 1, and so do the classify probes (the qchar probes,
+which run known Frenkel-Mukhin defects, are left out).  The module's source
+is read and executed in a fresh module object; nothing under perfbench/ is
+written.
 """
 
 import hashlib
@@ -31,16 +32,29 @@ def _load_jobs():
 JOBS_MOD = _load_jobs()
 
 
+def _failures(jobs):
+    """{job name: reason} for every job whose output fails its oracle."""
+    out = {}
+    for job in jobs:
+        reason = job.check(job.run())
+        if reason is not None:
+            out[job.name] = reason
+    return out
+
+
 @pytest.mark.parametrize("workload", sorted(JOBS_MOD.BUILDERS))
 def test_workload_jobs_pass_their_oracles(workload):
     jobs, _probes = JOBS_MOD.build(workload, 1)
     assert jobs
-    failures = {}
-    for job in jobs:
-        reason = job.check(job.run())
-        if reason is not None:
-            failures[job.name] = reason
-    assert failures == {}
+    assert _failures(jobs) == {}
+
+
+def test_classify_probes_pass_their_oracles():
+    # the two truncations that the product-count guard once refused; the
+    # candidate search now finishes them well inside its step budget
+    _jobs, probes = JOBS_MOD.build("classify", 1)
+    assert len(probes) == 2
+    assert _failures(probes) == {}
 
 
 # sha256 of each relations job's canonical bytes (exit code and stdout).  A

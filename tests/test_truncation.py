@@ -1,7 +1,8 @@
 import hashlib
 import io
 import random
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -333,14 +334,35 @@ def test_usable_lambda_sites_g2_fixture():
     assert {i: len(u) for i, u in usable.items()} == {1: 33, 2: 34}
 
 
-def test_enumeration_space_counted_before_building(monkeypatch):
-    # C(33 + 5, 6) * C(34 + 3, 4) exponent maps; refused without building any
-    def no_generator(*args):
-        raise AssertionError("Lambda patterns built before the size check")
-
-    monkeypatch.setattr(truncation, "generator", no_generator)
-    with pytest.raises(TruncationError, match="182329176645 exponent maps"):
+def test_enumeration_step_budget_refuses(monkeypatch):
+    # C(33 + 5, 6) * C(34 + 3, 4) exponent maps; the search stops at its
+    # step budget, and the CLI reports that as a rejection (exit 1)
+    monkeypatch.setattr(truncation, "MAX_STEPS", 1_000)
+    with pytest.raises(TruncationError, match="passed 1000 steps at node"):
         enumerate_candidates(Z_G2, (0, 1), (0, -1))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["truncate", "--type", "G2", "--lambda", "0,1",
+                         "--zroots", "2:0", "--mu=0,-1"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: candidate search passed 1000 steps")
+    assert err.getvalue().endswith("; narrow the window\n")
+
+
+def test_step_budget_fires_inside_one_node(monkeypatch):
+    # node 1 of the truncfd Z of B2 Y_{2,0} has a = 6 over many sites; the
+    # search counts every step of its site walk, so it stops there at once
+    # instead of first listing all of node 1's multisets
+    from shiftedq.langlands import truncfd_Z_for
+
+    monkeypatch.setattr(truncation, "MAX_STEPS", 1_000)
+    psi = generator(B2, "Y", 2, 0)
+    z, _ = truncfd_Z_for(psi)
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match="passed 1000 steps at node 1;"):
+        enumerate_candidates(z, z.lam, psi.coweight())
+    assert time.perf_counter() - start < 1.0
 
 
 # --- pruned search against the Cartesian product -------------------------------
@@ -566,7 +588,7 @@ def test_diagram_flip_invariance(label, zroots, mu):
     cd = build_cartan(label)
     z = TruncationData(cd, zroots)
     zf = TruncationData(cd, {cd.n + 1 - i: ms for i, ms in z.zroots.items()})
-    weights = [mu] if mu else _weights_below(z, truncation.MAX_COMBOS)
+    weights = [mu] if mu else _weights_below(z, 20_000_000)
     found = 0
     for w in weights:
         got = _refined(z, w)
@@ -576,13 +598,12 @@ def test_diagram_flip_invariance(label, zroots, mu):
     assert found
 
 
-def test_d4_triality(monkeypatch):
+def test_d4_triality():
     # the truncfd truncations of Y_{1,0}, Y_{3,0} and Y_{4,0} are images of
     # each other under the swaps 1 <-> 3 and 1 <-> 4 of the D4 legs, and so
-    # are their candidates at mu_Psi; each space is above MAX_COMBOS
+    # are their candidates at mu_Psi; each space is above 2 * 10^7 maps
     from shiftedq.langlands import truncfd_Z_for
 
-    monkeypatch.setattr(truncation, "MAX_COMBOS", 10 ** 9)
     D4 = build_cartan("D4")
     data = {}
     for i in (1, 3, 4):
@@ -599,8 +620,27 @@ def test_d4_triality(monkeypatch):
         assert _permuted_data(swap, data[1]) == sorted(_candidate_data(data[leg]))
 
 
-# stdout sha256 of the guard-refused classify probes, recorded with the guard
-# lifted before the live-supply bound
+_ROUND_TRIP_CASES = [(f"A{n}", i) for n in range(1, 5) for i in range(1, n + 1)] + [
+    ("B2", 1), ("D4", 1), ("D4", 3), ("D4", 4)]
+
+
+@pytest.mark.parametrize("label,node", _ROUND_TRIP_CASES,
+                         ids=[f"{t}-{i}" for t, i in _ROUND_TRIP_CASES])
+def test_fundamental_in_its_truncfd_candidates(label, node):
+    # truncfd_Z_for builds the truncation Z through which the simple
+    # finite-dimensional module L(Y_{i,0}) should factor, so Y_{i,0} must be
+    # a candidate of Z at its own coweight; exponents only (the constants
+    # differ away from A1)
+    from shiftedq.langlands import truncfd_Z_for
+
+    psi = generator(build_cartan(label), "Y", node, 0)
+    z, _ = truncfd_Z_for(psi)
+    got = enumerate_candidates(z, z.lam, psi.coweight())
+    assert psi.exps_key() in [c.psi.exps_key() for c in got]
+
+
+# stdout sha256 of the classify probes, recorded before the live-supply bound
+# with the product-count guard that refused them lifted
 _LIFTED_TRUNCATIONS = [
     (["--type", "B2", "--lambda", "1,1", "--zroots", "1:0;2:0", "--mu=-1,-1"],
      "702a11b1618eb72a121fada804942570bfbb9817cfc5f5659d1b8a2b76158081"),
@@ -611,8 +651,7 @@ _LIFTED_TRUNCATIONS = [
 
 @pytest.mark.parametrize("argv,digest", _LIFTED_TRUNCATIONS,
                          ids=[argv[1] for argv, _ in _LIFTED_TRUNCATIONS])
-def test_truncate_above_guard_pinned(monkeypatch, argv, digest):
-    monkeypatch.setattr(truncation, "MAX_COMBOS", 10 ** 9)
+def test_truncate_above_guard_pinned(argv, digest):
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["truncate", *argv])
@@ -638,20 +677,11 @@ def test_site_search_work_bound(monkeypatch):
 
 
 def test_live_supply_work_bound(monkeypatch):
-    # the same search: with every giver counted in the supply, 1,313 states
-    # reach _node_multisets; counting only givers with a site that can still
-    # be chosen leaves 18
-    calls = [0]
-    node_multisets = truncation._node_multisets
-
-    def counted(*args):
-        calls[0] += 1
-        return node_multisets(*args)
-
-    monkeypatch.setattr(truncation, "_node_multisets", counted)
+    # the same search takes 1,598 site-walk steps; with every giver counted
+    # in the supply it takes 6,677, more than the 2,000 allowed here
+    monkeypatch.setattr(truncation, "MAX_STEPS", 2_000)
     z = TruncationData(B2, {1: [-2], 2: [-1]})
     assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
-    assert 0 < calls[0] <= 50
 
 
 def _pole_cover(cd, psi_exps, v):
