@@ -393,12 +393,24 @@ def _extend(state, need, gift, supply):
         else:
             given[key] = given.get(key, 0) + 1
     short = {key: n for key, n in short.items() if n > 0}
-    for key, n in short.items():
-        live = sum(ak for ak, sites in supply.get(key, ())
-                   if any(base + given.get(own, 0) for own, base in sites))
-        if n > live:
-            return None
+    if any(n > _supply_read(supply, key, given)[0] for key, n in short.items()):
+        return None
     return short, given
+
+
+def _supply_read(supply, key, given):
+    """(live, dead) at key, read with the gifts in given.  live is the live
+    supply: a_k summed over the undecided nodes k of supply (_live_supply)
+    with a giver site there that can still be chosen.  dead lists (a_k, the
+    own keys of k's giver sites there) for each other node k: one more gift
+    at one of those keys makes k live."""
+    live, dead = 0, []
+    for ak, sites in supply.get(key, ()):
+        if any(base + given.get(own, 0) for own, base in sites):
+            live += ak
+        else:
+            dead.append((ak, {own for own, _ in sites}))
+    return live, dead
 
 
 def _covered_choices(site_keys, a, zexps, caps, supplies):
@@ -415,12 +427,20 @@ def _covered_choices(site_keys, a, zexps, caps, supplies):
        counts only grow, and a node gives nothing to its own keys;
     2. a decided shortage above caps[d] plus the sites still to choose: a
        site gives at most once to a key, so each site that does not give
-       there uses up one unit of the slack cap + k - shortage.
+       there uses up one unit of the slack cap + k - shortage.  Once a
+       slack is 0, only the sites giving at its key are tried;
+    3. at the last site, an own need of the whole multiset above the live
+       supply at its key (supplies[d], read with the multiset's gifts): the
+       test _extend makes for a new shortage.  The later nodes' keys are
+       never short, so _extend adds all of the multiset's gifts there to
+       given, as this test does.  The prefix's own needs and gifts are read
+       once for all its last sites.
 
-    Each whole multiset goes through _extend against supplies[d], the later
-    nodes' live supply, and the search descends into the next node before it
-    builds the next multiset.  Every entry into a site walk is one step;
-    past MAX_STEPS the search raises TruncationError.
+    Each whole multiset that passes goes through _extend against
+    supplies[d], and the search descends into the next node before it
+    builds the next multiset.  Every entry into a site walk is one step, and
+    so is every last site that passes rules 1 and 2, whether rule 3 keeps
+    it or not; past MAX_STEPS the search raises TruncationError.
     """
     steps = 0
 
@@ -429,30 +449,71 @@ def _covered_choices(site_keys, a, zexps, caps, supplies):
         k = a[d]
         short, given = state
         cap = caps[d]
+        supply = supplies[d]
         us = [(u, room, gives) for u, (key, gives) in sites.items()
               if (room := zexps.get(key, 0) + given.get(key, 0) + cap.get(key, 0))]
         keys = list(short)
+        giving = {key: [idx for idx, (_, _, gives) in enumerate(us) if key in gives]
+                  for key in keys}
 
-        def walk(start, ms, slack):
+        def step():
             nonlocal steps
             steps += 1
             if steps > MAX_STEPS:
                 raise TruncationError(f"candidate search passed {MAX_STEPS} steps "
                                       f"at node {d + 1}; narrow the window")
-            if len(ms) < k:
-                for idx in range(start, len(us)):
-                    u, room, gives = us[idx]
-                    left = [n - (key not in gives) for key, n in zip(keys, slack)]
-                    if -1 not in left and ms.count(u) < room:
-                        yield from walk(idx, ms + (u,), left)
-                return
-            nxt = _extend(state, *_need_gift(ms, sites, zexps), supplies[d])
+
+        def descend(ms):
+            nxt = _extend(state, *_need_gift(ms, sites, zexps), supply)
             if nxt is None:
                 return
             if d + 1 == len(a):
                 yield chosen + (ms,)
             else:
                 yield from node(d + 1, nxt, chosen + (ms,))
+
+        def walk(start, ms, slack):
+            step()
+            if len(ms) == k:
+                yield from descend(ms)
+                return
+            last = len(ms) + 1 == k
+            if last:
+                need, gifts, reads = {}, dict(given), {}
+                for u in ms:
+                    own, gives = sites[u]
+                    need[own] = need.get(own, -zexps.get(own, 0) - given.get(own, 0)) + 1
+                    for key in gives:
+                        gifts[key] = gifts.get(key, 0) + 1
+
+                def covered(own, gives):
+                    whole = dict(need)
+                    whole[own] = need.get(own, -zexps.get(own, 0) - given.get(own, 0)) + 1
+                    for key, n in whole.items():
+                        if n <= 0:
+                            continue
+                        if key not in reads:
+                            reads[key] = _supply_read(supply, key, gifts)
+                        live, dead = reads[key]
+                        if n > live + sum(ak for ak, owns in dead if not owns.isdisjoint(gives)):
+                            return False
+                    return True
+            tight = next((key for key, n in zip(keys, slack) if not n), None)
+            for idx in range(start, len(us)) if tight is None else giving[tight]:
+                if idx < start:
+                    continue
+                u, room, gives = us[idx]
+                if ms.count(u) >= room:
+                    continue
+                left = [n - (key not in gives) for key, n in zip(keys, slack)]
+                if -1 in left:
+                    continue
+                if not last:
+                    yield from walk(idx, ms + (u,), left)
+                    continue
+                step()
+                if covered(sites[u][0], gives):
+                    yield from descend(ms + (u,))
 
         yield from walk(0, (), [cap.get(key, 0) + k - short[key] for key in keys])
         del walk
@@ -484,15 +545,17 @@ def enumerate_candidates(z, lam, mu):
     depth-first in order and builds each node's a_i-multiset site by site,
     in nondecreasing order, dropping a partial multiset once its own need or
     a decided need exceeds what the decided gifts, the sites still to choose
-    and the undecided nodes can cover.  Each built multiset is then checked
-    against the live supply (_live_supply, precomputed here per depth): a
-    decided need left uncovered must not exceed a_k summed over the
-    undecided nodes k that still have a site giving there which can be
-    chosen, so the search does not descend to cover a shortage that no
-    choosable site can cover.
+    and the undecided nodes can cover.  A need left uncovered must not
+    exceed the live supply at its key (_live_supply, precomputed here per
+    depth): a_k summed over the undecided nodes k that still have a site
+    giving there which can be chosen, so the search does not descend to
+    cover a shortage that no choosable site can cover.  The node's own
+    needs are held to that bound at its last site, before the multiset is
+    built, and each built multiset is checked against it as a whole.
     The maps come out in the order of the full product of per-node
-    multisets.  The search counts its steps, one per entry into a site walk,
-    and raises TruncationError once they pass MAX_STEPS.
+    multisets.  The search counts its steps, one per entry into a site walk
+    and one per last site tried, and raises TruncationError once they pass
+    MAX_STEPS.
     """
     cd = z.cd
     if tuple(lam) != z.lam:
@@ -503,17 +566,13 @@ def enumerate_candidates(z, lam, mu):
         cls = required_const_class(z, mu, zmono.exps, a)
         return [Candidate(zmono.with_const(cls), {}, mu, STATUS_NECESSARY, z)]
     usable = usable_lambda_sites(z, a)
-    pat = {
-        (i, u): generator(cd, "Lambda", i, u).exps
-        for i in cd.nodes()
-        for u in usable[i]
-    }
     zexps = zmono.exps
     site_keys = {i: _site_keys(cd, i, usable[i]) for i in cd.nodes()}
     later = [range(i + 1, cd.n + 1) for i in cd.nodes()]
     caps = [_gift_caps(site_keys, a, ks) for ks in later]
     supplies = [_live_supply(site_keys, a, zexps, ks) for ks in later]
 
+    pat = {}  # Lambda patterns of the chosen sites
     out = []
     for choice in _covered_choices(site_keys, a, zexps, caps, supplies):
         combo = []
@@ -521,6 +580,8 @@ def enumerate_candidates(z, lam, mu):
             acc = {}
             vloc = {}
             for u in ms:
+                if (i, u) not in pat:
+                    pat[(i, u)] = generator(cd, "Lambda", i, u).exps
                 acc = exps_combine(acc, pat[(i, u)], 1)
                 vloc[(i, u)] = vloc.get((i, u), 0) + 1
             combo.append((vloc, acc))

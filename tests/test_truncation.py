@@ -662,18 +662,23 @@ def test_truncate_above_guard_pinned(argv, digest):
 def test_site_search_work_bound(monkeypatch):
     # B2 "1:0;2:0" at mu = (-1, 0): a search over whole node multisets
     # checks 49,532 of them against the decided nodes; building them site by
-    # site leaves 1,325 to check
+    # site leaves 1,325 to check, and testing each last site's own needs
+    # against the live supply leaves 30, none of which _extend rejects
     calls = [0]
+    rejected = [0]
     extend = truncation._extend
 
     def counted(*args):
         calls[0] += 1
-        return extend(*args)
+        nxt = extend(*args)
+        rejected[0] += nxt is None
+        return nxt
 
     monkeypatch.setattr(truncation, "_extend", counted)
     z = TruncationData(B2, {1: [-2], 2: [-1]})
     assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
     assert 0 < calls[0] <= 5_000
+    assert rejected[0] == 0
 
 
 def test_live_supply_work_bound(monkeypatch):
@@ -682,6 +687,21 @@ def test_live_supply_work_bound(monkeypatch):
     monkeypatch.setattr(truncation, "MAX_STEPS", 2_000)
     z = TruncationData(B2, {1: [-2], 2: [-1]})
     assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
+
+
+def test_step_count_pinned(monkeypatch):
+    # the same search takes exactly 1,598 steps: a last site that passes
+    # rules 1 and 2 is a step even when the live-supply test drops it, so
+    # the budget refuses at the same step, node and message however much
+    # the search prunes before building a multiset
+    z = TruncationData(B2, {1: [-2], 2: [-1]})
+    monkeypatch.setattr(truncation, "MAX_STEPS", 1_598)
+    assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
+    monkeypatch.setattr(truncation, "MAX_STEPS", 1_597)
+    with pytest.raises(TruncationError,
+                       match="^candidate search passed 1597 steps at node 2; "
+                             "narrow the window$"):
+        enumerate_candidates(z, z.lam, (-1, 0))
 
 
 def _pole_cover(cd, psi_exps, v):
