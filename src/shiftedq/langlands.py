@@ -110,6 +110,8 @@ def chi_L_fundamental(cd, i, shift):
     """Langlands dual q-character of the fundamental V_i^L(q^shift), as
     {sorted Z-exponent tuple: multiplicity} with the head Z_{i,q^shift}
     first."""
+    if i not in cd.nodes():
+        raise LanglandsError(f"node {i} out of range for {cd.type_label}")
     if cd.lacing == 1:
         state, _ = fm_expand(cd, {(i, shift): 1}, 6 * cd.n * cd.dual_coxeter,
                              require_complete=True)
@@ -117,10 +119,8 @@ def chi_L_fundamental(cd, i, shift):
     if cd.type_label == "B2":
         if i == 2:
             base = specialize_interpolating_b2()
-        elif i == 1:
-            base = [dict(t) for t in _B2_NODE1_TERMS]
         else:
-            raise LanglandsError(f"node {i} out of range")
+            base = [dict(t) for t in _B2_NODE1_TERMS]
         terms = {}
         for z in base:
             sh = {(node, m + shift): e for (node, m), e in z.items()}

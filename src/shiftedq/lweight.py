@@ -19,13 +19,14 @@ GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiSta
 
 
 class LWeightMonomial:
-    __slots__ = ("cd", "exps", "const", "_key")
+    __slots__ = ("cd", "exps", "const", "_key", "_hash")
 
     def __init__(self, cd, exps=None, const=None):
         self.cd = cd
         self.exps = {k: e for k, e in (exps or {}).items() if e}
         self.const = const if const is not None else cd.const_one()
         self._key = None
+        self._hash = None
 
     # -- monoid law -----------------------------------------------------
     def combine(self, other, sign=1):
@@ -60,12 +61,15 @@ class LWeightMonomial:
         return not self.exps and self.const.is_one()
 
     def key(self):
+        """(sorted exps items, q-exponents, zetas), computed once; the hash
+        is cached beside it."""
         if self._key is None:
             self._key = (
                 tuple(sorted(self.exps.items())),
                 self.const.qexps,
                 self.const.zetas,
             )
+            self._hash = hash(self._key)
         return self._key
 
     def exps_key(self):
@@ -79,7 +83,9 @@ class LWeightMonomial:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self.key()
+        return self._hash
 
     def __repr__(self):
         if not self.exps:
@@ -105,7 +111,7 @@ class LWeightMonomial:
     # -- serialization ------------------------------------------------
     def to_json(self):
         return {
-            "exps": [[i, r, e] for (i, r), e in sorted(self.exps.items())],
+            "exps": [[i, r, e] for (i, r), e in self.key()[0]],
             "const": self.const.to_json(),
         }
 
@@ -207,8 +213,9 @@ def expand_in_basis(cd, basis, vmap):
     return out
 
 
-def y_monomial(cd, y):
-    """prod Y_{i,q^t}^{e} for y {(i, t): e}, in closed form.
+def y_monomial(cd, ykey):
+    """prod Y_{i,q^t}^{e} in closed form, for ykey the sorted ((i, t), e)
+    items of a Y-exponent map y (the key fm_expand gives each term).
 
     Y_{i,t}^e is Psi_{i,t-r_i}^e Psi_{i,t+r_i}^{-e} times omega-bar_i^e, and
     omega-bar_i does not depend on t, so the constant has q-exponent
@@ -220,7 +227,7 @@ def y_monomial(cd, y):
     nodes = cd.nodes()
     exps = {}
     q = [0] * cd.n
-    for (i, t), e in sorted(y.items()):
+    for (i, t), e in ykey:
         if not e:
             continue
         if i not in nodes:

@@ -272,34 +272,49 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     """Node-wise sl2 completion from a dominant Y-monomial head, over
     Y-exponent keys.
 
-    head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}.  Returns
-    (state, complete): state maps the sorted Y-exponent tuple of each term,
-    head first, to [multiplicity, {(i, t): exp}, A^{-1}-path {(i, s): count},
-    A^{-1}-distance from the head]; complete is False when a string product
-    longer than the remaining depth was dropped, which raises FMBudgetError
-    under require_complete.
+    head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}, every i a node
+    of cd (FMError otherwise).  Returns (state, complete): state maps the
+    sorted Y-exponent tuple of each term, head first, to [multiplicity,
+    {(i, t): exp}, A^{-1}-path {(i, s): count}, A^{-1}-distance from the
+    head]; complete is False when a string product longer than the
+    remaining depth was dropped, which raises FMBudgetError under
+    require_complete.
+
+    Each term's sorted key is read once, grouped by node, and every node
+    without a negative exponent is expanded by its q-string products.  A
+    term reached again with a larger multiplicity takes it and is queued
+    again (the `max` merge of ROADMAP item 1).
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
         raise FMError("head must be a dominant Y-monomial")
-    a_pat = {i: a_in_y(cd, i) for i in cd.nodes()}
+    nodes = cd.nodes()
+    for i, _t in head_y:
+        if i not in nodes:
+            raise FMError(f"head node {i} out of range for {cd.type_label}")
+    # per node: the string step 2 r_i and the items of A_{i,q^0} in Y
+    node_data = {i: (2 * cd.ri(i), tuple(a_in_y(cd, i).items())) for i in nodes}
 
-    def key_of(y):
-        return tuple(sorted(y.items()))
-
-    head_key = key_of(head_y)
+    head_key = tuple(sorted(head_y.items()))
     state = {head_key: [1, dict(head_y), {}, 0]}
     frontier = [head_key]
     truncated = False
     while frontier:
         new_frontier = []
+        queued = set()
         for k in frontier:
             mult, y, path, w = state[k]
-            for i in cd.nodes():
-                u = {t: e for (j, t), e in y.items() if j == i}
-                if not u or any(e < 0 for e in u.values()):
+            by_node = {}
+            for (j, t), e in k:
+                u = by_node.get(j)
+                if u is None:
+                    by_node[j] = {t: e}
+                else:
+                    u[t] = e
+            for i, u in by_node.items():
+                if min(u.values()) < 0:
                     continue
-                step = 2 * cd.ri(i)
+                step, a_items = node_data[i]
                 products, dropped = _string_products(
                     [_string_eigen_terms(top, kk, step) for top, kk in _strings(u, step)],
                     depth - w,
@@ -311,7 +326,7 @@ def fm_expand(cd, head_y, depth, require_complete=False):
                     ny = dict(y)
                     npath = dict(path)
                     for s in shifts:
-                        for (j, o), e in a_pat[i].items():
+                        for (j, o), e in a_items:
                             t = s + o
                             v = ny.get((j, t), 0) - e
                             if v:
@@ -319,16 +334,18 @@ def fm_expand(cd, head_y, depth, require_complete=False):
                             else:
                                 ny.pop((j, t), None)
                         npath[(i, s)] = npath.get((i, s), 0) + 1
-                    nk = key_of(ny)
+                    nk = tuple(sorted(ny.items()))
                     need = mult * c
                     cur = state.get(nk)
                     if cur is None:
                         state[nk] = [need, ny, npath, w + len(shifts)]
-                        new_frontier.append(nk)
                     elif cur[0] < need:
                         cur[0] = need
-                        if nk not in new_frontier:
-                            new_frontier.append(nk)
+                    else:
+                        continue
+                    if nk not in queued:
+                        queued.add(nk)
+                        new_frontier.append(nk)
         frontier = new_frontier
     if require_complete and truncated:
         raise FMBudgetError(
@@ -340,15 +357,15 @@ def fm_expand(cd, head_y, depth, require_complete=False):
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     """fm_expand as a QCharacter over l-weights.
 
-    lweight.y_monomial turns each term's Y-exponents into its l-weight;
+    lweight.y_monomial turns each term's sorted Y-key into its l-weight;
     lweight.expand_in_basis(cd, "Y", y) is the oracle it is tested against.
     Guaranteed for KR/fundamental heads; anything else is flagged heuristic.
     """
     state, complete = fm_expand(cd, head_y, depth, require_complete)
     terms = {}
     paths = {}
-    for mult, y, path, _w in state.values():
-        m = y_monomial(cd, y)
+    for k, (mult, _y, path, _w) in state.items():
+        m = y_monomial(cd, k)
         terms[m] = mult  # Y-exponents determine the monomial injectively
         paths[m] = path
 

@@ -282,22 +282,23 @@ def usable_lambda_sites(z, a):
     Steps from (i, u) up to node j: u_j = u + r_i - o for each neighbour
     site (i, o) of Lambda_{j,q^0}, the negative entries of its pattern
     (u + r_i for a single bond, u + {1,3} for a double, u + {1,3,5} for a
-    triple).  Intersected with the proof-bound window."""
+    triple).  Intersected with the proof-bound window.  A worklist: each
+    site is expanded once, when it is added."""
     cd = z.cd
-    win = set(_window(z, a))
-    usable = {i: set(m for m in z.zroots[i] if m in win) for i in cd.nodes()}
-    changed = True
-    while changed:
-        changed = False
-        for j in cd.nodes():
-            for (i, o), c in basis_generator(cd, "Lambda", j)[0].items():
-                if c > 0:
-                    continue
-                for uj in usable[j]:
-                    u = uj - cd.ri(i) + o
-                    if u in win and u not in usable[i]:
-                        usable[i].add(u)
-                        changed = True
+    win = _window(z, a)
+    # a usable site (j, uj) makes (i, uj + d) usable, for (i, d) in reach[j]
+    reach = {j: [(i, o - cd.ri(i))
+                 for (i, o), c in basis_generator(cd, "Lambda", j)[0].items() if c < 0]
+             for j in cd.nodes()}
+    usable = {i: {m for m in z.zroots[i] if m in win} for i in cd.nodes()}
+    todo = [(j, uj) for j in cd.nodes() for uj in usable[j]]
+    while todo:
+        j, uj = todo.pop()
+        for i, d in reach[j]:
+            u = uj + d
+            if u in win and u not in usable[i]:
+                usable[i].add(u)
+                todo.append((i, u))
     return {i: sorted(usable[i]) for i in cd.nodes()}
 
 
@@ -644,8 +645,9 @@ def _character_slice(cand, depth):
     if all(e < 0 for e in psi.exps.values()):
         x = qc_one(cd)
         for (i, t), e in sorted(psi.exps.items()):
+            f = qc_neg_prefund_limit(cd, i, t, depth)
             for _ in range(-e):
-                x = qc_mul(x, qc_neg_prefund_limit(cd, i, t, depth))
+                x = qc_mul(x, f)
         const = psi.combine(x.head, -1)
         return x.scale_monomial(LWeightMonomial(cd, {}, const.const))
     if cd.n == 1 and is_dominant(psi):

@@ -4,12 +4,13 @@ import json
 import os
 from fractions import Fraction
 
-from shiftedq.cartan import invert_quantum_cartan
+from shiftedq.cartan import basis_generator, invert_quantum_cartan
 from shiftedq.langlands import psi_of_monomial
 from shiftedq.lweight import leq_certificate
 from shiftedq.modrep import _poly_from_shifts
+from shiftedq import truncation
 from shiftedq.scalars import ONE, ExactScalar
-from shiftedq.truncation import abar_eigenvalue
+from shiftedq.truncation import _window, abar_eigenvalue
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -90,6 +91,46 @@ def abar_series_oracle(z, psi, i, order=8):
             ok = False
             break
     return {"ok": ok, "order": order, "roots": ev["roots"]}
+
+
+# ---------------------------------------------------------------------------
+# usable Lambda sites as a plain fixpoint
+# ---------------------------------------------------------------------------
+
+def usable_lambda_sites_fixpoint(z, a):
+    """Oracle for truncation.usable_lambda_sites: rescan every usable site
+    of every node for chain steps until a whole round adds none."""
+    cd = z.cd
+    win = set(_window(z, a))
+    usable = {i: set(m for m in z.zroots[i] if m in win) for i in cd.nodes()}
+    changed = True
+    while changed:
+        changed = False
+        for j in cd.nodes():
+            for (i, o), c in basis_generator(cd, "Lambda", j)[0].items():
+                if c > 0:
+                    continue
+                for uj in list(usable[j]):
+                    u = uj - cd.ri(i) + o
+                    if u in win and u not in usable[i]:
+                        usable[i].add(u)
+                        changed = True
+    return {i: sorted(usable[i]) for i in cd.nodes()}
+
+
+def checked_usable_sites(calls):
+    """truncation.usable_lambda_sites, asserting on every call that it
+    equals usable_lambda_sites_fixpoint; each call appends its (z, a) to
+    calls."""
+    worklist = truncation.usable_lambda_sites
+
+    def checked(z, a):
+        out = worklist(z, a)
+        assert out == usable_lambda_sites_fixpoint(z, a)
+        calls.append((z, a))
+        return out
+
+    return checked
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ def test_unsupported_type_rejected():
         chi_L_fundamental(g2, 1, 0)
 
 
+@pytest.mark.parametrize("label,i", [("A2", 5), ("A2", 0), ("D4", 5), ("B2", 3)])
+def test_fundamental_node_out_of_range(label, i):
+    # simply-laced types go through fm_expand, B2 through its tables; both
+    # refuse a node outside the diagram instead of returning a lone head
+    with pytest.raises(LanglandsError, match=f"node {i} out of range"):
+        chi_L_fundamental(build_cartan(label), i, 0)
+
+
 def test_chi_L_standard_fixtures():
     assert chi_L_standard(TruncationData(B2, {})) == {(): 1}
     chi = chi_L_standard(Z_A2)
@@ -132,7 +140,7 @@ def test_fundamental_is_fm_y_exponent_map(label):
         assert complete
         assert chi_L_fundamental(cd, i, 2) == {k: rec[0] for k, rec in state.items()}
         x = qc_frenkel_mukhin(cd, {(i, 2): 1}, depth)
-        assert {y_monomial(cd, y): c for c, y, _p, _w in state.values()} == x.terms
+        assert {y_monomial(cd, k): rec[0] for k, rec in state.items()} == x.terms
 
 
 def test_psi_of_monomial_fixtures():

@@ -562,10 +562,40 @@ def test_y_monomial_matches_oracle(label):
     cd = build_cartan(label)
     rng = random.Random(f"ymap:{label}")
     for y in [{}] + [_random_ymap(rng, cd) for _ in range(40)]:
-        m, want = y_monomial(cd, y), expand_in_basis(cd, "Y", y)
+        m, want = y_monomial(cd, tuple(sorted(y.items()))), expand_in_basis(cd, "Y", y)
         assert m == want
         assert m.key() == want.key()
         # insertion order too: the add/pop rule of exps_combine
         assert list(m.exps) == list(want.exps)
     with pytest.raises(ValueError, match="out of range"):
-        y_monomial(cd, {(cd.n + 1, 0): 1})
+        y_monomial(cd, (((cd.n + 1, 0), 1),))
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "D4", "E6", "F4", "G2"])
+def test_monomial_builds_agree_and_hash_alike(label):
+    # one l-weight built four ways: y_monomial, the expand_in_basis oracle,
+    # a combine of two halves, and a JSON round trip.  They are equal, and
+    # their hashes agree whether the key was built before or by the hash
+    cd = build_cartan(label)
+    rng = random.Random(f"hash:{label}")
+    for y in [{}] + [_random_ymap(rng, cd) for _ in range(20)]:
+        items = sorted(y.items())
+        half = len(items) // 2
+
+        def builds():
+            m = y_monomial(cd, tuple(items))
+            return [
+                m,
+                expand_in_basis(cd, "Y", y),
+                y_monomial(cd, items[:half]).combine(y_monomial(cd, items[half:])),
+                LWeightMonomial.from_json(cd, m.to_json()),
+            ]
+
+        hashed_first = [hash(m) for m in builds()]
+        keyed_first = builds()
+        for m in keyed_first:
+            m.key()
+        assert hashed_first == [hash(m) for m in keyed_first]
+        assert len(set(hashed_first)) == 1 and len(set(keyed_first)) == 1
+        for m in keyed_first:
+            assert m.to_json()["exps"] == [[i, r, e] for (i, r), e in sorted(m.exps.items())]

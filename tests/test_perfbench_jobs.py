@@ -15,6 +15,9 @@ import types
 
 import pytest
 
+from shiftedq import truncation
+from support import checked_usable_sites
+
 JOBS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "perfbench",
@@ -55,6 +58,18 @@ def test_classify_probes_pass_their_oracles():
     _jobs, probes = JOBS_MOD.build("classify", 1)
     assert len(probes) == 2
     assert _failures(probes) == {}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_usable_sites_match_fixpoint_on_classify_jobs(seed, monkeypatch):
+    # the worklist closure of usable_lambda_sites against the plain fixpoint
+    # loop, on every truncation the classify jobs and probes build
+    calls = []
+    monkeypatch.setattr(truncation, "usable_lambda_sites", checked_usable_sites(calls))
+    jobs, probes = JOBS_MOD.build("classify", seed)
+    for job in jobs + probes:
+        job.run()
+    assert calls
 
 
 # sha256 of each relations job's canonical bytes (exit code and stdout).  A

@@ -109,6 +109,17 @@ def test_fm_rejects_non_dominant_and_budget():
         qc_frenkel_mukhin(A1, {(1, 0): 1, (1, 2): 1}, 1, require_complete=True)
 
 
+@pytest.mark.parametrize("head", [{(3, 0): 1}, {(1, 0): 1, (0, 2): 1}, {(2, 1): 1, (7, 0): 2}])
+def test_fm_rejects_head_node_outside_diagram(head):
+    # a node outside the diagram has no sl2 to expand along: the head is
+    # refused, not returned alone and marked complete
+    (bad,) = [i for i, _ in head if i not in B2.nodes()]
+    with pytest.raises(FMError, match=f"head node {bad} out of range for B2"):
+        fm_expand(B2, head, 10)
+    with pytest.raises(FMError, match=f"head node {bad} out of range"):
+        qc_frenkel_mukhin(B2, head, 10)
+
+
 def test_fm_heuristic_flag():
     assert qc_frenkel_mukhin(A1, {(1, 0): 2}, 8).heuristic
     assert not qc_kr(A1, 1, 2, 2).heuristic
@@ -343,7 +354,7 @@ def test_fm_terms_match_y_oracle(label):
         for m, (mult, y, _path, _w) in zip(x.terms, state.values()):
             want = expand_in_basis(cd, "Y", y)
             assert m.key() == want.key() and list(m.exps) == list(want.exps)
-            assert y_monomial(cd, y) == m and x.terms[m] == mult >= 1
+            assert y_monomial(cd, tuple(sorted(y.items()))) == m and x.terms[m] == mult >= 1
 
 
 @pytest.mark.parametrize("label,i", [("A2", 1), ("B2", 1), ("B2", 2), ("G2", 2)])
@@ -385,3 +396,69 @@ def test_g2_fm_depth_40_pinned():
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "3a3bb3cecc0e0bab231ff09cb5c28db24c6de7f0ca62c820c08c26f63ff23be0")
+
+
+# Canonical bytes of the FM expansions of perfbench's qchar heads (its
+# _FM_HEADS, then its _FM_PROBES) at shift 0 and depth 80: the sha256 of the
+# qc_frenkel_mukhin JSON dump, and of the fm_expand state in order (keys,
+# multiplicities and the item order of each A^{-1}-path).  The last three
+# heads, F4 nodes 2 and 3 and E6 node 4, are expanded wrongly by the `max`
+# merge (ROADMAP item 1): their digests pin known-wrong output and only
+# guard refactors of the expansion loop, which must not change it.
+_FM_PINS = [
+    ("E6", 3, "b553ffe3bc9f3b6754f58ac4d5955e480405cff40429489a5fbe14badabec927",
+     "11c0a57e53dbf3fab2370471dca64527968126ab2af3b60ab6bb067c33784fdd"),
+    ("D6", 4, "52ab8270e6218590b9110b50865e381cd00e081d22cbd1b51152c0cfab96c7c3",
+     "d7722591c7217e9ae5c0bf220274fcb2e61fc7ef8c097f9dc60b969492c5fae5"),
+    ("D6", 3, "72b550b2c5c93ee9164779e5fb0f20e7c91de84c0d3ed2d358c31e4a68d0cbbd",
+     "f6ecf064c7ff4d8f67d11757d103eb94f301fe4d693640cf52a167403355b220"),
+    ("E7", 1, "84fe6709b586e2661a6bd2074873443a202e8f6348466716436bc63728a51320",
+     "167a32d13a4697fc07ba65c884701d770c1b1f64bfc213ec103ad218d65487b6"),
+    ("E6", 2, "78072a485304615d6483db3b6561565de0bdb43f95c9e8b75ffe7f5e261be85a",
+     "4b1cf4370e064cfffd46394cc03aff060890f67d2430bae4f0421b081f50eb94"),
+    ("E7", 7, "db5a88fb663c08fc7de150ca7e7d61cb6c901e85a0ee2e0cd12ff4dc17d7bc89",
+     "1c94de539185906bb737768da7f5a619602dc52e76e2466aa8ea9b56373d68d9"),
+    ("D5", 3, "83b5070c16f886eeeca7eb291e1b0091caf71a6b205b1af9592bd1a196e65686",
+     "b735d536822e7fddfb61a741b66016885a7f0c41d3d49e78e4f0fbb4d0bb6205"),
+    ("B4", 3, "ac25dd2b2e4b2c69edb5e1db03aeaacf2694636c80095c802ba1be8579131fe2",
+     "b338f66dd51dec58ed605a107ba7edba37567d54bb2e7780f2cbf8b15fa9513e"),
+    ("A7", 4, "34aa705a6c2047b9334700aad1084f6d2529f437bcb0a492d9979d07b73de0a0",
+     "109cbaa81578a3e114b62817075778329b810161838a9bf1f7ef513e83f836c4"),
+    ("F4", 1, "0d61cb5aabee07dc267a83196f00563fad4c4b9a6c427160bc16ccea440bb509",
+     "a03ed29f842dc19c4036d143b82181423b85f7a13107df0e1858cbf60bd5cef8"),
+    ("F4", 4, "35ffa0f8416e3fa2af152e7ff76a7fb360f0a32e8f08cae4795f663d0675482c",
+     "cb581f6c0db02f907d2062ccd8d78b1dfc175bdc311dd1b1da371902b3e2b8d7"),
+    ("E6", 1, "380a2ac78ed3a1f1de251de91ccb0b46acc72e8e86d37bda9bd27fd786b7ee9b",
+     "d473e4b8290910f6fb986e1469bdd42f5113c045168a9d1142f585015ae2463b"),
+    ("G2", 1, "721cb350c0dd19199844404160f16f8df57c897a5e5cd4e84bc8cf7d91ce3488",
+     "e4f01f95d0fb1775a8edd59a3405e68207a5164a0f0fa049035d86b40e7f7a54"),
+    ("G2", 2, "76caac200b4e1c39ae427c22a443893ac8a7e36ea83b3bb0adf301bb6010ce29",
+     "7c0dfb9fb76b42e247b177cca4ef6bf8ff4dfcd367077ace922895d2628bf607"),
+    ("B3", 1, "c545c8a3b2001cdd50dc3f65047d2605f923df3bd6b74ded77acf85d561a3388",
+     "6bd6f763d0e63164dbf95b9ab2f32061af43f4b4c9ec6927796c3cf039f1f3bc"),
+    ("C3", 3, "e247df5d9465de983c6155b8d341858217b198444d2a2da89ca171653e25cd3d",
+     "3058cfadec370aafb63d9c71ca0c3869f36e3fddb6b3dbb8342725e36389284d"),
+    ("A3", 2, "e3301c576e9fe21c8dcec2481eebc55adeeba99adf2cfdb40f42df5ca1164668",
+     "64de6ad5ae81abeebf92ec4d284092ce67d210c0ec724ac618b392fac6d2c0df"),
+    ("B2", 1, "96b10a893203fd81da6cb3243661d1c702756b7ffd94dd28148f5900da6b9f01",
+     "016fe68fae79e92dfd99ad687a6050e4861822522839614c98fb3ae060db7fd6"),
+    ("F4", 2, "93b33d1fd1ff7388294242fc3962e4de3e72d74df57615b10eab336cb148186c",
+     "e643adbd80e0b79cbb3a6a737840af56c2578cbab494ea829ac1b3915f6df005"),
+    ("F4", 3, "9f33b4e9891c80c0172bb34966c7d2c1afae82e42917490abe9c0fd32e0e1297",
+     "faea605adcccbdd715afd5b1935d314d75024da1cb55d4525b0403ad3c4f6826"),
+    ("E6", 4, "e0920816d004efd34afdd6a4c187918f661898ce048a0decc45ca6ba90e52888",
+     "234c9a4dda12175c68e03105a0c23d0eb7831ea0352a6d4a881be0859bd9aaeb"),
+]
+
+
+@pytest.mark.parametrize("label,i,qc_digest,state_digest", _FM_PINS,
+                         ids=[f"{t}-{i}" for t, i, _, _ in _FM_PINS])
+def test_fm_bytes_pinned(label, i, qc_digest, state_digest):
+    cd = build_cartan(label)
+    x = qc_frenkel_mukhin(cd, {(i, 0): 1}, 80)
+    dump = json.dumps(x.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(dump.encode()).hexdigest() == qc_digest
+    state, complete = fm_expand(cd, {(i, 0): 1}, 80)
+    rows = [[list(k), rec[0], list(rec[2].items())] for k, rec in state.items()]
+    assert hashlib.sha256(json.dumps([complete, rows]).encode()).hexdigest() == (
+        state_digest)

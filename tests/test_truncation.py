@@ -13,6 +13,7 @@ from shiftedq import cli, truncation
 from shiftedq.cartan import build_cartan
 from shiftedq.kernel import exps_combine
 from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, node_sums
+from shiftedq.qchar import qc_mul, qc_neg_prefund_limit, qc_one
 from shiftedq.scalars import ConstantFactor
 from shiftedq.truncation import (
     STATUS_CONFIRMED,
@@ -31,7 +32,7 @@ from shiftedq.truncation import (
     truncation_shifts,
     usable_lambda_sites,
 )
-from support import abar_series_oracle
+from support import abar_series_oracle, checked_usable_sites
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -43,6 +44,15 @@ Z_SL2 = TruncationData(A1, {1: [2, -2]})          # Z = (1-zq^3)(1-zq^-1)
 Z_SL2_EQ = TruncationData(A1, {1: [2, 2]})
 Z_B2 = TruncationData(B2, {2: [-1]})              # lambda = w2, Z_2 = 1-z
 Z_SL3 = TruncationData(A2, {1: [-1]})             # lambda = w1, Z_1 = 1-z
+
+
+@pytest.fixture(autouse=True)
+def usable_sites_oracle(monkeypatch):
+    """Every call of usable_lambda_sites made by a test in this file, from
+    the library or directly, is checked against the plain fixpoint loop."""
+    checked = checked_usable_sites([])
+    monkeypatch.setattr(truncation, "usable_lambda_sites", checked)
+    monkeypatch.setitem(globals(), "usable_lambda_sites", checked)
 
 
 def test_truncation_data_invariants():
@@ -755,3 +765,29 @@ def test_truncate_descent_witness_pinned():
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "3d59fb560c8bc62b3f33f30795cab928a57a7a49279642ec04a6536d9194f021")
+
+
+def test_character_slice_one_limit_per_negative_site(monkeypatch):
+    # an exponent of -2 multiplies one negative prefundamental slice in
+    # twice; the slice is computed once per site, and the product is the
+    # one built from a fresh slice per unit
+    psi = generator(B2, "Psi", 1, 0).pow(-2) * generator(B2, "Psi", 2, 3).pow(-1)
+    cand = Candidate(psi, {}, (0, 0), STATUS_NECESSARY, None)
+    want = qc_one(B2)
+    for (i, t), e in sorted(psi.exps.items()):
+        for _ in range(-e):
+            want = qc_mul(want, qc_neg_prefund_limit(B2, i, t, 3))
+    want = want.scale_monomial(
+        LWeightMonomial(B2, {}, psi.combine(want.head, -1).const))
+    calls = []
+    limit = truncation.qc_neg_prefund_limit
+
+    def counted(cd, i, t, depth):
+        calls.append((i, t))
+        return limit(cd, i, t, depth)
+
+    monkeypatch.setattr(truncation, "qc_neg_prefund_limit", counted)
+    x = truncation._character_slice(cand, 3)
+    assert calls == [(1, 0), (2, 3)]
+    assert x.to_json() == want.to_json() and x.paths == want.paths
+    assert list(x.terms.items()) == list(want.terms.items())
