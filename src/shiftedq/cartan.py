@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 
 from .scalars import ZETA_ORDER, ConstantFactor, ExactScalar, qnum
-from .smith import bareiss_adjugate, invariant_factors
+from .smith import bareiss_adjugate
 
 
 class CartanError(ValueError):
@@ -188,11 +188,6 @@ class CartanData:
         return ConstantFactor(q, [0] * self.n)
 
     # -- sign-twist group K ---------------------------------------------
-    def k_group_invariants(self):
-        """Invariant factors of K = coker(C^T) (via Smith normal form)."""
-        Ct = [[self.C[j][i] for j in range(self.n)] for i in range(self.n)]
-        return [d for d in invariant_factors(Ct) if d not in (1, -1)]
-
     def in_K(self, const):
         """Exact membership of a ConstantFactor in the group K."""
         for i in range(self.n):

@@ -160,10 +160,6 @@ class ExactScalar:
         return ExactScalar({0: k} if k else {})
 
     @staticmethod
-    def v_power(k):
-        return _trusted({k: 1}, _TRIVIAL_DEN)
-
-    @staticmethod
     def q_power(e):
         """q**e for rational e; requires 2e integral (v = q**(1/2))."""
         if type(e) is int:
@@ -264,10 +260,6 @@ class ExactScalar:
             self._key = (tuple(sorted(self.num.items())),
                          tuple(sorted(self.den.items())))
         return self._key
-
-    def is_polynomial(self):
-        self._canonicalize()
-        return len(self.den) == 1
 
     def evaluate(self, v0):
         """Exact value at a rational v0 != 0, as a Fraction."""

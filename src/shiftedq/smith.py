@@ -1,11 +1,10 @@
-"""Integer Smith normal form and small exact linear solvers.
+"""Small exact linear algebra.
 
-Used for: structure of the sign-twist group K (torsion of coker C^T),
-solving C^T k = b over Z/M (root-of-unity parts), and the determinant and
-adjugate of a square matrix over Z[x^+-1] (bareiss_adjugate, the one exact
-elimination of the library: the z'-class and truncation shifts through
-adj(C^T) / det C, the inverse quantum Cartan matrix, and factorization of
-l-weights in the A and Lambda bases).  solve_rational, a dense Fraction
+The determinant and adjugate of a square matrix over Z[x^+-1]
+(bareiss_adjugate, the one exact elimination of the library: the truncation
+shifts through adj(C^T) / det C, the inverse quantum Cartan matrix, and
+factorization of l-weights in the A and Lambda bases), and exact division
+of Laurent polynomials (laurent_divide).  solve_rational, a dense Fraction
 solve over Q, is kept only as an independent test oracle and as a hook of
 the benchmark tracer.
 
@@ -17,115 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import poly_mul, poly_sub
-
-
-def smith_normal_form(A):
-    """Return (D, U, V) with U*A*V = D diagonal, U and V unimodular."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [list(row) for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i1, i2, f):
-        # row i1 -= f*row i2
-        D[i1] = [a - f * b for a, b in zip(D[i1], D[i2])]
-        U[i1] = [a - f * b for a, b in zip(U[i1], U[i2])]
-
-    def col_op(j1, j2, f):
-        for r in range(m):
-            D[r][j1] -= f * D[r][j2]
-        for r in range(n):
-            V[r][j1] -= f * V[r][j2]
-
-    def row_swap(i1, i2):
-        D[i1], D[i2] = D[i2], D[i1]
-        U[i1], U[i2] = U[i2], U[i1]
-
-    def col_swap(j1, j2):
-        for r in range(m):
-            D[r][j1], D[r][j2] = D[r][j2], D[r][j1]
-        for r in range(n):
-            V[r][j1], V[r][j2] = V[r][j2], V[r][j1]
-
-    s = 0
-    while s < min(m, n):
-        # find a nonzero pivot of smallest absolute value
-        piv = None
-        for i in range(s, m):
-            for j in range(s, n):
-                if D[i][j] and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(s, piv[0])
-        col_swap(s, piv[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(s + 1, m):
-                if D[i][s]:
-                    f = D[i][s] // D[s][s]
-                    row_op(i, s, f)
-                    if D[i][s]:
-                        row_swap(s, i)
-                        done = False
-            for j in range(s + 1, n):
-                if D[s][j]:
-                    f = D[s][j] // D[s][s]
-                    col_op(j, s, f)
-                    if D[s][j]:
-                        col_swap(s, j)
-                        done = False
-        if D[s][s] < 0:
-            D[s] = [-x for x in D[s]]
-            U[s] = [-x for x in U[s]]
-        # divisibility condition d_s | D[i][j]
-        fixed = True
-        for i in range(s + 1, m):
-            for j in range(s + 1, n):
-                if D[i][j] % D[s][s]:
-                    row_op(s, i, -1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            s += 1
-    return D, U, V
-
-
-def invariant_factors(A):
-    D, _, _ = smith_normal_form(A)
-    out = []
-    for k in range(min(len(D), len(D[0]) if D else 0)):
-        if D[k][k]:
-            out.append(D[k][k])
-    return out
-
-
-def solve_mod(A, b, M):
-    """One solution x of A x = b (mod M), or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D, U, V = smith_normal_form(A)
-    c = [sum(U[i][k] * b[k] for k in range(m)) % M for i in range(m)]
-    y = [0] * n
-    from math import gcd
-
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if i < n and d:
-            g = gcd(d, M)
-            if c[i] % g:
-                return None
-            # solve d*y = c (mod M)
-            dd, cc, mm = d // g, c[i] // g, M // g
-            y[i] = (cc * pow(dd, -1, mm)) % mm
-        elif c[i] % M:
-            return None
-    x = [sum(V[i][k] * y[k] for k in range(n)) % M for i in range(n)]
-    return x
 
 
 def solve_rational(A, b):

@@ -32,8 +32,7 @@ from .qchar import (
     qc_one,
     qc_simple_sl2,
 )
-from .scalars import ZETA_ORDER, ConstantFactor
-from .smith import solve_mod
+from .scalars import ConstantFactor
 
 STATUS_NECESSARY = "NecessaryOnly"
 STATUS_STRONG = "StrongCandidate"
@@ -78,22 +77,6 @@ class TruncationData:
             qexps.append(cd.ri(i) * mu[i - 1] + sum(self.zroots[i]))
             zetas.append(4 * (ni + ca))
         return ConstantFactor(qexps, zetas)
-
-    def zprime_class(self):
-        """A canonical z' with prod_j (z'_j)^{C_{j,i}} = (-q_i)^{N_i} prod z_{i,k};
-        unique up to the group K (returned representative is one solution)."""
-        cd = self.cd
-        n = cd.n
-        rhs_q = [cd.ri(i) * self.lam[i - 1] + sum(self.zroots[i]) for i in cd.nodes()]
-        rhs_z = [4 * self.lam[i - 1] for i in cd.nodes()]
-        Ct = [[cd.C[j][i] for j in range(n)] for i in range(n)]
-        x = _coroot_coordinates(cd, rhs_q)
-        k = solve_mod(Ct, rhs_z, ZETA_ORDER)
-        if k is None:
-            raise TruncationError(
-                f"z' root-of-unity part needs order beyond zeta_{ZETA_ORDER}"
-            )
-        return ConstantFactor(x, k)
 
     def to_json(self):
         return {
@@ -267,38 +250,37 @@ def maint_check(z, lam, mu, psi, cert=None):
     return report
 
 
-def _window(z, a):
-    ms = [m for i in z.cd.nodes() for m in z.zroots[i]]
-    if not ms:
-        return range(0, 0)
-    pad = 6 * sum(a) + 6
-    return range(min(ms) - pad, max(ms) + pad + 1)
-
-
 def usable_lambda_sites(z, a):
-    """Chain closure from the finiteness proof: a site (i, u) can carry a
-    nonzero Lambda exponent only if u + r_i is covered by a Z_i zero (u is
-    a Z-root shift of node i) or by a neighbor site one chain step up.
-    Steps from (i, u) up to node j: u_j = u + r_i - o for each neighbour
-    site (i, o) of Lambda_{j,q^0}, the negative entries of its pattern
-    (u + r_i for a single bond, u + {1,3} for a double, u + {1,3,5} for a
-    triple).  Intersected with the proof-bound window.  A worklist: each
-    site is expanded once, when it is added."""
+    """The sites (i, u) that can carry a Lambda exponent v(i, u) > 0, by the
+    chain argument of the finiteness proof.
+
+    The key (i, u + r_i) of such a site is covered by a Z_i zero (u is a
+    Z-root shift of node i) or by a gift from a site (j, uj) with v > 0: the
+    negative entries (i, o) of the pattern of Lambda_{j,q^0} give at
+    (i, uj + o), one chain step down to u = uj + o - r_i (o - r_i is -1
+    in simply-laced types, -1 or -3 in B, C and F4, down to -5 in G2).
+    Steps only lower the shift, so every site with v > 0 has a chain of
+    sites with v > 0 back to a Z-root.  A shortest one has distinct sites,
+    at most sum(a) of them, so it takes at most sum(a) - 1 steps.  The
+    closure is taken level by level from the Z-roots, sum(a) - 1 levels
+    deep, and each new site is expanded once.
+    """
     cd = z.cd
-    win = _window(z, a)
     # a usable site (j, uj) makes (i, uj + d) usable, for (i, d) in reach[j]
     reach = {j: [(i, o - cd.ri(i))
                  for (i, o), c in basis_generator(cd, "Lambda", j)[0].items() if c < 0]
              for j in cd.nodes()}
-    usable = {i: {m for m in z.zroots[i] if m in win} for i in cd.nodes()}
-    todo = [(j, uj) for j in cd.nodes() for uj in usable[j]]
-    while todo:
-        j, uj = todo.pop()
-        for i, d in reach[j]:
-            u = uj + d
-            if u in win and u not in usable[i]:
-                usable[i].add(u)
-                todo.append((i, u))
+    usable = {i: set(z.zroots[i]) for i in cd.nodes()}
+    level = [(j, uj) for j in cd.nodes() for uj in usable[j]]
+    for _ in range(sum(a) - 1):
+        nxt = []
+        for j, uj in level:
+            for i, d in reach[j]:
+                u = uj + d
+                if u not in usable[i]:
+                    usable[i].add(u)
+                    nxt.append((i, u))
+        level = nxt
     return {i: sorted(usable[i]) for i in cd.nodes()}
 
 
@@ -342,39 +324,11 @@ def _gift_caps(site_keys, a, givers):
     return cap
 
 
-def _live_supply(site_keys, a, zexps, undecided):
-    """The giver sites of the undecided nodes, for the live-supply bound.
-
-    Maps each (j, t) to one (a_k, ((own, base), ...)) per undecided node k
-    with a site u giving there, over those sites: own = (k, u + r_k) and
-    base = Z(own) + what the undecided nodes other than k can give at own.
-    Once node k's turn comes, _covered_choices can choose u only if
-    Z(own) + given(own) + cap(own) > 0, and base + given(own) bounds that
-    from above (nodes between the decided ones and k add to given, later
-    ones are in cap), so k can give at (j, t) only while some of its sites
-    has base + given(own) > 0.
-    """
-    supply = {}
-    for k in undecided:
-        if not a[k - 1]:
-            continue
-        others = _gift_caps(site_keys, a, [m for m in undecided if m != k])
-        sites = {}
-        for own, gives in site_keys[k].values():
-            base = zexps.get(own, 0) + others.get(own, 0)
-            for key in gives:
-                sites.setdefault(key, []).append((own, base))
-        for key, ss in sites.items():
-            supply.setdefault(key, []).append((a[k - 1], tuple(ss)))
-    return supply
-
-
-def _extend(state, need, gift, supply):
+def _extend(state, need, gift, cap):
     """The search state after one more node's multiset, or None once a need
-    exceeds its gifts plus the live supply at its key: a_k summed over the
-    undecided nodes k with a giver site there that can still be chosen
-    (supply is _live_supply of the undecided nodes, read with the gifts of
-    this multiset added to given).
+    exceeds its gifts plus cap at its key (cap is _gift_caps of the nodes
+    still undecided).  Rules 1 and 2 of _covered_choices build only the
+    multisets that pass.
 
     state is (short, given): short maps each (j, t) of a decided node to its
     need minus the gifts so far, where positive; given maps each (j, t) of
@@ -394,27 +348,12 @@ def _extend(state, need, gift, supply):
         else:
             given[key] = given.get(key, 0) + 1
     short = {key: n for key, n in short.items() if n > 0}
-    if any(n > _supply_read(supply, key, given)[0] for key, n in short.items()):
+    if any(n > cap.get(key, 0) for key, n in short.items()):
         return None
     return short, given
 
 
-def _supply_read(supply, key, given):
-    """(live, dead) at key, read with the gifts in given.  live is the live
-    supply: a_k summed over the undecided nodes k of supply (_live_supply)
-    with a giver site there that can still be chosen.  dead lists (a_k, the
-    own keys of k's giver sites there) for each other node k: one more gift
-    at one of those keys makes k live."""
-    live, dead = 0, []
-    for ak, sites in supply.get(key, ()):
-        if any(base + given.get(own, 0) for own, base in sites):
-            live += ak
-        else:
-            dead.append((ak, {own for own, _ in sites}))
-    return live, dead
-
-
-def _covered_choices(site_keys, a, zexps, caps, supplies):
+def _covered_choices(site_keys, a, zexps, caps):
     """Depth-first over one a_i-multiset per node, in itertools.product order
     of the nodes' combinations_with_replacement of their sites.  Yields each
     choice in which every need is covered by the gifts of the other nodes.
@@ -429,19 +368,12 @@ def _covered_choices(site_keys, a, zexps, caps, supplies):
     2. a decided shortage above caps[d] plus the sites still to choose: a
        site gives at most once to a key, so each site that does not give
        there uses up one unit of the slack cap + k - shortage.  Once a
-       slack is 0, only the sites giving at its key are tried;
-    3. at the last site, an own need of the whole multiset above the live
-       supply at its key (supplies[d], read with the multiset's gifts): the
-       test _extend makes for a new shortage.  The later nodes' keys are
-       never short, so _extend adds all of the multiset's gifts there to
-       given, as this test does.  The prefix's own needs and gifts are read
-       once for all its last sites.
+       slack is 0, only the sites giving at its key are tried.
 
-    Each whole multiset that passes goes through _extend against
-    supplies[d], and the search descends into the next node before it
-    builds the next multiset.  Every entry into a site walk is one step, and
-    so is every last site that passes rules 1 and 2, whether rule 3 keeps
-    it or not; past MAX_STEPS the search raises TruncationError.
+    Each whole multiset goes through _extend against caps[d], and the
+    search descends into the next node before it builds the next multiset.
+    Every entry into a site walk is one step; past MAX_STEPS the search
+    raises TruncationError.
     """
     steps = 0
 
@@ -450,55 +382,27 @@ def _covered_choices(site_keys, a, zexps, caps, supplies):
         k = a[d]
         short, given = state
         cap = caps[d]
-        supply = supplies[d]
         us = [(u, room, gives) for u, (key, gives) in sites.items()
               if (room := zexps.get(key, 0) + given.get(key, 0) + cap.get(key, 0))]
         keys = list(short)
         giving = {key: [idx for idx, (_, _, gives) in enumerate(us) if key in gives]
                   for key in keys}
 
-        def step():
+        def walk(start, ms, slack):
             nonlocal steps
             steps += 1
             if steps > MAX_STEPS:
                 raise TruncationError(f"candidate search passed {MAX_STEPS} steps "
                                       f"at node {d + 1}; narrow the window")
-
-        def descend(ms):
-            nxt = _extend(state, *_need_gift(ms, sites, zexps), supply)
-            if nxt is None:
-                return
-            if d + 1 == len(a):
-                yield chosen + (ms,)
-            else:
-                yield from node(d + 1, nxt, chosen + (ms,))
-
-        def walk(start, ms, slack):
-            step()
             if len(ms) == k:
-                yield from descend(ms)
+                nxt = _extend(state, *_need_gift(ms, sites, zexps), cap)
+                if nxt is None:
+                    return
+                if d + 1 == len(a):
+                    yield chosen + (ms,)
+                else:
+                    yield from node(d + 1, nxt, chosen + (ms,))
                 return
-            last = len(ms) + 1 == k
-            if last:
-                need, gifts, reads = {}, dict(given), {}
-                for u in ms:
-                    own, gives = sites[u]
-                    need[own] = need.get(own, -zexps.get(own, 0) - given.get(own, 0)) + 1
-                    for key in gives:
-                        gifts[key] = gifts.get(key, 0) + 1
-
-                def covered(own, gives):
-                    whole = dict(need)
-                    whole[own] = need.get(own, -zexps.get(own, 0) - given.get(own, 0)) + 1
-                    for key, n in whole.items():
-                        if n <= 0:
-                            continue
-                        if key not in reads:
-                            reads[key] = _supply_read(supply, key, gifts)
-                        live, dead = reads[key]
-                        if n > live + sum(ak for ak, owns in dead if not owns.isdisjoint(gives)):
-                            return False
-                    return True
             tight = next((key for key, n in zip(keys, slack) if not n), None)
             for idx in range(start, len(us)) if tight is None else giving[tight]:
                 if idx < start:
@@ -509,12 +413,7 @@ def _covered_choices(site_keys, a, zexps, caps, supplies):
                 left = [n - (key not in gives) for key, n in zip(keys, slack)]
                 if -1 in left:
                     continue
-                if not last:
-                    yield from walk(idx, ms + (u,), left)
-                    continue
-                step()
-                if covered(sites[u][0], gives):
-                    yield from descend(ms + (u,))
+                yield from walk(idx, ms + (u,), left)
 
         yield from walk(0, (), [cap.get(key, 0) + k - short[key] for key in keys])
         del walk
@@ -529,11 +428,12 @@ def _covered_choices(site_keys, a, zexps, caps, supplies):
 def enumerate_candidates(z, lam, mu):
     """Exhaustive finite search for descent candidates.
 
-    Searches Lambda-exponent maps v >= 0 with per-node sums a_i and supports
-    in the proof-bound window (restricted by the chain closure), keeps those
-    passing the necessary conditions (status NecessaryOnly), canonically
-    ordered.  Distinct maps give distinct Psi, since the Lambda pattern
-    matrix is nonsingular, so no candidate comes out twice.
+    Searches Lambda-exponent maps v >= 0 with per-node sums a_i, supported
+    on the usable sites (usable_lambda_sites: within sum(a) - 1 chain steps
+    of a Z-root), and keeps those passing the necessary conditions (status
+    NecessaryOnly), canonically ordered.  Distinct maps give distinct Psi,
+    since the Lambda pattern matrix is nonsingular, so no candidate comes
+    out twice.
 
     With psi = Z prod Lambda^{-v}, clause (b) (every pole e < 0 of psi at
     (j, t) has v(j, t + r_j) >= -e) is equivalent to
@@ -544,19 +444,13 @@ def enumerate_candidates(z, lam, mu):
     through their Lambda patterns.  need_j depends on node j's multiset
     only and N_j grows as sites are chosen, so the search takes the nodes
     depth-first in order and builds each node's a_i-multiset site by site,
-    in nondecreasing order, dropping a partial multiset once its own need or
-    a decided need exceeds what the decided gifts, the sites still to choose
-    and the undecided nodes can cover.  A need left uncovered must not
-    exceed the live supply at its key (_live_supply, precomputed here per
-    depth): a_k summed over the undecided nodes k that still have a site
-    giving there which can be chosen, so the search does not descend to
-    cover a shortage that no choosable site can cover.  The node's own
-    needs are held to that bound at its last site, before the multiset is
-    built, and each built multiset is checked against it as a whole.
-    The maps come out in the order of the full product of per-node
-    multisets.  The search counts its steps, one per entry into a site walk
-    and one per last site tried, and raises TruncationError once they pass
-    MAX_STEPS.
+    in nondecreasing order (_covered_choices), dropping a partial multiset
+    once its own need or a decided need exceeds what the decided gifts, the
+    sites still to choose and the gift caps of the undecided nodes
+    (_gift_caps, one per depth) can cover.  The maps come out in the order
+    of the full product of per-node multisets.  The search counts its
+    steps, one per entry into a site walk, and raises TruncationError once
+    they pass MAX_STEPS.
     """
     cd = z.cd
     if tuple(lam) != z.lam:
@@ -569,13 +463,11 @@ def enumerate_candidates(z, lam, mu):
     usable = usable_lambda_sites(z, a)
     zexps = zmono.exps
     site_keys = {i: _site_keys(cd, i, usable[i]) for i in cd.nodes()}
-    later = [range(i + 1, cd.n + 1) for i in cd.nodes()]
-    caps = [_gift_caps(site_keys, a, ks) for ks in later]
-    supplies = [_live_supply(site_keys, a, zexps, ks) for ks in later]
+    caps = [_gift_caps(site_keys, a, range(i + 1, cd.n + 1)) for i in cd.nodes()]
 
     pat = {}  # Lambda patterns of the chosen sites
     out = []
-    for choice in _covered_choices(site_keys, a, zexps, caps, supplies):
+    for choice in _covered_choices(site_keys, a, zexps, caps):
         combo = []
         for i, ms in zip(cd.nodes(), choice):
             acc = {}

@@ -10,7 +10,7 @@ from shiftedq.lweight import leq_certificate
 from shiftedq.modrep import _poly_from_shifts
 from shiftedq import truncation
 from shiftedq.scalars import ONE, ExactScalar
-from shiftedq.truncation import _window, abar_eigenvalue
+from shiftedq.truncation import abar_eigenvalue
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -94,27 +94,57 @@ def abar_series_oracle(z, psi, i, order=8):
 
 
 # ---------------------------------------------------------------------------
-# usable Lambda sites as a plain fixpoint
+# usable Lambda sites: the windowed closure and a bounded fixpoint
 # ---------------------------------------------------------------------------
 
-def usable_lambda_sites_fixpoint(z, a):
-    """Oracle for truncation.usable_lambda_sites: rescan every usable site
-    of every node for chain steps until a whole round adds none."""
+def _window(z, a):
+    """The shifts within 6 sum(a) + 6 of the Z-roots."""
+    ms = [m for i in z.cd.nodes() for m in z.zroots[i]]
+    if not ms:
+        return range(0, 0)
+    pad = 6 * sum(a) + 6
+    return range(min(ms) - pad, max(ms) + pad + 1)
+
+
+def _chain_reach(cd):
+    """A usable site (j, uj) makes (i, uj + d) usable, for (i, d) in
+    reach[j]: the negative entries (i, o) of Lambda_{j,q^0}, d = o - r_i."""
+    return {j: [(i, o - cd.ri(i))
+                for (i, o), c in basis_generator(cd, "Lambda", j)[0].items() if c < 0]
+            for j in cd.nodes()}
+
+
+def usable_lambda_sites_reference(z, a):
+    """Reference for truncation.usable_lambda_sites: the chain closure from
+    the Z-roots with no length bound, cut only by the window of _window.
+    Every site the bounded closure admits lies in it (a step moves a shift
+    by at most 5, and 5 (sum(a) - 1) < 6 sum(a) + 6)."""
     cd = z.cd
-    win = set(_window(z, a))
-    usable = {i: set(m for m in z.zroots[i] if m in win) for i in cd.nodes()}
-    changed = True
-    while changed:
-        changed = False
+    win = _window(z, a)
+    reach = _chain_reach(cd)
+    usable = {i: set(z.zroots[i]) for i in cd.nodes()}
+    todo = [(j, uj) for j in cd.nodes() for uj in usable[j]]
+    while todo:
+        j, uj = todo.pop()
+        for i, d in reach[j]:
+            u = uj + d
+            if u in win and u not in usable[i]:
+                usable[i].add(u)
+                todo.append((i, u))
+    return {i: sorted(usable[i]) for i in cd.nodes()}
+
+
+def usable_lambda_sites_fixpoint(z, a):
+    """Oracle for truncation.usable_lambda_sites: sum(a) - 1 rounds, each
+    rescanning every usable site of every node for one chain step."""
+    cd = z.cd
+    reach = _chain_reach(cd)
+    usable = {i: set(z.zroots[i]) for i in cd.nodes()}
+    for _ in range(sum(a) - 1):
+        before = {i: list(us) for i, us in usable.items()}
         for j in cd.nodes():
-            for (i, o), c in basis_generator(cd, "Lambda", j)[0].items():
-                if c > 0:
-                    continue
-                for uj in list(usable[j]):
-                    u = uj - cd.ri(i) + o
-                    if u in win and u not in usable[i]:
-                        usable[i].add(u)
-                        changed = True
+            for i, d in reach[j]:
+                usable[i].update(uj + d for uj in before[j])
     return {i: sorted(usable[i]) for i in cd.nodes()}
 
 
@@ -122,10 +152,10 @@ def checked_usable_sites(calls):
     """truncation.usable_lambda_sites, asserting on every call that it
     equals usable_lambda_sites_fixpoint; each call appends its (z, a) to
     calls."""
-    worklist = truncation.usable_lambda_sites
+    bounded = truncation.usable_lambda_sites
 
     def checked(z, a):
-        out = worklist(z, a)
+        out = bounded(z, a)
         assert out == usable_lambda_sites_fixpoint(z, a)
         calls.append((z, a))
         return out

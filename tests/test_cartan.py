@@ -116,13 +116,6 @@ def test_a2_inverse_denominator():
     assert sorted(e.den) == [0, 4, 8]  # 1 + v^4 + v^8 = [3]_q up to v-shift
 
 
-def test_k_group():
-    assert build_cartan("A1").k_group_invariants() == [2]
-    assert build_cartan("A2").k_group_invariants() == [3]
-    assert build_cartan("B2").k_group_invariants() == [2]
-    assert build_cartan("B3").k_group_invariants() == [2]
-
-
 def test_in_K():
     cd = build_cartan("A1")
     from fractions import Fraction

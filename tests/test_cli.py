@@ -84,6 +84,21 @@ def test_conjecture_exit_and_determinism():
     assert r1.stdout == r2.stdout  # bit-for-bit reproducible
 
 
+def test_conjecture_d4_node2(capsys):
+    # the truncfd Z of D4 Y_{2,0}: every weight's candidates enumerate within
+    # the step budget, and each dual term matches one of them
+    code, out, err = run_main(capsys, "conjecture", "--type", "D4", "--zroots", "2:0")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["ok"] and report["chi_L_terms"] == 29
+    cands = [c for w in report["weights"] for c in w["candidates"]]
+    assert len(cands) == 430
+    statuses = {s: sum(c["status"] == s for c in cands)
+                for s in ("NecessaryOnly", "StrongCandidate", "ConfirmedByPaper")}
+    assert statuses == {"NecessaryOnly": 427, "StrongCandidate": 1, "ConfirmedByPaper": 2}
+    assert sum(not c["matched"] for c in cands) == 402
+
+
 def test_truncfd_command():
     mono = json.dumps({"exps": [[1, -2, 1], [1, 2, -1]],
                        "const": [[0, 1, 0], [0, 1, 0]]})

@@ -189,7 +189,7 @@ def _tensor_module():
 
 def _cancelling_module():
     """A zero entry, and a split column whose two paths cancel under "a"."""
-    v = ExactScalar.v_power(1)
+    v = ExactScalar({1: 1})
     gens = {"a": {(0, 0): ONE, (0, 1): -ONE, (2, 2): v},
             "b": {(0, 0): v, (1, 0): v, (2, 1): ONE, (1, 2): ZERO}}
     return ExplicitModule(A1, "hand", {}, 3, None, gens, 0, dict.fromkeys(gens, 0))
@@ -237,7 +237,7 @@ def _tampered_eval_module():
     gens = dict(mod.gens)
     sym = ("x-", 1, 1)
     gens[sym] = dict(gens[sym])
-    gens[sym][(2, 1)] = gens[sym][(2, 1)] * ExactScalar.v_power(1)
+    gens[sym][(2, 1)] = gens[sym][(2, 1)] * ExactScalar({1: 1})
     return ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
                           gens, mod.mode_window, mod.upshift, lweights=mod.lweights)
 
@@ -256,7 +256,7 @@ def _random_relations(mod, rng):
     exactly."""
     symbols = list(mod.gens) + ["absent"]
     big, minus_big = ExactScalar.from_int(2 ** 80), ExactScalar.from_int(-2 ** 80)
-    coeffs = [ONE, -ONE, ExactScalar.q_power(1), qnum(2), 2 - ExactScalar.v_power(-3),
+    coeffs = [ONE, -ONE, ExactScalar.q_power(1), qnum(2), 2 - ExactScalar({-3: 1}),
               ONE / (ExactScalar.q_power(1) - ExactScalar.q_power(-1)),
               ExactScalar.from_int(Fraction(3, 2)), big, minus_big]
     rels = [[(rng.choice(coeffs), [rng.choice(symbols) for _ in range(rng.randrange(4))])
@@ -402,7 +402,7 @@ def test_coproduct_failure_witness_pinned(monkeypatch, sign, digest):
         if kind != "osc_verma_minus":
             return mod
         gens = dict(mod.gens, f=dict(mod.gens["f"]))
-        gens["f"][(2, 1)] = gens["f"][(2, 1)] * ExactScalar.v_power(1)
+        gens["f"][(2, 1)] = gens["f"][(2, 1)] * ExactScalar({1: 1})
         return ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
                               gens, mod.mode_window, mod.upshift)
 

@@ -62,7 +62,7 @@ def test_classify_probes_pass_their_oracles():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_usable_sites_match_fixpoint_on_classify_jobs(seed, monkeypatch):
-    # the worklist closure of usable_lambda_sites against the plain fixpoint
+    # the bounded closure of usable_lambda_sites against the bounded fixpoint
     # loop, on every truncation the classify jobs and probes build
     calls = []
     monkeypatch.setattr(truncation, "usable_lambda_sites", checked_usable_sites(calls))

@@ -91,7 +91,7 @@ def test_q_power_matches_fraction_path(k):
         got = ExactScalar.q_power(e)
         assert (got.num, got.den) == ({ve: 1}, {0: 1})
         assert _coeff_types(got) == {int}
-        assert got == ExactScalar.v_power(ve) == ExactScalar({ve: Fraction(1)})
+        assert got == ExactScalar({ve: Fraction(1)})
     h = ExactScalar.q_power(Fraction(2 * k + 1, 2))
     assert h * h == ExactScalar.q_power(2 * k + 1)
 
@@ -128,7 +128,7 @@ def test_lazy_reduction_equality():
     q = ExactScalar.q_power(1)
     a = (q * q - 1) / (q - 1)  # unreduced fraction
     assert a == q + 1
-    assert a.reduced().is_polynomial()
+    assert len(a.reduced().den) == 1
 
 
 def test_constant_factor_group():
@@ -145,10 +145,10 @@ def test_constant_factor_group():
 
 
 def test_constant_factor_scalar_coordinates():
-    assert ConstantFactor([Fraction(3, 2)], [0]).coordinate_scalar(0) == ExactScalar.v_power(3)
+    assert ConstantFactor([Fraction(3, 2)], [0]).coordinate_scalar(0) == ExactScalar({3: 1})
     # zeta^4 = -1
     s = ConstantFactor([Fraction(3, 2)], [4]).coordinate_scalar(0)
-    assert s == -ExactScalar.v_power(3)
+    assert s == -ExactScalar({3: 1})
     # every other zeta-power (i = zeta^2 included) lies outside Q(v)
     for z in (1, 2, 3, 5, 6, 7):
         with pytest.raises(ValueError, match="outside Q\\(v\\)"):
@@ -278,8 +278,8 @@ def _coeff_types(s):
 
 
 def test_integral_ring_ops_stay_int():
-    v = ExactScalar.v_power(1)
-    a = 3 * v * v - 2 + 5 * ExactScalar.v_power(-3)
+    v = ExactScalar({1: 1})
+    a = 3 * v * v - 2 + 5 * ExactScalar({-3: 1})
     b = qnum(3) * (v - 1)
     unit_low = 1 - 2 * v + 7 * v * v  # lowest denominator coefficient 1
     neg_low = -v + 4 * v * v  # lowest coefficient -1
@@ -293,10 +293,10 @@ def test_integral_ring_ops_stay_int():
 
 
 def test_evaluate_is_exact_for_int_arguments():
-    r = ExactScalar.v_power(-1).evaluate(2)
+    r = ExactScalar({-1: 1}).evaluate(2)
     assert r == Fraction(1, 2) and type(r) is Fraction
     assert qnum(2).evaluate(1) == 2 and type(qnum(2).evaluate(1)) is Fraction
-    assert (ExactScalar.v_power(2) / (1 + 3 * ExactScalar.v_power(1))).evaluate(-2) == Fraction(-4, 5)
+    assert (ExactScalar({2: 1}) / (1 + 3 * ExactScalar({1: 1}))).evaluate(-2) == Fraction(-4, 5)
 
 
 def _random_mixed_scalar(rng):

@@ -4,19 +4,9 @@ import pytest
 
 from shiftedq.smith import (
     bareiss_adjugate,
-    invariant_factors,
     laurent_divide,
-    smith_normal_form,
-    solve_mod,
     solve_rational,
 )
-
-
-def mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
 
 
 def det(A):
@@ -27,44 +17,6 @@ def det(A):
         (-1) ** j * A[0][j] * det([row[:j] + row[j + 1:] for row in A[1:]])
         for j in range(n)
     )
-
-
-def test_snf_random():
-    rng = random.Random(3)
-    for _ in range(25):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        D, U, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == D
-        assert abs(det(U)) == 1 and abs(det(V)) == 1
-        diag = [D[k][k] for k in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        nz = [d for d in diag if d]
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-
-
-def test_invariant_factors_cartan():
-    # coker of the transposed Cartan matrices: A1 -> Z/2, A2 -> Z/3
-    assert invariant_factors([[2]]) == [2]
-    assert invariant_factors([[2, -1], [-1, 2]]) == [1, 3]
-
-
-def test_solve_mod():
-    rng = random.Random(5)
-    M = 8
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        x0 = [rng.randint(0, M - 1) for _ in range(n)]
-        b = [sum(A[i][k] * x0[k] for k in range(n)) % M for i in range(n)]
-        x = solve_mod(A, b, M)
-        assert x is not None
-        bx = [sum(A[i][k] * x[k] for k in range(n)) % M for i in range(n)]
-        assert bx == b
 
 
 def test_solve_rational():

@@ -8,6 +8,8 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftedq import cli, truncation
 from shiftedq.cartan import build_cartan
@@ -32,7 +34,11 @@ from shiftedq.truncation import (
     truncation_shifts,
     usable_lambda_sites,
 )
-from support import abar_series_oracle, checked_usable_sites
+from support import (
+    abar_series_oracle,
+    checked_usable_sites,
+    usable_lambda_sites_reference,
+)
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -49,7 +55,7 @@ Z_SL3 = TruncationData(A2, {1: [-1]})             # lambda = w1, Z_1 = 1-z
 @pytest.fixture(autouse=True)
 def usable_sites_oracle(monkeypatch):
     """Every call of usable_lambda_sites made by a test in this file, from
-    the library or directly, is checked against the plain fixpoint loop."""
+    the library or directly, is checked against the bounded fixpoint loop."""
     checked = checked_usable_sites([])
     monkeypatch.setattr(truncation, "usable_lambda_sites", checked)
     monkeypatch.setitem(globals(), "usable_lambda_sites", checked)
@@ -89,18 +95,6 @@ def test_phi_z_b2():
     phi = Z_B2.phi_z((0, 0))
     assert phi.qexps == (0, -1)
     assert phi.zetas == (0, 0)
-
-
-def test_zprime_class():
-    zp = Z_SL2.zprime_class()
-    # prod_j (z'_j)^{C_{j,1}} = (-q)^2 z1 z2 = q^2 q^2 q^-2 : z'^2 = q^2
-    assert 2 * zp.qexps[0] == 2 and (2 * zp.zetas[0]) % 8 == 0
-    zp2 = Z_B2.zprime_class()
-    cd = B2
-    for i in range(cd.n):
-        q = sum(cd.C[j][i] * zp2.qexps[j] for j in range(cd.n))
-        want = cd.r[i] * Z_B2.lam[i] + sum(Z_B2.zroots[i + 1])
-        assert q == want
 
 
 # --- abar eigenvalue ---------------------------------------------------------
@@ -338,14 +332,18 @@ Z_G2 = TruncationData(G2, {2: [-1]})
 
 
 def test_usable_lambda_sites_g2_fixture():
+    # chains of at most sum(a) - 1 = 9 steps down from the root at (2, -1);
+    # the closure cut only by the window reaches 33 and 34 sites
     assert truncation_shifts(Z_G2, (0, -1)) == (6, 4)
     usable = usable_lambda_sites(Z_G2, (6, 4))
-    assert usable == {1: list(range(-66, -1, 2)), 2: list(range(-67, 0, 2))}
-    assert {i: len(u) for i, u in usable.items()} == {1: 33, 2: 34}
+    assert usable == {1: list(range(-30, -1, 2)), 2: list(range(-25, 0, 2))}
+    assert {i: len(u) for i, u in usable.items()} == {1: 15, 2: 13}
+    windowed = usable_lambda_sites_reference(Z_G2, (6, 4))
+    assert {i: len(u) for i, u in windowed.items()} == {1: 33, 2: 34}
 
 
 def test_enumeration_step_budget_refuses(monkeypatch):
-    # C(33 + 5, 6) * C(34 + 3, 4) exponent maps; the search stops at its
+    # C(15 + 5, 6) * C(13 + 3, 4) exponent maps; the search stops at its
     # step budget, and the CLI reports that as a rejection (exit 1)
     monkeypatch.setattr(truncation, "MAX_STEPS", 1_000)
     with pytest.raises(TruncationError, match="passed 1000 steps at node"):
@@ -361,16 +359,17 @@ def test_enumeration_step_budget_refuses(monkeypatch):
 
 
 def test_step_budget_fires_inside_one_node(monkeypatch):
-    # node 1 of the truncfd Z of B2 Y_{2,0} has a = 6 over many sites; the
-    # search counts every step of its site walk, so it stops there at once
-    # instead of first listing all of node 1's multisets
+    # the truncfd Z of B2 Y_{2,0} has a = (6, 6) over 32 and 30 sites; the
+    # search descends into node 2 with its first node-1 multiset and counts
+    # every step of node 2's site walk, so it stops there at once instead of
+    # first listing all of node 2's multisets
     from shiftedq.langlands import truncfd_Z_for
 
     monkeypatch.setattr(truncation, "MAX_STEPS", 1_000)
     psi = generator(B2, "Y", 2, 0)
     z, _ = truncfd_Z_for(psi)
     start = time.perf_counter()
-    with pytest.raises(TruncationError, match="passed 1000 steps at node 1;"):
+    with pytest.raises(TruncationError, match="passed 1000 steps at node 2;"):
         enumerate_candidates(z, z.lam, psi.coweight())
     assert time.perf_counter() - start < 1.0
 
@@ -440,10 +439,12 @@ def _product_enumeration(z, lam, mu):
 
 
 def _space(z, mu):
+    """The size of a case: the number of exponent maps over the windowed
+    closure's sites, the product over nodes of the a_i-multisets."""
     a = truncation_shifts(z, mu)
     if not any(a):
         return 1
-    usable = usable_lambda_sites(z, a)
+    usable = usable_lambda_sites_reference(z, a)
     out = 1
     for i in z.cd.nodes():
         if a[i - 1]:
@@ -502,8 +503,9 @@ def test_enumerate_matches_product_oracle(label, zroots):
 def test_enumerate_matches_product_oracle_e6_branch():
     # Lambda_{2,-1} leaves a shortage at (2, 0) that only node 4's site 0 can
     # cover, and that site has room at (4, 1) only through the gift of node
-    # 3's site 1.  A live-supply bound that counts only the nodes after node
-    # 4, or reads given before node 3's gifts are in it, loses this candidate.
+    # 3's site 1: a bound on what the later nodes can give that misses a
+    # gift of an earlier node loses this candidate.  The size is that of the
+    # windowed closure's sites.
     z = TruncationData(build_cartan("E6"), {2: [0], 3: [1]})
     mu = (1, 0, 0, 0, 1, 0)
     assert _space(z, mu) == 15_625
@@ -511,6 +513,66 @@ def test_enumerate_matches_product_oracle_e6_branch():
     want = _product_enumeration(z, z.lam, mu)
     assert len(got) == 4
     assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+# --- the chain-length bound against the windowed closure -----------------------
+
+def _listed(cands):
+    """Candidates as compared by the product oracle: JSON, then the Lambda
+    certificate and the Psi exponents in their insertion order."""
+    return [(c.to_json(), list(c.lambda_exps.items()), list(c.psi.exps.items()))
+            for c in cands]
+
+
+def _bound_matches_window(z, mu, monkeypatch):
+    """Enumerate with the bounded sites and with the windowed closure's, and
+    assert identical candidates in identical order; (number of candidates,
+    whether the bound dropped a site)."""
+    a = truncation_shifts(z, mu)
+    bounded = usable_lambda_sites(z, a)
+    windowed = usable_lambda_sites_reference(z, a)
+    assert all(set(bounded[i]) <= set(windowed[i]) for i in z.cd.nodes())
+    got = _listed(enumerate_candidates(z, z.lam, mu))
+    monkeypatch.setattr(truncation, "usable_lambda_sites", usable_lambda_sites_reference)
+    want = _listed(enumerate_candidates(z, z.lam, mu))
+    monkeypatch.setattr(truncation, "usable_lambda_sites", usable_lambda_sites)
+    assert got == want, (z, mu)
+    return len(got), bounded != windowed
+
+
+@pytest.mark.parametrize("label,zroots", ORACLE_TRUNCATIONS,
+                         ids=[t + "-" + ";".join(f"{i}:{','.join(map(str, m))}"
+                                                 for i, m in sorted(z.items()))
+                              for t, z in ORACLE_TRUNCATIONS])
+def test_bounded_sites_match_window_on_oracle_cases(label, zroots, monkeypatch):
+    z = TruncationData(build_cartan(label), zroots)
+    found = [_bound_matches_window(z, mu, monkeypatch) for mu in _weights_below(z, 100_000)]
+    assert sum(n for n, _ in found)
+    # A1 has no chain steps, so the bound cuts sites only above rank 1
+    assert any(cut for _, cut in found) == (z.cd.n > 1)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3", "B3", "D4"])
+def test_bounded_sites_match_window_random(label, monkeypatch):
+    # up to two Z-roots per node, and a weight one to four simple coroots
+    # below lambda
+    cd = build_cartan(label)
+    rng = random.Random(f"chain-bound:{label}")
+    found = cuts = 0
+    for _ in range(40):
+        z = TruncationData(cd, {})
+        while not sum(z.lam):
+            z = TruncationData(cd, {i: [rng.randrange(-3, 4) for _ in range(rng.randrange(3))]
+                                    for i in cd.nodes()})
+        a = [0] * cd.n
+        for _ in range(rng.randrange(1, 5)):
+            a[rng.randrange(cd.n)] += 1
+        mu = tuple(z.lam[i] - sum(cd.C[j][i] * a[j] for j in range(cd.n))
+                   for i in range(cd.n))
+        n, cut = _bound_matches_window(z, mu, monkeypatch)
+        found += n
+        cuts += cut
+    assert found and cuts
 
 
 # --- oracles that hold at any size ---------------------------------------------
@@ -631,7 +693,7 @@ def test_d4_triality():
 
 
 _ROUND_TRIP_CASES = [(f"A{n}", i) for n in range(1, 5) for i in range(1, n + 1)] + [
-    ("B2", 1), ("D4", 1), ("D4", 3), ("D4", 4)]
+    ("B2", 1), ("D4", 1), ("D4", 2), ("D4", 3), ("D4", 4)]
 
 
 @pytest.mark.parametrize("label,node", _ROUND_TRIP_CASES,
@@ -670,10 +732,9 @@ def test_truncate_above_guard_pinned(argv, digest):
 
 
 def test_site_search_work_bound(monkeypatch):
-    # B2 "1:0;2:0" at mu = (-1, 0): a search over whole node multisets
-    # checks 49,532 of them against the decided nodes; building them site by
-    # site leaves 1,325 to check, and testing each last site's own needs
-    # against the live supply leaves 30, none of which _extend rejects
+    # B2 "1:0;2:0" at mu = (-1, 0): over the 5 sites per node within 4 chain
+    # steps of a root, rules 1 and 2 leave 44 whole multisets for _extend to
+    # check, and it rejects none of them
     calls = [0]
     rejected = [0]
     extend = truncation._extend
@@ -692,24 +753,23 @@ def test_site_search_work_bound(monkeypatch):
 
 
 def test_live_supply_work_bound(monkeypatch):
-    # the same search takes 1,598 site-walk steps; with every giver counted
-    # in the supply it takes 6,677, more than the 2,000 allowed here
+    # the same search takes 153 site-walk steps over the bounded sites and
+    # 6,677 over the windowed closure's, more than the 2,000 allowed here
     monkeypatch.setattr(truncation, "MAX_STEPS", 2_000)
     z = TruncationData(B2, {1: [-2], 2: [-1]})
     assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
 
 
 def test_step_count_pinned(monkeypatch):
-    # the same search takes exactly 1,598 steps: a last site that passes
-    # rules 1 and 2 is a step even when the live-supply test drops it, so
-    # the budget refuses at the same step, node and message however much
-    # the search prunes before building a multiset
+    # the same search takes exactly 153 steps, one per entry into a site
+    # walk, so the budget refuses at the same step, node and message on
+    # every run
     z = TruncationData(B2, {1: [-2], 2: [-1]})
-    monkeypatch.setattr(truncation, "MAX_STEPS", 1_598)
+    monkeypatch.setattr(truncation, "MAX_STEPS", 153)
     assert len(enumerate_candidates(z, z.lam, (-1, 0))) == 13
-    monkeypatch.setattr(truncation, "MAX_STEPS", 1_597)
+    monkeypatch.setattr(truncation, "MAX_STEPS", 152)
     with pytest.raises(TruncationError,
-                       match="^candidate search passed 1597 steps at node 2; "
+                       match="^candidate search passed 152 steps at node 2; "
                              "narrow the window$"):
         enumerate_candidates(z, z.lam, (-1, 0))
 
@@ -750,6 +810,41 @@ def test_need_gift_form_of_clause_b_random(label):
         assert covered == _pole_cover(cd, psi.exps, v), (zroots, ms)
         seen.add(covered)
     assert seen == {True, False}
+
+
+# --- fusion: the necessary conditions multiply ---------------------------------
+
+def _draw_candidate(data, cd):
+    """A truncation over cd with at most two roots per node, a weight at most
+    two simple coroots per node below its lambda, and one of its candidates."""
+    z = TruncationData(cd, {i: data.draw(st.lists(st.integers(-3, 3), max_size=2))
+                            for i in cd.nodes()})
+    a = data.draw(st.lists(st.integers(0, 2), min_size=cd.n, max_size=cd.n))
+    mu = tuple(z.lam[i] - sum(cd.C[j][i] * a[j] for j in range(cd.n))
+               for i in range(cd.n))
+    cands = enumerate_candidates(z, z.lam, mu)
+    assume(cands)
+    return z, mu, data.draw(st.sampled_from(cands)).psi
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.data())
+def test_fused_candidates_pass_maint(data):
+    # the Lambda certificates and the a's add, and so does the cover of each
+    # pole, so Psi1 Psi2 passes the necessary conditions of the fused
+    # truncation at mu1 + mu2; where the fused search is small, the product
+    # is one of its candidates
+    cd = build_cartan(data.draw(st.sampled_from(["A2", "B2", "C2", "G2", "A3"])))
+    z1, mu1, psi1 = _draw_candidate(data, cd)
+    z2, mu2, psi2 = _draw_candidate(data, cd)
+    for z, mu, psi in ((z1, mu1, psi1), (z2, mu2, psi2)):
+        assert maint_check(z, z.lam, mu, psi)["ok"]
+    z = fuse_truncations(z1, z2)
+    mu = tuple(m1 + m2 for m1, m2 in zip(mu1, mu2))
+    psi = psi1 * psi2
+    assert maint_check(z, z.lam, mu, psi)["ok"]
+    if sum(truncation_shifts(z, mu)) <= 4:
+        assert psi.exps_key() in [c.psi.exps_key() for c in enumerate_candidates(z, z.lam, mu)]
 
 
 # --- pinned outputs ------------------------------------------------------------
