@@ -19,11 +19,19 @@ GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiSta
 
 
 class LWeightMonomial:
+    """An l-weight monomial: exps {(i, shift): e} and a ConstantFactor.
+
+    No stored exponent is 0.  The constructor copies exps as given, so its
+    callers hand it maps without zeros: generator, y_monomial, pow and
+    combine (through exps_combine) never make one, and from_json, the one
+    place that meets outside input, drops them.
+    """
+
     __slots__ = ("cd", "exps", "const", "_key", "_hash")
 
     def __init__(self, cd, exps=None, const=None):
         self.cd = cd
-        self.exps = {k: e for k, e in (exps or {}).items() if e}
+        self.exps = dict(exps) if exps else {}
         self.const = const if const is not None else cd.const_one()
         self._key = None
         self._hash = None
@@ -120,13 +128,15 @@ class LWeightMonomial:
 
     @staticmethod
     def from_json(cd, data):
-        """Validate outside input: integer [node, shift, exponent] triples."""
+        """Validate outside input: integer [node, shift, exponent] triples,
+        summed per (node, shift), with the zero sums dropped."""
         exps = {}
         for i, r, e in data["exps"]:
             k = (json_int(i, "node"), json_int(r, "shift"))
             if k[0] not in cd.nodes():
                 raise ValueError(f"node {k[0]} out of range for {cd.type_label}")
             exps[k] = exps.get(k, 0) + json_int(e, "exponent")
+        exps = {k: e for k, e in exps.items() if e}
         const = (
             ConstantFactor.from_json(data["const"])
             if "const" in data and data["const"]

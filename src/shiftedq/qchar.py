@@ -12,6 +12,8 @@ heads; other dominant heads are accepted but flagged heuristic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .cartan import a_in_y
 from .lweight import (
@@ -268,6 +270,42 @@ def _string_products(factors, cap):
     return out, dropped
 
 
+def _node_products(part, step, a_items, cap):
+    """The q-string products of one node part of a term, for fm_expand.
+
+    part: the sorted ((i, t), e) items of node i, every e > 0.  Returns
+    (products, top, cap): products lists (shifts, count, len(shifts), delta)
+    for each nonempty product of at most cap shifts, in _string_products
+    order, where delta {(j, t): d} is the net change prod_s A_{i,q^s}^{-1}
+    makes to the Y-exponents; top is the length of the longest product,
+    kept or not (every string taken whole: the exponent sum).  No d is 0:
+    A_{i,q^s} is positive in Y only at node i (cartan.a_in_y), so the
+    product lowers node-i exponents and raises only neighbour ones.
+    """
+    u = {t: e for (_i, t), e in part}
+    products, _dropped = _string_products(
+        [_string_eigen_terms(s, k, step) for s, k in _strings(u, step)], cap
+    )
+    out = []
+    for shifts, c in products.items():
+        if not shifts:
+            continue
+        delta = {}
+        for s in shifts:
+            for (j, o), e in a_items:
+                key = (j, s + o)
+                delta[key] = delta.get(key, 0) - e
+        out.append((shifts, c, len(shifts), delta))
+    return out, sum(u.values()), cap
+
+
+_exp_of = itemgetter(1)
+
+
+def _node_of(item):
+    return item[0][0]
+
+
 def fm_expand(cd, head_y, depth, require_complete=False):
     """Node-wise sl2 completion from a dominant Y-monomial head, over
     Y-exponent keys.
@@ -281,9 +319,17 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     require_complete.
 
     Each term's sorted key is read once, grouped by node, and every node
-    without a negative exponent is expanded by its q-string products.  A
-    term reached again with a larger multiplicity takes it and is queued
-    again (the `max` merge of ROADMAP item 1).
+    without a negative exponent is expanded by its q-string products.  The
+    products depend only on the node part, so one table for the call holds
+    them (_node_products), enumerated at the remaining depth of the first
+    term that meets the part, and again, wider, only when a term with more
+    room meets a part whose longest product did not fit.  A term at
+    distance w takes the products of at most depth - w shifts: the products,
+    in the order, that _string_products gives at cap depth - w, which drops
+    one exactly when the longest is longer.  A child's Y-exponents are the
+    parent's plus the product's delta; its path is built only when the
+    child is a new term.  A term reached again with a larger multiplicity
+    takes it and is queued again (the `max` merge of ROADMAP item 1).
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
@@ -295,6 +341,9 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     # per node: the string step 2 r_i and the items of A_{i,q^0} in Y
     node_data = {i: (2 * cd.ri(i), tuple(a_in_y(cd, i).items())) for i in nodes}
 
+    # node part (the ((i, t), e) items of one node, none negative) ->
+    # (products, top, cap) from _node_products; it lives for this call only
+    table = {}
     head_key = tuple(sorted(head_y.items()))
     state = {head_key: [1, dict(head_y), {}, 0]}
     frontier = [head_key]
@@ -304,41 +353,36 @@ def fm_expand(cd, head_y, depth, require_complete=False):
         queued = set()
         for k in frontier:
             mult, y, path, w = state[k]
-            by_node = {}
-            for (j, t), e in k:
-                u = by_node.get(j)
-                if u is None:
-                    by_node[j] = {t: e}
-                else:
-                    u[t] = e
-            for i, u in by_node.items():
-                if min(u.values()) < 0:
+            room = depth - w
+            for i, items in groupby(k, _node_of):
+                part = tuple(items)
+                if min(map(_exp_of, part)) < 0:
                     continue
-                step, a_items = node_data[i]
-                products, dropped = _string_products(
-                    [_string_eigen_terms(top, kk, step) for top, kk in _strings(u, step)],
-                    depth - w,
-                )
-                truncated = truncated or dropped
-                for shifts, c in products.items():
-                    if not shifts:
+                entry = table.get(part)
+                # enumerate again only if products this term keeps were cut
+                if entry is None or entry[2] < room and entry[2] < entry[1]:
+                    entry = table[part] = _node_products(part, *node_data[i], room)
+                products, top, _cap = entry
+                if top > room:
+                    truncated = True
+                for shifts, c, n, delta in products:
+                    if n > room:
                         continue
                     ny = dict(y)
-                    npath = dict(path)
-                    for s in shifts:
-                        for (j, o), e in a_items:
-                            t = s + o
-                            v = ny.get((j, t), 0) - e
-                            if v:
-                                ny[(j, t)] = v
-                            else:
-                                ny.pop((j, t), None)
-                        npath[(i, s)] = npath.get((i, s), 0) + 1
+                    for key, d in delta.items():
+                        v = ny.get(key, 0) + d
+                        if v:
+                            ny[key] = v
+                        else:
+                            del ny[key]
                     nk = tuple(sorted(ny.items()))
                     need = mult * c
                     cur = state.get(nk)
                     if cur is None:
-                        state[nk] = [need, ny, npath, w + len(shifts)]
+                        npath = dict(path)
+                        for s in shifts:
+                            npath[(i, s)] = npath.get((i, s), 0) + 1
+                        state[nk] = [need, ny, npath, w + n]
                     elif cur[0] < need:
                         cur[0] = need
                     else:

@@ -393,7 +393,7 @@ def _covered_choices(site_keys, a, zexps, caps):
             steps += 1
             if steps > MAX_STEPS:
                 raise TruncationError(f"candidate search passed {MAX_STEPS} steps "
-                                      f"at node {d + 1}; narrow the window")
+                                      f"at node {d + 1}; stopped by the step budget")
             if len(ms) == k:
                 nxt = _extend(state, *_need_gift(ms, sites, zexps), cap)
                 if nxt is None:

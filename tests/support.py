@@ -4,10 +4,17 @@ import json
 import os
 from fractions import Fraction
 
-from shiftedq.cartan import basis_generator, invert_quantum_cartan
+from shiftedq.cartan import a_in_y, basis_generator, invert_quantum_cartan
 from shiftedq.langlands import psi_of_monomial
 from shiftedq.lweight import leq_certificate
 from shiftedq.modrep import _poly_from_shifts
+from shiftedq.qchar import (
+    FMBudgetError,
+    FMError,
+    _string_eigen_terms,
+    _string_products,
+    _strings,
+)
 from shiftedq import truncation
 from shiftedq.scalars import ONE, ExactScalar
 from shiftedq.truncation import abar_eigenvalue
@@ -161,6 +168,98 @@ def checked_usable_sites(calls):
         return out
 
     return checked
+
+
+# ---------------------------------------------------------------------------
+# the Frenkel-Mukhin loop with no per-call table
+# ---------------------------------------------------------------------------
+
+def fm_expand_reference(cd, head_y, depth, require_complete=False):
+    """Reference for qchar.fm_expand: the same completion with the string
+    products enumerated afresh for every node part of every term, at the
+    term's remaining depth, and each child's path built whether or not the
+    child is new.
+
+    head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}, every i a node
+    of cd (FMError otherwise).  Returns (state, complete): state maps the
+    sorted Y-exponent tuple of each term, head first, to [multiplicity,
+    {(i, t): exp}, A^{-1}-path {(i, s): count}, A^{-1}-distance from the
+    head]; complete is False when a string product longer than the
+    remaining depth was dropped, which raises FMBudgetError under
+    require_complete.
+
+    Each term's sorted key is read once, grouped by node, and every node
+    without a negative exponent is expanded by its q-string products.  A
+    term reached again with a larger multiplicity takes it and is queued
+    again (the `max` merge of ROADMAP item 1).
+    """
+    head_y = {k: e for k, e in head_y.items() if e}
+    if any(e < 0 for e in head_y.values()):
+        raise FMError("head must be a dominant Y-monomial")
+    nodes = cd.nodes()
+    for i, _t in head_y:
+        if i not in nodes:
+            raise FMError(f"head node {i} out of range for {cd.type_label}")
+    # per node: the string step 2 r_i and the items of A_{i,q^0} in Y
+    node_data = {i: (2 * cd.ri(i), tuple(a_in_y(cd, i).items())) for i in nodes}
+
+    head_key = tuple(sorted(head_y.items()))
+    state = {head_key: [1, dict(head_y), {}, 0]}
+    frontier = [head_key]
+    truncated = False
+    while frontier:
+        new_frontier = []
+        queued = set()
+        for k in frontier:
+            mult, y, path, w = state[k]
+            by_node = {}
+            for (j, t), e in k:
+                u = by_node.get(j)
+                if u is None:
+                    by_node[j] = {t: e}
+                else:
+                    u[t] = e
+            for i, u in by_node.items():
+                if min(u.values()) < 0:
+                    continue
+                step, a_items = node_data[i]
+                products, dropped = _string_products(
+                    [_string_eigen_terms(top, kk, step) for top, kk in _strings(u, step)],
+                    depth - w,
+                )
+                truncated = truncated or dropped
+                for shifts, c in products.items():
+                    if not shifts:
+                        continue
+                    ny = dict(y)
+                    npath = dict(path)
+                    for s in shifts:
+                        for (j, o), e in a_items:
+                            t = s + o
+                            v = ny.get((j, t), 0) - e
+                            if v:
+                                ny[(j, t)] = v
+                            else:
+                                ny.pop((j, t), None)
+                        npath[(i, s)] = npath.get((i, s), 0) + 1
+                    nk = tuple(sorted(ny.items()))
+                    need = mult * c
+                    cur = state.get(nk)
+                    if cur is None:
+                        state[nk] = [need, ny, npath, w + len(shifts)]
+                    elif cur[0] < need:
+                        cur[0] = need
+                    else:
+                        continue
+                    if nk not in queued:
+                        queued.add(nk)
+                        new_frontier.append(nk)
+        frontier = new_frontier
+    if require_complete and truncated:
+        raise FMBudgetError(
+            f"expansion of {head_y} did not close within depth {depth}"
+        )
+    return state, not truncated
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from shiftedq.cartan import basis_generator, build_cartan, factor_solver
 from shiftedq.lweight import (
+    GENERATOR_KINDS,
     LWeightMonomial,
     dominant_factorization,
     equal_mod_signtwist,
@@ -32,7 +33,7 @@ def psi(cd, *pairs):
     exps = {}
     for i, r, e in pairs:
         exps[(i, r)] = exps.get((i, r), 0) + e
-    return LWeightMonomial(cd, exps)
+    return LWeightMonomial(cd, {k: e for k, e in exps.items() if e})
 
 
 # --- generator dictionary fixtures ---------------------------------------
@@ -479,6 +480,40 @@ def test_json_rejects_out_of_range_node():
     for node in (0, 3):
         with pytest.raises(ValueError, match="out of range"):
             LWeightMonomial.from_json(B2, {"exps": [[node, 0, 1]]})
+
+
+def test_json_drops_cancelling_exponents():
+    # the constructor stores exps as given; from_json, which meets outside
+    # input, is where a cancelling pair must vanish
+    back = LWeightMonomial.from_json(B2, {"exps": [[1, 0, 1], [1, 0, -1]]})
+    one = LWeightMonomial(B2)
+    assert back.exps == {}
+    assert back == one and hash(back) == hash(one) and back.key() == one.key()
+    assert back.to_json() == one.to_json()
+
+
+def _assert_zero_free(m):
+    assert all(m.exps.values()), m.exps
+    return m
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_no_stored_exponent_is_zero(label):
+    # every builder the library uses hands the constructor a zero-free map,
+    # including products and powers that cancel
+    cd = build_cartan(label)
+    rng = random.Random(f"zero-free:{label}")
+    gens = [_assert_zero_free(generator(cd, kind, i, r))
+            for kind in GENERATOR_KINDS for i in cd.nodes() for r in (-3, 0, 2)]
+    for _ in range(40):
+        m1, m2 = rng.choice(gens), rng.choice(gens)
+        _assert_zero_free(m1.combine(m2, rng.choice((1, -1))))
+        _assert_zero_free(m1.combine(m1, -1))
+        _assert_zero_free(m1.pow(rng.choice((-2, -1, 0, 1, 3))))
+        y = _random_ymap(rng, cd)
+        _assert_zero_free(y_monomial(cd, tuple(sorted(y.items()))))
+        for basis in ("Y", "A", "Lambda", "Psi"):
+            _assert_zero_free(expand_in_basis(cd, basis, _random_vmap(rng, cd)))
 
 
 # --- hypothesis property tests ----------------------------------------------

@@ -7,10 +7,11 @@ from itertools import product
 
 import pytest
 
-from shiftedq import cli
+from shiftedq import cli, qchar
 from shiftedq.cartan import a_in_y, build_cartan
 from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, y_monomial
 from shiftedq.qchar import (
+    FMBudgetError,
     FMError,
     QCharacter,
     _string_eigen_terms,
@@ -26,7 +27,7 @@ from shiftedq.qchar import (
     qc_one,
     qc_simple_sl2,
 )
-from support import kr_prefund_special_position, kr_special_position
+from support import fm_expand_reference, kr_prefund_special_position, kr_special_position
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -385,6 +386,59 @@ def test_string_products_against_full_product():
         got, dropped = _string_products(factors, cap)
         assert list(got.items()) == list(want.items())
         assert dropped == (longest > cap)
+
+
+# --- the per-call string-product table -------------------------------------
+
+def _reference_heads(cd):
+    """Fundamental, KR (k = 2) and Y_{i,0}^2 heads at every node, then two
+    multi-node heads, which qc_frenkel_mukhin flags heuristic."""
+    for i in cd.nodes():
+        yield {(i, 0): 1}
+        yield {(i, 0): 1, (i, 2 * cd.ri(i)): 1}
+        yield {(i, 0): 2}
+    yield {(1, 0): 1, (1, 6): 1, (2, 3): 1}
+    yield {(2, 0): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C3", "G2", "D4"])
+def test_fm_expand_matches_per_term_reference(label):
+    # the table must give the per-term loop's states exactly: key order,
+    # multiplicity, Y-exponents, path item order, distance and the flag
+    cd = build_cartan(label)
+    for head in _reference_heads(cd):
+        for depth in (0, 1, 3, 7, 13, 80):
+            state, complete = fm_expand(cd, head, depth)
+            want, want_complete = fm_expand_reference(cd, head, depth)
+            assert complete == want_complete
+            assert list(state) == list(want)
+            for k, (mult, y, path, w) in state.items():
+                rmult, ry, rpath, rw = want[k]
+                assert (mult, y, list(path.items()), w) == (
+                    rmult, ry, list(rpath.items()), rw)
+            if not complete:
+                with pytest.raises(FMBudgetError):
+                    fm_expand(cd, head, depth, require_complete=True)
+
+
+@pytest.mark.parametrize("label,i,bound", [("D6", 4, 100), ("E6", 4, 200)])
+def test_fm_string_products_once_per_node_part(monkeypatch, label, i, bound):
+    # one enumeration per distinct node part (46 and 101 of them), not one
+    # per term and node (936 and 5,687); a second call builds its own table
+    calls = []
+    real = qchar._string_products
+
+    def counted(factors, cap):
+        calls.append(cap)
+        return real(factors, cap)
+
+    monkeypatch.setattr(qchar, "_string_products", counted)
+    cd = build_cartan(label)
+    fm_expand(cd, {(i, 0): 1}, 80)
+    first = len(calls)
+    assert 0 < first <= bound
+    fm_expand(cd, {(i, 0): 1}, 80)
+    assert len(calls) == 2 * first
 
 
 def test_g2_fm_depth_40_pinned():

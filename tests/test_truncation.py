@@ -355,7 +355,7 @@ def test_enumeration_step_budget_refuses(monkeypatch):
     assert code == 1
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: candidate search passed 1000 steps")
-    assert err.getvalue().endswith("; narrow the window\n")
+    assert err.getvalue().endswith("; stopped by the step budget\n")
 
 
 def test_step_budget_fires_inside_one_node(monkeypatch):
@@ -770,7 +770,7 @@ def test_step_count_pinned(monkeypatch):
     monkeypatch.setattr(truncation, "MAX_STEPS", 152)
     with pytest.raises(TruncationError,
                        match="^candidate search passed 152 steps at node 2; "
-                             "narrow the window$"):
+                             "stopped by the step budget$"):
         enumerate_candidates(z, z.lam, (-1, 0))
 
 
