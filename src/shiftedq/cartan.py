@@ -5,12 +5,13 @@ reported 1-indexed), r_i minimal positive integers making B = diag(r) C
 symmetric, q_i = q^{r_i}.  For the doubly-laced types the short node row
 carries the -2 entry (C[short][long] = -2), matching r_long = 2, r_short = 1.
 
-Every per-type table (the A and Lambda patterns, A_i in Y-variables, the
-pattern-matrix solvers, the coroot inverse and the inverse quantum Cartan
-matrix) is a functools.cache'd function of a CartanData.  CartanData hashes
-and compares by its type label, so every object of one type shares one
-entry; it has __slots__, so no table can be hung on it instead.  The cached
-tables are shared: callers read them and never mutate them.
+Every per-type table (the A and Lambda patterns, A_i in Y-variables and the
+Frenkel-Mukhin constants drawn from it, the pattern-matrix solvers, the
+coroot inverse and the inverse quantum Cartan matrix) is a functools.cache'd
+function of a CartanData.  CartanData hashes and compares by its type
+label, so every object of one type shares one entry; it has __slots__, so no
+table can be hung on it instead.  The cached tables are shared: callers read
+them and never mutate them.
 """
 
 from __future__ import annotations
@@ -294,6 +295,15 @@ def a_in_y(cd, i):
     """A_{i,q^0} in Y-variables as {(j, offset): exp}: Y_{i,q^-r_i} Y_{i,q^r_i}
     times Y_{j,q^o}^{-1} for o in NEIGHBOUR_OFFSETS[C_ji] (Frenkel-Reshetikhin)."""
     return _neighbour_pattern(cd, i, lambda j: cd.c(j, i))
+
+
+@cache
+def a_in_y_table(cd):
+    """((2 r_i, the items of a_in_y(cd, i)) for each node i in order, the
+    largest |exponent| in any a_in_y(cd, i)): the per-type constants of
+    qchar.fm_expand."""
+    rows = tuple((2 * cd.ri(i), tuple(a_in_y(cd, i).items())) for i in cd.nodes())
+    return rows, max(abs(e) for _step, items in rows for _key, e in items)
 
 
 @cache

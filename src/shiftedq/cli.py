@@ -1,8 +1,10 @@
 """Command-line front end with canonical JSON reports.
 
 Exit codes: 0 success, 1 mathematical rejection (e.g. a factorization that
-does not exist, a failed relation suite, a Z-order bound violation) or a
-candidate search stopped by its step budget (truncation.MAX_STEPS), 2 usage
+does not exist, a failed relation suite, a Z-order bound violation), a
+candidate search stopped by its step budget (truncation.MAX_STEPS) or a
+Frenkel-Mukhin expansion that fails or does not close within its depth
+(qchar.FMError, FMBudgetError), 2 usage
 error (argparse errors and UsageError: malformed monomial JSON or integer
 lists, a non-integer in monomial JSON, a wrong-length coweight, a --lambda
 that differs from the --zroots counts, an unknown --type, a node out of
@@ -25,7 +27,13 @@ from .langlands import (
 )
 from .lweight import LWeightMonomial, factor_in_basis, is_dominant
 from .modrep import build_module, check_coproduct, check_relations
-from .qchar import qc_closed_form, qc_frenkel_mukhin, qc_neg_prefund_limit, qc_simple_sl2
+from .qchar import (
+    FMError,
+    qc_closed_form,
+    qc_frenkel_mukhin,
+    qc_neg_prefund_limit,
+    qc_simple_sl2,
+)
 from .truncation import (
     TruncationData,
     TruncationError,
@@ -413,7 +421,7 @@ def main(argv=None):
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except (CartanError, TruncationError, LanglandsError, ValueError) as e:
+    except (CartanError, TruncationError, LanglandsError, FMError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

@@ -12,10 +12,8 @@ heads; other dominant heads are accepted but flagged heuristic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
-from .cartan import a_in_y
+from .cartan import a_in_y_table
 from .lweight import (
     LWeightMonomial,
     dominant_factorization,
@@ -248,42 +246,55 @@ def _string_products(factors, cap):
     """Products of one term per string, each string given as its list of
     A^{-1}-shift lists (_string_eigen_terms).
 
-    Returns ({sorted shifts: multiplicity}, dropped): the products of at most
-    cap shifts, keyed in itertools.product order, and whether any product was
-    longer than cap.
+    Returns {sorted shifts: multiplicity}: the products of at most cap
+    shifts, keyed in itertools.product order.  One was dropped exactly when
+    the longest product, one longest term per string, is longer than cap.
     """
     combos = [()]
-    dropped = False
     for options in factors:
         nxt = []
         for base in combos:
             for shifts in options:
-                if len(base) + len(shifts) > cap:
-                    dropped = True
-                else:
+                if len(base) + len(shifts) <= cap:
                     nxt.append(base + tuple(shifts))
         combos = nxt
     out = {}
     for shifts in combos:
         key = tuple(sorted(shifts))
         out[key] = out.get(key, 0) + 1
-    return out, dropped
+    return out
 
 
-def _node_products(part, step, a_items, cap):
+def _node_products(part, width, step, a_items, cap):
     """The q-string products of one node part of a term, for fm_expand.
 
-    part: the sorted ((i, t), e) items of node i, every e > 0.  Returns
-    (products, top, cap): products lists (shifts, count, len(shifts), delta)
-    for each nonempty product of at most cap shifts, in _string_products
-    order, where delta {(j, t): d} is the net change prod_s A_{i,q^s}^{-1}
-    makes to the Y-exponents; top is the length of the longest product,
-    kept or not (every string taken whole: the exponent sum).  No d is 0:
-    A_{i,q^s} is positive in Y only at node i (cartan.a_in_y), so the
-    product lowers node-i exponents and raises only neighbour ones.
+    part: the exponents of node i as width-bit digits, every one >= 0, the
+    lowest nonzero at digit 0; digit t is relative shift t.  Returns
+    [products, top, cap, reach]: products lists [shifts, count, len(shifts),
+    delta, None] for each nonempty product of at most cap shifts, in
+    _string_products order, where delta {(j, t): d} is the net change
+    prod_s A_{i,q^s}^{-1} makes to the Y-exponents (the None is for
+    fm_expand's packed delta); top is the length of the longest product,
+    kept or not (every string taken whole: the exponent sum); reach is the
+    largest t of any delta (-1 with no product).
+
+    Shifts are relative to the part's lowest one, and no t is below it: a
+    string's lowest A^{-1} shift is its lowest Y shift plus r_i, and
+    A_{i,q^s} has its Y-variables at shifts s + o with |o| <= r_i, o = r_i
+    at node i (cartan.a_in_y), so reach is the top Y shift plus 2 r_i.  No
+    d is 0: A_{i,q^s} is positive in Y only at node i, so the product
+    lowers node-i exponents and raises only neighbour ones.
     """
-    u = {t: e for (_i, t), e in part}
-    products, _dropped = _string_products(
+    digit = (1 << width) - 1
+    u = {}
+    t = 0
+    while part:
+        e = part & digit
+        if e:
+            u[t] = e
+        part >>= width
+        t += 1
+    products = _string_products(
         [_string_eigen_terms(s, k, step) for s, k in _strings(u, step)], cap
     )
     out = []
@@ -295,15 +306,56 @@ def _node_products(part, step, a_items, cap):
             for (j, o), e in a_items:
                 key = (j, s + o)
                 delta[key] = delta.get(key, 0) - e
-        out.append((shifts, c, len(shifts), delta))
-    return out, sum(u.values()), cap
+        out.append([shifts, c, len(shifts), delta, None])
+    # the top string's first factor alone is kept whenever any product is
+    return [out, sum(u.values()), cap, t - 1 + step if out else -1]
 
 
-_exp_of = itemgetter(1)
+def _window(width, size, rows):
+    """(bits, mask, bias, full, inverses) of fm_expand's packing with size
+    slots per node, rows the a_in_y_table rows: the bits of one node part,
+    their mask, a part of all-zero exponents (every digit 2^(width-1)), the
+    key of the empty monomial, and per node i the change A_{i,q^{lo+r_i}}^{-1}
+    makes to a key (lo the shift of slot 0), which shifted by
+    width * (s - r_i) is the change of A_{i,q^{lo+s}}^{-1}, s >= r_i."""
+    bits = width * size
+    mask = (1 << bits) - 1
+    bias = mask // ((1 << width) - 1) << (width - 1)
+    full = bias * (((1 << len(rows) * bits) - 1) // mask)
+    inverses = []
+    for step, items in rows:
+        inverse = 0
+        for (j, o), e in items:
+            inverse -= e << width * ((j - 1) * size + o + step // 2)
+        inverses.append(inverse)
+    return bits, mask, bias, full, inverses
 
 
-def _node_of(item):
-    return item[0][0]
+def _pack_deltas(products, inverse, r, width):
+    """Set each product's packed delta, inverse shifted to each of its
+    shifts (inverse and r_i from _window for the product's node)."""
+    for prod in products:
+        packed = 0
+        for s in prod[0]:
+            packed += inverse << width * (s - r)
+        prod[4] = packed
+
+
+def _repack(key, n, old, new):
+    """key packed in window old (from _window) as in window new, of the same
+    width and more slots per node."""
+    bits, mask, bias = old[:3]
+    out = new[3]
+    for j in range(n):
+        out += (((key >> j * bits) & mask) - bias) << j * new[0]
+    return out
+
+
+def _window_pad(cd, depth):
+    """The slots fm_expand's window starts with above the highest head
+    shift: lacing * dual Coxeter number, the span of a fundamental
+    q-character, or 2 * lacing * depth, the most a term can rise, if less."""
+    return min(cd.lacing * cd.dual_coxeter, 2 * cd.lacing * depth)
 
 
 def fm_expand(cd, head_y, depth, require_complete=False):
@@ -318,18 +370,33 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     remaining depth was dropped, which raises FMBudgetError under
     require_complete.
 
-    Each term's sorted key is read once, grouped by node, and every node
-    without a negative exponent is expanded by its q-string products.  The
-    products depend only on the node part, so one table for the call holds
-    them (_node_products), enumerated at the remaining depth of the first
-    term that meets the part, and again, wider, only when a term with more
+    Inside the loop a term is one int of width-bit digits: the exponent of
+    Y_{j,q^t} plus the bias 2^(width-1) at digit (j - 1) * size + (t - lo),
+    lo the lowest head shift.  Every A^{-1} factor changes a digit by at
+    most the largest |exponent| c of an A_i in Y, and a term at distance
+    w <= depth has had w of them, so no exponent is further from 0 than the
+    largest head exponent plus depth * c, which is below the bias: no digit
+    carries or borrows.  No shift falls below lo (_node_products), and a
+    child rises at most 2 r_i above its parent, so size starts at the
+    head's span plus _window_pad; a delta that reaches past it widens the
+    window and repacks every key and packed delta, so nothing wraps.
+
+    Node i's part is one shift and mask of the key: all bias means the node
+    is absent, a cleared top bit a negative exponent (skipped), and XOR with
+    the bias the plain exponents.  Its products depend only on the part up
+    to translation, so one table for the call, keyed by node and by the part
+    shifted down to its lowest slot, holds them (_node_products) with their
+    deltas packed: a child is the parent plus the packed delta shifted to
+    the part's place.  An entry is enumerated at the remaining depth of the
+    first term that meets it, and again, wider, only when a term with more
     room meets a part whose longest product did not fit.  A term at
-    distance w takes the products of at most depth - w shifts: the products,
-    in the order, that _string_products gives at cap depth - w, which drops
-    one exactly when the longest is longer.  A child's Y-exponents are the
-    parent's plus the product's delta; its path is built only when the
-    child is a new term.  A term reached again with a larger multiplicity
-    takes it and is queued again (the `max` merge of ROADMAP item 1).
+    distance w takes the products of at most depth - w shifts: the
+    products, in the order, that _string_products gives at cap depth - w,
+    which drops one exactly when the longest is longer.  Only a new child
+    gets its Y-exponents (the parent's plus the delta), its path and, at
+    the end, its sorted key.  A term reached again with a larger
+    multiplicity takes it and is queued again (the `max` merge of ROADMAP
+    item 1).
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
@@ -338,51 +405,84 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     for i, _t in head_y:
         if i not in nodes:
             raise FMError(f"head node {i} out of range for {cd.type_label}")
-    # per node: the string step 2 r_i and the items of A_{i,q^0} in Y
-    node_data = {i: (2 * cd.ri(i), tuple(a_in_y(cd, i).items())) for i in nodes}
+    rows, cmax = a_in_y_table(cd)
+    n = cd.n
+    factors = max(depth, 0)  # the most A^{-1} factors a term can have
+    width = (max(head_y.values(), default=0) + factors * cmax).bit_length() + 1
+    shifts = [t for _i, t in head_y]
+    lo = min(shifts, default=0)
+    size = max(shifts, default=0) - lo + 1 + _window_pad(cd, factors)
+    win = _window(width, size, rows)
+    bits, mask, bias, head, inverses = win
+    for (i, t), e in head_y.items():
+        head += e << (i - 1) * bits + width * (t - lo)
 
-    # node part (the ((i, t), e) items of one node, none negative) ->
-    # (products, top, cap) from _node_products; it lives for this call only
-    table = {}
-    head_key = tuple(sorted(head_y.items()))
-    state = {head_key: [1, dict(head_y), {}, 0]}
-    frontier = [head_key]
+    # per node: the node parts met so far, shifted to their lowest slot ->
+    # _node_products entry with packed deltas; it lives for this call only
+    tables = [{} for _ in nodes]
+    index = {head: [1, dict(head_y), {}, 0]}
+    frontier = [head]
     truncated = False
     while frontier:
         new_frontier = []
         queued = set()
         for k in frontier:
-            mult, y, path, w = state[k]
+            mult, y, path, w = index[k]
             room = depth - w
-            for i, items in groupby(k, _node_of):
-                part = tuple(items)
-                if min(map(_exp_of, part)) < 0:
+            rest = k
+            for i, (step, a_items), table in zip(nodes, rows, tables):
+                part = rest & mask
+                rest >>= bits
+                if part == bias or part & bias != bias:
                     continue
-                entry = table.get(part)
+                part ^= bias
+                p = ((part & -part).bit_length() - 1) // width
+                low = part >> width * p
+                entry = table.get(low)
                 # enumerate again only if products this term keeps were cut
                 if entry is None or entry[2] < room and entry[2] < entry[1]:
-                    entry = table[part] = _node_products(part, *node_data[i], room)
-                products, top, _cap = entry
+                    entry = table[low] = _node_products(low, width, step, a_items, room)
+                    _pack_deltas(entry[0], inverses[i - 1], step // 2, width)
+                products, top, _cap, reach = entry
+                if p + reach >= size:
+                    # widen the window; frontier is read by position, so the
+                    # loop goes on over the repacked keys
+                    size = p + reach + 1 + _window_pad(cd, factors)
+                    old, win = win, _window(width, size, rows)
+                    bits, mask, bias, _full, inverses = win
+                    index = {_repack(x, n, old, win): rec for x, rec in index.items()}
+                    frontier[:] = [_repack(x, n, old, win) for x in frontier]
+                    new_frontier = [_repack(x, n, old, win) for x in new_frontier]
+                    queued = set(new_frontier)
+                    k = _repack(k, n, old, win)
+                    rest = k >> i * bits
+                    for (rstep, _items), inverse, tab in zip(rows, inverses, tables):
+                        for ent in tab.values():
+                            _pack_deltas(ent[0], inverse, rstep // 2, width)
                 if top > room:
                     truncated = True
-                for shifts, c, n, delta in products:
-                    if n > room:
+                t0 = lo + p
+                at = width * p
+                for shifts, c, m, delta, packed in products:
+                    if m > room:
                         continue
-                    ny = dict(y)
-                    for key, d in delta.items():
-                        v = ny.get(key, 0) + d
-                        if v:
-                            ny[key] = v
-                        else:
-                            del ny[key]
-                    nk = tuple(sorted(ny.items()))
+                    nk = k + (packed << at)
                     need = mult * c
-                    cur = state.get(nk)
+                    cur = index.get(nk)
                     if cur is None:
+                        ny = dict(y)
+                        for (j, t), d in delta.items():
+                            key = (j, t + t0)
+                            v = ny.get(key, 0) + d
+                            if v:
+                                ny[key] = v
+                            else:
+                                del ny[key]
                         npath = dict(path)
                         for s in shifts:
-                            npath[(i, s)] = npath.get((i, s), 0) + 1
-                        state[nk] = [need, ny, npath, w + n]
+                            key = (i, s + t0)
+                            npath[key] = npath.get(key, 0) + 1
+                        index[nk] = [need, ny, npath, w + m]
                     elif cur[0] < need:
                         cur[0] = need
                     else:
@@ -395,7 +495,7 @@ def fm_expand(cd, head_y, depth, require_complete=False):
         raise FMBudgetError(
             f"expansion of {head_y} did not close within depth {depth}"
         )
-    return state, not truncated
+    return {tuple(sorted(rec[1].items())): rec for rec in index.values()}, not truncated
 
 
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):

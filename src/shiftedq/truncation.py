@@ -567,7 +567,7 @@ def _node_rank1_paths(exps_i, ri, depth):
             return None  # mixed non-dominant class: character unknown
         for s, t, k in paired[0]:
             factors.extend([_string_eigen_terms(t - ri, (t - s) // step, step)] * k)
-    products, _ = _string_products(factors, depth)
+    products = _string_products(factors, depth)
     return [Counter(shifts) for shifts in products]
 
 

@@ -223,11 +223,12 @@ def fm_expand_reference(cd, head_y, depth, require_complete=False):
                 if min(u.values()) < 0:
                     continue
                 step, a_items = node_data[i]
-                products, dropped = _string_products(
+                products = _string_products(
                     [_string_eigen_terms(top, kk, step) for top, kk in _strings(u, step)],
                     depth - w,
                 )
-                truncated = truncated or dropped
+                # the longest product takes every string whole
+                truncated = truncated or sum(u.values()) > depth - w
                 for shifts, c in products.items():
                     if not shifts:
                         continue

@@ -3,6 +3,7 @@ import pytest
 from shiftedq.cartan import (
     CartanError,
     a_in_y,
+    a_in_y_table,
     build_cartan,
     factor_solver,
     invert_quantum_cartan,
@@ -98,6 +99,20 @@ def test_a_in_y_is_the_a_generator(t):
     cd = build_cartan(t)
     for i in cd.nodes():
         assert y_monomial(cd, sorted(a_in_y(cd, i).items())) == generator(cd, "A", i, 0)
+
+
+@pytest.mark.parametrize("t", ALL_TYPES)
+def test_a_in_y_offsets_within_r_i(t):
+    # fm_expand's window starts at the lowest head shift: every Y-variable of
+    # A_{i,q^s} sits at s + o with |o| <= r_i, and +-r_i only at node i
+    cd = build_cartan(t)
+    rows, cmax = a_in_y_table(cd)
+    for i, (step, items) in zip(cd.nodes(), rows):
+        assert step == 2 * cd.ri(i) and items == tuple(a_in_y(cd, i).items())
+        for (j, o), e in items:
+            assert abs(o) <= cd.ri(i) and (abs(o) < cd.ri(i) or j == i)
+            assert abs(e) <= cmax
+    assert cmax == 1
 
 
 def test_tables_shared_per_type():

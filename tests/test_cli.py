@@ -109,6 +109,23 @@ def test_truncfd_command():
     assert out["truncation"]["lambda"] == [4, 0]
 
 
+def test_fm_budget_error_is_a_refusal(capsys, monkeypatch):
+    # an expansion that does not close (E8 Y_{2,0} at qc_kr's default depth)
+    # is a rejection with one error line, not a traceback
+    from shiftedq import langlands
+    from shiftedq.qchar import FMBudgetError
+
+    def budget(cd, chains):
+        raise FMBudgetError("expansion of {(2, 0): 1} did not close within depth 132")
+
+    monkeypatch.setattr(langlands, "qc_kr_chains", budget)
+    mono = json.dumps({"exps": [[1, -2, 1], [1, 2, -1]],
+                       "const": [[0, 1, 0], [0, 1, 0]]})
+    code, out, err = run_main(capsys, "truncfd", "--type", "B2", "--psi", mono)
+    assert (code, out) == (1, "")
+    assert err == "error: expansion of {(2, 0): 1} did not close within depth 132\n"
+
+
 def test_usage_error_exit_2():
     r = run("truncate", "--type", "B2")
     assert r.returncode == 2

@@ -383,48 +383,93 @@ def test_string_products_against_full_product():
             if len(shifts) <= cap:
                 key = tuple(sorted(shifts))
                 want[key] = want.get(key, 0) + 1
-        got, dropped = _string_products(factors, cap)
+        got = _string_products(factors, cap)
         assert list(got.items()) == list(want.items())
-        assert dropped == (longest > cap)
+        # the longest product takes every string's longest term, so fm_expand
+        # and the rank-1 ladders read a drop off the strings' total length
+        assert longest == sum(max(map(len, options)) for options in factors)
 
 
 # --- the per-call string-product table -------------------------------------
 
 def _reference_heads(cd):
-    """Fundamental, KR (k = 2) and Y_{i,0}^2 heads at every node, then two
-    multi-node heads, which qc_frenkel_mukhin flags heuristic."""
+    """Fundamental, KR (k = 2) and Y_{i,0}^2 heads at every node, then
+    multi-node heads, which qc_frenkel_mukhin flags heuristic: one at far
+    apart and negative shifts (a wide window that starts below 0), and a
+    Y^5 at a short node (wider digits)."""
     for i in cd.nodes():
         yield {(i, 0): 1}
         yield {(i, 0): 1, (i, 2 * cd.ri(i)): 1}
         yield {(i, 0): 2}
     yield {(1, 0): 1, (1, 6): 1, (2, 3): 1}
     yield {(2, 0): 1, (1, 1): 1}
+    yield {(1, -9): 1, (cd.n, 31): 1, (2, -4): 1}
+    yield {(min(cd.nodes(), key=cd.ri), 0): 5}
+
+
+def _assert_matches_reference(cd, head, depth):
+    # key order, multiplicity, Y-exponents, path item order, distance and
+    # the flag of the per-term loop
+    state, complete = fm_expand(cd, head, depth)
+    want, want_complete = fm_expand_reference(cd, head, depth)
+    assert complete == want_complete
+    assert list(state) == list(want)
+    for k, (mult, y, path, w) in state.items():
+        rmult, ry, rpath, rw = want[k]
+        assert (mult, y, list(path.items()), w) == (
+            rmult, ry, list(rpath.items()), rw)
+    if not complete:
+        with pytest.raises(FMBudgetError):
+            fm_expand(cd, head, depth, require_complete=True)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C3", "G2", "D4"])
 def test_fm_expand_matches_per_term_reference(label):
-    # the table must give the per-term loop's states exactly: key order,
-    # multiplicity, Y-exponents, path item order, distance and the flag
+    # depth 0 packs a fundamental head in 2-bit digits, depth 200 in 9-bit
     cd = build_cartan(label)
     for head in _reference_heads(cd):
-        for depth in (0, 1, 3, 7, 13, 80):
-            state, complete = fm_expand(cd, head, depth)
-            want, want_complete = fm_expand_reference(cd, head, depth)
-            assert complete == want_complete
-            assert list(state) == list(want)
-            for k, (mult, y, path, w) in state.items():
-                rmult, ry, rpath, rw = want[k]
-                assert (mult, y, list(path.items()), w) == (
-                    rmult, ry, list(rpath.items()), rw)
-            if not complete:
-                with pytest.raises(FMBudgetError):
-                    fm_expand(cd, head, depth, require_complete=True)
+        for depth in (-1, 0, 1, 3, 7, 13, 80, 200):
+            _assert_matches_reference(cd, head, depth)
 
 
-@pytest.mark.parametrize("label,i,bound", [("D6", 4, 100), ("E6", 4, 200)])
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4"])
+def test_fm_window_grows(monkeypatch, label):
+    # with no slot above the head the window must widen, and repack every
+    # key and packed delta, again and again; the states stay the same
+    widths = []
+    real = qchar._window
+
+    def window(width, size, rows):
+        widths.append(size)
+        return real(width, size, rows)
+
+    monkeypatch.setattr(qchar, "_window_pad", lambda cd, depth: 0)
+    monkeypatch.setattr(qchar, "_window", window)
+    cd = build_cartan(label)
+    for head in _reference_heads(cd):
+        for depth in (3, 80):
+            widths.clear()
+            fm_expand(cd, head, depth)
+            assert widths == sorted(set(widths))
+            if depth == 80 and list(head.values()) == [1]:
+                assert len(widths) > 1
+            _assert_matches_reference(cd, head, depth)
+
+
+def test_fm_digit_width_from_depth_and_head():
+    # the bias must exceed the largest head exponent plus depth: a Y^40
+    # head at depth 0 needs 7-bit digits, and its exponent no fewer
+    cd = build_cartan("A2")
+    state, complete = fm_expand(cd, {(1, 0): 40}, 0)
+    assert complete is False and list(state) == [((((1, 0), 40),))]
+    _assert_matches_reference(cd, {(2, -3): 40, (1, 0): 1}, 2)
+
+
+@pytest.mark.parametrize("label,i,bound", [("D6", 4, 30), ("E6", 4, 60)])
 def test_fm_string_products_once_per_node_part(monkeypatch, label, i, bound):
-    # one enumeration per distinct node part (46 and 101 of them), not one
-    # per term and node (936 and 5,687); a second call builds its own table
+    # one enumeration per node part up to translation (19 and 38 classes),
+    # not one per part (46 and 101) or per term and node (936 and 5,687);
+    # a second call builds its own table
     calls = []
     real = qchar._string_products
 
