@@ -52,14 +52,14 @@ def _emit(args, payload, text_lines):
     """Write the text lines under --text, the canonical JSON otherwise.
 
     payload and text_lines are callables returning the JSON payload and the
-    lines, so that each is built only when it is printed.
+    lines, so that each is built only when it is printed.  A payload is a
+    freshly built tree, never cyclic, so json skips its cycle check.
     """
     if args.text:
         sys.stdout.write("\n".join(text_lines()) + "\n")
     else:
-        sys.stdout.write(
-            json.dumps(payload(), sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        sys.stdout.write(json.dumps(payload(), sort_keys=True, separators=(",", ":"),
+                                    check_circular=False) + "\n")
 
 
 def _cartan_of(args):

@@ -21,18 +21,19 @@ GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiSta
 class LWeightMonomial:
     """An l-weight monomial: exps {(i, shift): e} and a ConstantFactor.
 
-    No stored exponent is 0.  The constructor copies exps as given, so its
-    callers hand it maps without zeros: generator, y_monomial, pow and
-    combine (through exps_combine) never make one, and from_json, the one
-    place that meets outside input, drops them.
+    No stored exponent is 0 and exps is never mutated.  The constructor
+    keeps the map it is given, uncopied, so callers hand it a map without
+    zeros that nothing changes later: generator, y_monomial, pow and combine
+    (through exps_combine) build a fresh one, and from_json, the one place
+    that meets outside input, drops the zeros.  Monomials may share a map.
     """
 
     __slots__ = ("cd", "exps", "const", "_key", "_hash")
 
     def __init__(self, cd, exps=None, const=None):
         self.cd = cd
-        self.exps = dict(exps) if exps else {}
-        self.const = const if const is not None else cd.const_one()
+        self.exps = {} if exps is None else exps
+        self.const = cd.const_one() if const is None else const
         self._key = None
         self._hash = None
 
@@ -40,11 +41,8 @@ class LWeightMonomial:
     def combine(self, other, sign=1):
         if other.cd != self.cd:
             raise ValueError("monomials over different Cartan data")
-        return LWeightMonomial(
-            self.cd,
-            exps_combine(self.exps, other.exps, sign),
-            self.const.mul(other.const, sign),
-        )
+        return LWeightMonomial(self.cd, exps_combine(self.exps, other.exps, sign),
+                               self.const.mul(other.const, sign))
 
     def __mul__(self, other):
         return self.combine(other, 1)
@@ -165,14 +163,10 @@ def generator(cd, kind, i, r):
         raise ValueError(f"node {i} out of range for {cd.type_label}")
     if kind == "Psi":
         return LWeightMonomial(cd, {(i, r): 1})
-    if kind == "Y":
+    if kind in ("Y", "Ytilde"):
         ri = cd.ri(i)
-        return LWeightMonomial(
-            cd, {(i, r - ri): 1, (i, r + ri): -1}, cd.omega_bar(i)
-        )
-    if kind == "Ytilde":
-        ri = cd.ri(i)
-        return LWeightMonomial(cd, {(i, r - ri): 1, (i, r + ri): -1})
+        const = cd.omega_bar(i) if kind == "Y" else None
+        return LWeightMonomial(cd, {(i, r - ri): 1, (i, r + ri): -1}, const)
     if kind in ("A", "Lambda"):
         pat, const = basis_generator(cd, kind, i)
         return LWeightMonomial(
@@ -230,27 +224,30 @@ def y_monomial(cd, ykey):
     Y_{i,t}^e is Psi_{i,t-r_i}^e Psi_{i,t+r_i}^{-e} times omega-bar_i^e, and
     omega-bar_i does not depend on t, so the constant has q-exponent
     r_i * (sum of the node-i exponents) at coordinate i and zeta 0.  The
-    variables are taken in sorted order with the add/pop rule of
-    exps_combine, so exps has the insertion order of
-    expand_in_basis(cd, "Y", y), the oracle this equals.
+    variables are taken in sorted order with the add/pop rule of exps_combine,
+    so exps has the insertion order of expand_in_basis(cd, "Y", y), the
+    oracle this equals.  A node outside 1..n raises ValueError.
     """
-    nodes = cd.nodes()
+    r, n = cd.r, cd.n
     exps = {}
-    q = [0] * cd.n
+    q = [0] * n
     for (i, t), e in ykey:
         if not e:
             continue
-        if i not in nodes:
+        if not 0 < i <= n:
             raise ValueError(f"node {i} out of range for {cd.type_label}")
-        ri = cd.r[i - 1]
+        ri = r[i - 1]
         q[i - 1] += ri * e
-        for k, d in (((i, t - ri), e), ((i, t + ri), -e)):
-            s = exps.get(k, 0) + d
-            if s:
-                exps[k] = s
-            else:
-                exps.pop(k, None)
-    return LWeightMonomial(cd, exps, ConstantFactor(q, (0,) * cd.n))
+        # a sum of 0 with e != 0 means the key was there
+        if s := exps.get(lo := (i, t - ri), 0) + e:
+            exps[lo] = s
+        else:
+            del exps[lo]
+        if s := exps.get(hi := (i, t + ri), 0) - e:
+            exps[hi] = s
+        else:
+            del exps[hi]
+    return LWeightMonomial(cd, exps, ConstantFactor(q, (0,) * n))
 
 
 # ---------------------------------------------------------------------------

@@ -592,7 +592,7 @@ def qc_simple_sl2(psi):
         raise ValueError("l-weight is not dominant")
     chains, leftovers = dominant_factorization(psi)
     out = qc_kr_chains(cd, chains)
-    rest = LWeightMonomial(cd, dict(leftovers))
+    rest = LWeightMonomial(cd, leftovers)
     const = psi.combine(out.head * rest, -1)
     if const.exps:
         raise AssertionError("factorization lost monomial content")

@@ -428,14 +428,16 @@ class ConstantFactor:
 
     Coordinates are trusted: q-exponents are ints or Fractions (halving goes
     through Fraction(e, 2), never e / 2) and zeta exponents are ints, stored
-    reduced mod ZETA_ORDER.  Outside input is validated once, in from_json.
+    reduced mod ZETA_ORDER; the reduction runs only when some zeta is
+    nonzero.  Outside input is validated once, in from_json.
     """
 
     __slots__ = ("qexps", "zetas")
 
     def __init__(self, qexps, zetas):
         self.qexps = tuple(qexps)
-        self.zetas = tuple(z % ZETA_ORDER for z in zetas)
+        zetas = tuple(zetas)
+        self.zetas = tuple([z % ZETA_ORDER for z in zetas]) if any(zetas) else zetas
         if len(self.qexps) != len(self.zetas):
             raise ValueError("coordinate length mismatch")
 

@@ -18,8 +18,10 @@ from shiftedq.lweight import (
     pair_class,
     y_monomial,
 )
+from shiftedq.qchar import qc_frenkel_mukhin, qc_mul
 from shiftedq.scalars import ConstantFactor
 from shiftedq.smith import solve_rational
+from shiftedq.truncation import TruncationData, descent_refine, enumerate_candidates
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -602,8 +604,9 @@ def test_y_monomial_matches_oracle(label):
         assert m.key() == want.key()
         # insertion order too: the add/pop rule of exps_combine
         assert list(m.exps) == list(want.exps)
-    with pytest.raises(ValueError, match="out of range"):
-        y_monomial(cd, (((cd.n + 1, 0), 1),))
+    for i in (0, -1, cd.n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            y_monomial(cd, (((i, 0), 1),))
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "D4", "E6", "F4", "G2"])
@@ -634,3 +637,28 @@ def test_monomial_builds_agree_and_hash_alike(label):
         assert len(set(hashed_first)) == 1 and len(set(keyed_first)) == 1
         for m in keyed_first:
             assert m.to_json()["exps"] == [[i, r, e] for (i, r), e in sorted(m.exps.items())]
+
+
+def test_shared_exponent_maps_stay_unchanged():
+    # the constructor keeps the map it is given, so a caller that changed a
+    # map after handing it over would leave a monomial whose cached hash and
+    # key no longer match its exps.  Run FM expansions, a product and a
+    # truncate search first, then rebuild every monomial from a copy
+    made = []
+    for label, i in [("D4", 2), ("E6", 1), ("G2", 2)]:
+        made.append(qc_frenkel_mukhin(build_cartan(label), {(i, 0): 1}, 80))
+    x1 = qc_frenkel_mukhin(B2, {(1, 0): 1}, 20)
+    x2 = qc_frenkel_mukhin(B2, {(2, 3): 1}, 20)
+    made.append(qc_mul(x1, x2))
+    monomials = [m for x in made + [x1, x2] for m in [x.head, *x.terms]]
+    z = TruncationData(B2, {1: [-2], 2: [-1]})  # truncate B2 --zroots "1:0;2:0"
+    cands = enumerate_candidates(z, z.lam, (-1, 0))
+    assert cands
+    for c in cands:
+        hash(c.psi)  # cache the hash before descent_refine reads psi
+    monomials += [c.psi for c in cands + [descent_refine(z, c, 2) for c in cands]]
+    for m in monomials:
+        again = LWeightMonomial(m.cd, dict(m.exps), m.const)
+        assert hash(m) == hash(again)
+        assert m.key() == again.key()
+        assert all(m.exps.values())

@@ -557,6 +557,13 @@ def test_fm_bytes_pinned(label, i, qc_digest, state_digest):
     x = qc_frenkel_mukhin(cd, {(i, 0): 1}, 80)
     dump = json.dumps(x.to_json(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(dump.encode()).hexdigest() == qc_digest
+    # the bytes the CLI writes, without the trailing newline, are that dump
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["qchar", "--type", label, "--family", "fm", "--head", f"{i}:0",
+                         "--depth", "80"])
+    assert code == 0 and out.getvalue().endswith("\n")
+    assert hashlib.sha256(out.getvalue()[:-1].encode()).hexdigest() == qc_digest
     state, complete = fm_expand(cd, {(i, 0): 1}, 80)
     rows = [[list(k), rec[0], list(rec[2].items())] for k, rec in state.items()]
     assert hashlib.sha256(json.dumps([complete, rows]).encode()).hexdigest() == (
