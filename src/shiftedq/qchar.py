@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import a_in_y_table
+from .cartan import a_in_y_table, coroot_inverse
 from .lweight import (
     LWeightMonomial,
     dominant_factorization,
@@ -265,25 +265,24 @@ def _string_products(factors, cap):
     return out
 
 
-def _node_products(part, width, step, a_items, cap):
+def _node_products(part, width, step, inverse, cap):
     """The q-string products of one node part of a term, for fm_expand.
 
     part: the exponents of node i as width-bit digits, every one >= 0, the
-    lowest nonzero at digit 0; digit t is relative shift t.  Returns
-    [products, top, cap, reach]: products lists [shifts, count, len(shifts),
-    delta, None] for each nonempty product of at most cap shifts, in
-    _string_products order, where delta {(j, t): d} is the net change
-    prod_s A_{i,q^s}^{-1} makes to the Y-exponents (the None is for
-    fm_expand's packed delta); top is the length of the longest product,
-    kept or not (every string taken whole: the exponent sum); reach is the
-    largest t of any delta (-1 with no product).
+    lowest nonzero at digit 0; digit t is relative shift t.  inverse: the
+    change A_{i,q^{r_i}}^{-1} makes to a key whose part starts at slot 0
+    (_window).  Returns [products, top, cap, reach]: products lists [shifts,
+    count, len(shifts), delta] for each nonempty product of at most cap
+    shifts, in _string_products order, where delta is the change
+    prod_s A_{i,q^s}^{-1} makes to that key (inverse shifted to each s);
+    top is the length of the longest product, kept or not (every string
+    taken whole: the exponent sum); reach is the highest slot a delta
+    changes (-1 with no product).
 
-    Shifts are relative to the part's lowest one, and no t is below it: a
-    string's lowest A^{-1} shift is its lowest Y shift plus r_i, and
-    A_{i,q^s} has its Y-variables at shifts s + o with |o| <= r_i, o = r_i
-    at node i (cartan.a_in_y), so reach is the top Y shift plus 2 r_i.  No
-    d is 0: A_{i,q^s} is positive in Y only at node i, so the product
-    lowers node-i exponents and raises only neighbour ones.
+    No delta changes a slot below the part's lowest: a string's lowest
+    A^{-1} shift is its lowest Y shift plus r_i, and A_{i,q^s} has its
+    Y-variables at shifts s + o with |o| <= r_i, o = r_i at node i
+    (cartan.a_in_y), so reach is the top Y shift plus 2 r_i.
     """
     digit = (1 << width) - 1
     u = {}
@@ -297,16 +296,14 @@ def _node_products(part, width, step, a_items, cap):
     products = _string_products(
         [_string_eigen_terms(s, k, step) for s, k in _strings(u, step)], cap
     )
+    r = step // 2
     out = []
     for shifts, c in products.items():
-        if not shifts:
-            continue
-        delta = {}
-        for s in shifts:
-            for (j, o), e in a_items:
-                key = (j, s + o)
-                delta[key] = delta.get(key, 0) - e
-        out.append([shifts, c, len(shifts), delta, None])
+        if shifts:
+            delta = 0
+            for s in shifts:
+                delta += inverse << width * (s - r)
+            out.append([shifts, c, len(shifts), delta])
     # the top string's first factor alone is kept whenever any product is
     return [out, sum(u.values()), cap, t - 1 + step if out else -1]
 
@@ -331,24 +328,24 @@ def _window(width, size, rows):
     return bits, mask, bias, full, inverses
 
 
-def _pack_deltas(products, inverse, r, width):
-    """Set each product's packed delta, inverse shifted to each of its
-    shifts (inverse and r_i from _window for the product's node)."""
-    for prod in products:
-        packed = 0
-        for s in prod[0]:
-            packed += inverse << width * (s - r)
-        prod[4] = packed
-
-
-def _repack(key, n, old, new):
-    """key packed in window old (from _window) as in window new, of the same
-    width and more slots per node."""
-    bits, mask, bias = old[:3]
-    out = new[3]
-    for j in range(n):
-        out += (((key >> j * bits) & mask) - bias) << j * new[0]
-    return out
+def _decode(x, width, slots):
+    """The sorted Y-exponent tuple of x, a key of fm_expand XOR its
+    all-bias key, slots the (node, shift) of each slot: each exponent is
+    left as its width-bit two's complement, so only the nonzero digits are
+    visited.  Node-major slots come in sorted (node, shift) order."""
+    digit = (1 << width) - 1
+    sign = 1 << width - 1
+    out = []
+    slot = 0
+    while x:
+        skip = ((x & -x).bit_length() - 1) // width
+        x >>= width * skip
+        slot += skip
+        e = x & digit
+        x >>= width
+        out.append((slots[slot], e - (e & sign) * 2))
+        slot += 1
+    return tuple(out)
 
 
 def _window_pad(cd, depth):
@@ -365,38 +362,37 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}, every i a node
     of cd (FMError otherwise).  Returns (state, complete): state maps the
     sorted Y-exponent tuple of each term, head first, to [multiplicity,
-    {(i, t): exp}, A^{-1}-path {(i, s): count}, A^{-1}-distance from the
-    head]; complete is False when a string product longer than the
-    remaining depth was dropped, which raises FMBudgetError under
-    require_complete.
+    A^{-1}-path {(i, s): count}, A^{-1}-distance from the head]; complete
+    is False when a string product longer than the remaining depth was
+    dropped, which raises FMBudgetError under require_complete.
 
-    Inside the loop a term is one int of width-bit digits: the exponent of
-    Y_{j,q^t} plus the bias 2^(width-1) at digit (j - 1) * size + (t - lo),
-    lo the lowest head shift.  Every A^{-1} factor changes a digit by at
-    most the largest |exponent| c of an A_i in Y, and a term at distance
-    w <= depth has had w of them, so no exponent is further from 0 than the
-    largest head exponent plus depth * c, which is below the bias: no digit
-    carries or borrows.  No shift falls below lo (_node_products), and a
-    child rises at most 2 r_i above its parent, so size starts at the
-    head's span plus _window_pad; a delta that reaches past it widens the
-    window and repacks every key and packed delta, so nothing wraps.
+    Inside the loop a term is only its key, one int of width-bit digits:
+    the exponent of Y_{j,q^t} plus the bias 2^(width-1) at digit
+    (j - 1) * size + (t - lo), lo the lowest head shift.  Every A^{-1}
+    factor changes a digit by at most the largest |exponent| c of an A_i in
+    Y, and a term at distance w <= depth has had w of them, so no exponent
+    is further from 0 than the largest head exponent plus depth * c, which
+    is below the bias: no digit carries or borrows.  No shift falls below
+    lo (_node_products), and a child rises at most 2 r_i above its parent,
+    so size starts at the head's span plus _window_pad; when a delta would
+    reach past it, the expansion runs again from the head at a size that
+    holds it, so nothing wraps.  Each key is decoded once, at the end
+    (_decode).
 
     Node i's part is one shift and mask of the key: all bias means the node
     is absent, a cleared top bit a negative exponent (skipped), and XOR with
     the bias the plain exponents.  Its products depend only on the part up
-    to translation, so one table for the call, keyed by node and by the part
-    shifted down to its lowest slot, holds them (_node_products) with their
-    deltas packed: a child is the parent plus the packed delta shifted to
-    the part's place.  An entry is enumerated at the remaining depth of the
-    first term that meets it, and again, wider, only when a term with more
-    room meets a part whose longest product did not fit.  A term at
-    distance w takes the products of at most depth - w shifts: the
-    products, in the order, that _string_products gives at cap depth - w,
-    which drops one exactly when the longest is longer.  Only a new child
-    gets its Y-exponents (the parent's plus the delta), its path and, at
-    the end, its sorted key.  A term reached again with a larger
-    multiplicity takes it and is queued again (the `max` merge of ROADMAP
-    item 1).
+    to translation, so one table for the run, keyed by node and by the part
+    shifted down to its lowest slot, holds them (_node_products): a child is
+    the parent plus the delta shifted to the part's place.  An entry is
+    enumerated at the remaining depth of the first term that meets it, and
+    again, wider, only when a term with more room meets a part whose
+    longest product did not fit.  A term at distance w takes the products
+    of at most depth - w shifts: the products, in the order, that
+    _string_products gives at cap depth - w, which drops one exactly when
+    the longest is longer.  Only a new child gets its path.  A term reached
+    again with a larger multiplicity takes it and is queued again (the
+    `max` merge of ROADMAP item 1).
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
@@ -406,31 +402,45 @@ def fm_expand(cd, head_y, depth, require_complete=False):
         if i not in nodes:
             raise FMError(f"head node {i} out of range for {cd.type_label}")
     rows, cmax = a_in_y_table(cd)
-    n = cd.n
     factors = max(depth, 0)  # the most A^{-1} factors a term can have
     width = (max(head_y.values(), default=0) + factors * cmax).bit_length() + 1
     shifts = [t for _i, t in head_y]
     lo = min(shifts, default=0)
-    size = max(shifts, default=0) - lo + 1 + _window_pad(cd, factors)
-    win = _window(width, size, rows)
-    bits, mask, bias, head, inverses = win
+    pad = _window_pad(cd, factors)
+    # the slots the head spans, or those a delta past the window reaches
+    run = max(shifts, default=0) - lo + 1
+    while isinstance(run, int):
+        run = _fm_run(head_y, depth, width, lo, run + pad, rows)
+    state, complete = run
+    if require_complete and not complete:
+        raise FMBudgetError(
+            f"expansion of {head_y} did not close within depth {depth}"
+        )
+    return state, complete
+
+
+def _fm_run(head_y, depth, width, lo, size, rows):
+    """fm_expand's loop in a window of size slots per node: (state,
+    complete), or the slots a delta reaching past the window needs."""
+    bits, mask, bias, head, inverses = _window(width, size, rows)
+    full = head
     for (i, t), e in head_y.items():
         head += e << (i - 1) * bits + width * (t - lo)
-
+    nodes = range(1, len(rows) + 1)
     # per node: the node parts met so far, shifted to their lowest slot ->
-    # _node_products entry with packed deltas; it lives for this call only
-    tables = [{} for _ in nodes]
-    index = {head: [1, dict(head_y), {}, 0]}
+    # _node_products entry; it lives for this run only
+    tables = [{} for _ in rows]
+    index = {head: [1, {}, 0]}
     frontier = [head]
     truncated = False
     while frontier:
         new_frontier = []
         queued = set()
         for k in frontier:
-            mult, y, path, w = index[k]
+            mult, path, w = index[k]
             room = depth - w
             rest = k
-            for i, (step, a_items), table in zip(nodes, rows, tables):
+            for i, (step, _items), inverse, table in zip(nodes, rows, inverses, tables):
                 part = rest & mask
                 rest >>= bits
                 if part == bias or part & bias != bias:
@@ -441,48 +451,26 @@ def fm_expand(cd, head_y, depth, require_complete=False):
                 entry = table.get(low)
                 # enumerate again only if products this term keeps were cut
                 if entry is None or entry[2] < room and entry[2] < entry[1]:
-                    entry = table[low] = _node_products(low, width, step, a_items, room)
-                    _pack_deltas(entry[0], inverses[i - 1], step // 2, width)
+                    entry = table[low] = _node_products(low, width, step, inverse, room)
                 products, top, _cap, reach = entry
                 if p + reach >= size:
-                    # widen the window; frontier is read by position, so the
-                    # loop goes on over the repacked keys
-                    size = p + reach + 1 + _window_pad(cd, factors)
-                    old, win = win, _window(width, size, rows)
-                    bits, mask, bias, _full, inverses = win
-                    index = {_repack(x, n, old, win): rec for x, rec in index.items()}
-                    frontier[:] = [_repack(x, n, old, win) for x in frontier]
-                    new_frontier = [_repack(x, n, old, win) for x in new_frontier]
-                    queued = set(new_frontier)
-                    k = _repack(k, n, old, win)
-                    rest = k >> i * bits
-                    for (rstep, _items), inverse, tab in zip(rows, inverses, tables):
-                        for ent in tab.values():
-                            _pack_deltas(ent[0], inverse, rstep // 2, width)
+                    return p + reach + 1
                 if top > room:
                     truncated = True
                 t0 = lo + p
                 at = width * p
-                for shifts, c, m, delta, packed in products:
+                for shifts, c, m, delta in products:
                     if m > room:
                         continue
-                    nk = k + (packed << at)
+                    nk = k + (delta << at)
                     need = mult * c
                     cur = index.get(nk)
                     if cur is None:
-                        ny = dict(y)
-                        for (j, t), d in delta.items():
-                            key = (j, t + t0)
-                            v = ny.get(key, 0) + d
-                            if v:
-                                ny[key] = v
-                            else:
-                                del ny[key]
                         npath = dict(path)
                         for s in shifts:
                             key = (i, s + t0)
                             npath[key] = npath.get(key, 0) + 1
-                        index[nk] = [need, ny, npath, w + m]
+                        index[nk] = [need, npath, w + m]
                     elif cur[0] < need:
                         cur[0] = need
                     else:
@@ -491,11 +479,8 @@ def fm_expand(cd, head_y, depth, require_complete=False):
                         queued.add(nk)
                         new_frontier.append(nk)
         frontier = new_frontier
-    if require_complete and truncated:
-        raise FMBudgetError(
-            f"expansion of {head_y} did not close within depth {depth}"
-        )
-    return {tuple(sorted(rec[1].items())): rec for rec in index.values()}, not truncated
+    slots = [(i, t) for i in nodes for t in range(lo, lo + size)]
+    return {_decode(k ^ full, width, slots): rec for k, rec in index.items()}, not truncated
 
 
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
@@ -508,22 +493,22 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     state, complete = fm_expand(cd, head_y, depth, require_complete)
     terms = {}
     paths = {}
-    for k, (mult, _y, path, _w) in state.items():
+    for k, (mult, path, _w) in state.items():
         m = y_monomial(cd, k)
         terms[m] = mult  # Y-exponents determine the monomial injectively
         paths[m] = path
 
-    # KR/fundamental contract on the head (the first state, zero exponents
+    # KR/fundamental contract on the head (the first key, zero exponents
     # dropped): one node, one maximal string
-    head_y = next(iter(state.values()))[1]
-    nodes_used = {i for (i, _) in head_y}
+    head_key = next(iter(state))
+    nodes_used = {i for (i, _), _e in head_key}
     heuristic = True
     if len(nodes_used) <= 1:
-        if not head_y:
+        if not head_key:
             heuristic = False
         else:
             (i0,) = nodes_used
-            u = {t: e for (_, t), e in head_y.items()}
+            u = {t: e for (_, t), e in head_key}
             heuristic = not (
                 all(e == 1 for e in u.values())
                 and len(_strings(u, 2 * cd.ri(i0))) == 1
@@ -532,13 +517,22 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
                       heuristic)
 
 
+def _kr_distance(cd, i, k):
+    """k ht(omega_i + omega_ibar) = 2k ht(omega_i) (-w_0 keeps heights), the
+    A^{-1}-distance of the lowest term of W^{(i)}_k from its head; omega_i
+    is row i of adj(C^T) / det C."""
+    det, adj = coroot_inverse(cd)
+    return 2 * k * sum(adj[i - 1]) // det
+
+
 def qc_kr(cd, i, top_shift, k, depth=None, require_complete=True):
     """Kirillov-Reshetikhin character with head Y_{i,s}...Y_{i,s+2r_i(k-1)},
-    top Y at top_shift."""
+    top Y at top_shift.  The default depth reaches the lowest term
+    (_kr_distance), and is never below 2k sum(r) n + 4."""
     ri = cd.ri(i)
     head = {(i, top_shift - 2 * ri * l): 1 for l in range(k)}
     if depth is None:
-        depth = 2 * k * sum(cd.r) * cd.n + 4
+        depth = max(2 * k * sum(cd.r) * cd.n + 4, _kr_distance(cd, i, k))
     return qc_frenkel_mukhin(cd, head, depth, require_complete)
 
 

@@ -183,13 +183,14 @@ def fm_expand_reference(cd, head_y, depth, require_complete=False):
     head_y: {(i, t): exp >= 0} meaning prod Y_{i,q^t}^{exp}, every i a node
     of cd (FMError otherwise).  Returns (state, complete): state maps the
     sorted Y-exponent tuple of each term, head first, to [multiplicity,
-    {(i, t): exp}, A^{-1}-path {(i, s): count}, A^{-1}-distance from the
-    head]; complete is False when a string product longer than the
-    remaining depth was dropped, which raises FMBudgetError under
-    require_complete.
+    A^{-1}-path {(i, s): count}, A^{-1}-distance from the head]; complete
+    is False when a string product longer than the remaining depth was
+    dropped, which raises FMBudgetError under require_complete.
 
     Each term's sorted key is read once, grouped by node, and every node
-    without a negative exponent is expanded by its q-string products.  A
+    without a negative exponent is expanded by its q-string products; a
+    child's Y-exponents are its parent's key, read as a dict, times the
+    product's A^{-1} factors.  A
     term reached again with a larger multiplicity takes it and is queued
     again (the `max` merge of ROADMAP item 1).
     """
@@ -204,14 +205,15 @@ def fm_expand_reference(cd, head_y, depth, require_complete=False):
     node_data = {i: (2 * cd.ri(i), tuple(a_in_y(cd, i).items())) for i in nodes}
 
     head_key = tuple(sorted(head_y.items()))
-    state = {head_key: [1, dict(head_y), {}, 0]}
+    state = {head_key: [1, {}, 0]}
     frontier = [head_key]
     truncated = False
     while frontier:
         new_frontier = []
         queued = set()
         for k in frontier:
-            mult, y, path, w = state[k]
+            mult, path, w = state[k]
+            y = dict(k)
             by_node = {}
             for (j, t), e in k:
                 u = by_node.get(j)
@@ -247,7 +249,7 @@ def fm_expand_reference(cd, head_y, depth, require_complete=False):
                     need = mult * c
                     cur = state.get(nk)
                     if cur is None:
-                        state[nk] = [need, ny, npath, w + len(shifts)]
+                        state[nk] = [need, npath, w + len(shifts)]
                     elif cur[0] < need:
                         cur[0] = need
                     else:

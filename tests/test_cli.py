@@ -110,8 +110,8 @@ def test_truncfd_command():
 
 
 def test_fm_budget_error_is_a_refusal(capsys, monkeypatch):
-    # an expansion that does not close (E8 Y_{2,0} at qc_kr's default depth)
-    # is a rejection with one error line, not a traceback
+    # an expansion that does not close within its depth is a rejection with
+    # one error line, not a traceback
     from shiftedq import langlands
     from shiftedq.qchar import FMBudgetError
 

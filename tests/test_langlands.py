@@ -116,10 +116,10 @@ def test_simply_laced_standard_is_fm_product():
     # under Z = Y the standard dual character is the FM product character:
     # convolve the Y-exponent data of the two factors
     want = {}
-    for c1, y1, _p1, _w1 in f1.values():
-        for c2, y2, _p2, _w2 in f2.values():
-            y = dict(y1)
-            for k, e in y2.items():
+    for k1, (c1, _p1, _w1) in f1.items():
+        for k2, (c2, _p2, _w2) in f2.items():
+            y = dict(k1)
+            for k, e in k2:
                 y[k] = y.get(k, 0) + e
                 if not y[k]:
                     del y[k]

@@ -334,10 +334,10 @@ def test_fm_terms_are_head_times_path(label, head, depth):
     state, complete = fm_expand(cd, head, depth)
     assert x.head == expand_in_basis(cd, "Y", head)
     assert len(x.terms) == len(state) and x.complete == complete
-    for (m, c), (mult, y, path, _w) in zip(x.terms.items(), state.values()):
+    for (m, c), (k, (mult, path, _w)) in zip(x.terms.items(), state.items()):
         assert c == mult and x.paths[m] == path
         assert m == x.head * expand_in_basis(cd, "A", path).pow(-1)
-        assert m == expand_in_basis(cd, "Y", y)
+        assert m == expand_in_basis(cd, "Y", dict(k))
 
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "E6", "F4", "G2"])
@@ -352,10 +352,10 @@ def test_fm_terms_match_y_oracle(label):
         want = expand_in_basis(cd, "Y", head)
         assert x.head.key() == want.key() and list(x.head.exps) == list(want.exps)
         assert len(x.terms) == len(state)
-        for m, (mult, y, _path, _w) in zip(x.terms, state.values()):
-            want = expand_in_basis(cd, "Y", y)
+        for m, (k, (mult, _path, _w)) in zip(x.terms, state.items()):
+            want = expand_in_basis(cd, "Y", dict(k))
             assert m.key() == want.key() and list(m.exps) == list(want.exps)
-            assert y_monomial(cd, tuple(sorted(y.items()))) == m and x.terms[m] == mult >= 1
+            assert y_monomial(cd, k) == m and x.terms[m] == mult >= 1
 
 
 @pytest.mark.parametrize("label,i", [("A2", 1), ("B2", 1), ("B2", 2), ("G2", 2)])
@@ -408,16 +408,15 @@ def _reference_heads(cd):
 
 
 def _assert_matches_reference(cd, head, depth):
-    # key order, multiplicity, Y-exponents, path item order, distance and
-    # the flag of the per-term loop
+    # key order, multiplicity, path item order, distance and the flag of
+    # the per-term loop
     state, complete = fm_expand(cd, head, depth)
     want, want_complete = fm_expand_reference(cd, head, depth)
     assert complete == want_complete
     assert list(state) == list(want)
-    for k, (mult, y, path, w) in state.items():
-        rmult, ry, rpath, rw = want[k]
-        assert (mult, y, list(path.items()), w) == (
-            rmult, ry, list(rpath.items()), rw)
+    for k, (mult, path, w) in state.items():
+        rmult, rpath, rw = want[k]
+        assert (mult, list(path.items()), w) == (rmult, list(rpath.items()), rw)
     if not complete:
         with pytest.raises(FMBudgetError):
             fm_expand(cd, head, depth, require_complete=True)
@@ -434,8 +433,8 @@ def test_fm_expand_matches_per_term_reference(label):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4"])
 def test_fm_window_grows(monkeypatch, label):
-    # with no slot above the head the window must widen, and repack every
-    # key and packed delta, again and again; the states stay the same
+    # with no slot above the head the window must widen, the expansion
+    # running again from the head, again and again; the states stay the same
     widths = []
     real = qchar._window
 
@@ -454,6 +453,29 @@ def test_fm_window_grows(monkeypatch, label):
             if depth == 80 and list(head.values()) == [1]:
                 assert len(widths) > 1
             _assert_matches_reference(cd, head, depth)
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 9])
+def test_fm_decode_extremes(width):
+    # keys packed by hand, node-major: exponents at +-(2^(width-1) - 1), on
+    # the first and last slot of every node, nodes left absent, and lowest
+    # shifts below 0; the decoder reads back the sorted Y-exponent tuple
+    rng = random.Random(width)
+    top = (1 << width - 1) - 1
+    for n, size, lo in [(1, 1, 0), (3, 1, -2), (4, 7, -9), (2, 5, 3), (6, 13, -1)]:
+        slots = [(j, t) for j in range(1, n + 1) for t in range(lo, lo + size)]
+        full = sum(1 << width * s + width - 1 for s in range(n * size))
+        for _ in range(30):
+            y = {}
+            for j in range(1, n + 1):
+                if rng.random() < 0.3:
+                    continue
+                for t in (lo, lo + size - 1, rng.randrange(lo, lo + size)):
+                    y[(j, t)] = rng.choice([top, -top, 1, -1, rng.randint(-top, top)])
+            y = {k: e for k, e in y.items() if e}
+            key = full + sum(e << width * ((j - 1) * size + t - lo)
+                             for (j, t), e in y.items())
+            assert qchar._decode(key ^ full, width, slots) == tuple(sorted(y.items()))
 
 
 def test_fm_digit_width_from_depth_and_head():
@@ -484,6 +506,34 @@ def test_fm_string_products_once_per_node_part(monkeypatch, label, i, bound):
     assert 0 < first <= bound
     fm_expand(cd, {(i, 0): 1}, 80)
     assert len(calls) == 2 * first
+
+
+def test_kr_default_depth_reaches_lowest_term(monkeypatch):
+    # k ht(omega_i + omega_ibar), read off the coroot inverse, is the
+    # distance of the lowest term of W^{(i)}_k; on small types it is the
+    # largest distance of a term, and the default depth reaches it
+    e8 = build_cartan("E8")
+    assert [qchar._kr_distance(e8, i, 1) for i in e8.nodes()] == [
+        92, 136, 182, 270, 220, 168, 114, 58]
+    assert qchar._kr_distance(build_cartan("F4"), 2, 1) == 42
+    assert qchar._kr_distance(build_cartan("G2"), 1, 1) == 10
+    assert qchar._kr_distance(build_cartan("E6"), 4, 1) == 42
+    for label, kmax in [("A2", 2), ("A3", 2), ("B2", 2), ("C2", 2), ("B3", 2),
+                        ("C3", 2), ("G2", 2), ("D4", 2), ("F4", 1), ("D5", 1),
+                        ("E6", 1)]:
+        cd = build_cartan(label)
+        for k in range(1, kmax + 1):
+            for i in cd.nodes():
+                x = qc_kr(cd, i, 0, k)
+                assert x.complete
+                assert max(sum(p.values()) for p in x.paths.values()) == (
+                    qchar._kr_distance(cd, i, k))
+    # E8 is not expanded: only the default depth is read, the old
+    # 2k sum(r) n + 4 = 132 at k = 1 being the floor
+    monkeypatch.setattr(qchar, "qc_frenkel_mukhin", lambda cd, head, depth, rc: depth)
+    assert [qc_kr(e8, i, 0, 1) for i in e8.nodes()] == [
+        132, 136, 182, 270, 220, 168, 132, 132]
+    assert qc_kr(e8, 4, 0, 2) == 540
 
 
 def test_g2_fm_depth_40_pinned():
@@ -565,6 +615,35 @@ def test_fm_bytes_pinned(label, i, qc_digest, state_digest):
     assert code == 0 and out.getvalue().endswith("\n")
     assert hashlib.sha256(out.getvalue()[:-1].encode()).hexdigest() == qc_digest
     state, complete = fm_expand(cd, {(i, 0): 1}, 80)
-    rows = [[list(k), rec[0], list(rec[2].items())] for k, rec in state.items()]
+    rows = [[list(k), rec[0], list(rec[1].items())] for k, rec in state.items()]
     assert hashlib.sha256(json.dumps([complete, rows]).encode()).hexdigest() == (
         state_digest)
+
+
+def _assert_one_run(monkeypatch, cases):
+    # the window an expansion starts with holds every term: one run, one
+    # _window call, each
+    sizes = []
+    real = qchar._window
+
+    def window(width, size, rows):
+        sizes.append(size)
+        return real(width, size, rows)
+
+    monkeypatch.setattr(qchar, "_window", window)
+    for cd, head, depth in cases:
+        sizes.clear()
+        fm_expand(cd, head, depth)
+        assert len(sizes) == 1, (cd, head, depth)
+
+
+def test_fm_pinned_heads_run_once(monkeypatch):
+    _assert_one_run(monkeypatch, [(build_cartan(t), {(i, 0): 1}, 80)
+                                  for t, i, _, _ in _FM_PINS])
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C3", "G2", "D4"])
+def test_fm_reference_grid_runs_once(monkeypatch, label):
+    cd = build_cartan(label)
+    _assert_one_run(monkeypatch, [(cd, head, depth) for head in _reference_heads(cd)
+                                  for depth in (-1, 0, 1, 3, 7, 13, 80, 200)])
