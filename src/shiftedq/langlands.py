@@ -16,11 +16,12 @@ from .kernel import exps_combine
 from .lweight import (
     LWeightMonomial,
     dominant_factorization,
+    expand_in_basis,
     is_dominant,
     leq_certificate,
     node_sums,
 )
-from .qchar import fm_expand, qc_kr_chains
+from .qchar import fm_expand
 from .truncation import (
     STATUS_NECESSARY,
     STATUS_REFUTED,
@@ -272,6 +273,12 @@ def truncfd_Z_for(psi):
     """Build the descent truncation Z for a dominant l-weight from its
     Y-multiplicities, and emit the nu >= v certificate.
 
+    v certifies the lowest l-weight prod Y_{ibar,q^{t+rh}}^{-u} of the simple
+    module with Y-part prod Y_{i,q^t}^{u}, r the lacing, h the dual Coxeter
+    number.  It is Frenkel-Mukhin's for a fundamental (CMP 216 (2001), arXiv
+    math/9911112); for any simple, a KR module too, w_0(lambda) is a weight
+    (Weyl symmetry) of multiplicity one in the product of its fundamentals,
+    whose lowest l-weights multiply.
     Raises on non-dominant input.  Returns (TruncationData, certificate).
     """
     cd = psi.cd
@@ -322,12 +329,12 @@ def truncfd_Z_for(psi):
     nu = leq_certificate(psi, z.z_monomial(), "zorder")
     if nu is None:
         raise AssertionError("constructed Z is not above Psi in the Z-order")
-    # v from the lowest l-weight of the finite-dimensional module
-    x = qc_kr_chains(cd, chains)
-    dmax = max(sum(p.values()) for p in x.paths.values())
-    lows = [m for m, p in x.paths.items() if sum(p.values()) == dmax]
-    assert len(lows) == 1, "lowest l-weight of a simple must be unique"
-    v = dict(x.paths[lows[0]])
+    # v: the A^{-1}-path of the lowest l-weight below the Y-part u
+    low = expand_in_basis(cd, "Y", {(cd.bar(i), t + r * h): -e
+                                    for (i, t), e in u.items()})
+    v = leq_certificate(low, expand_in_basis(cd, "Y", u))
+    if v is None:
+        raise AssertionError("lowest l-weight is not below the head")
     ok = True
     witness = None
     for (i, t), vv in v.items():

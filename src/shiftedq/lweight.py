@@ -23,9 +23,11 @@ class LWeightMonomial:
 
     No stored exponent is 0 and exps is never mutated.  The constructor
     keeps the map it is given, uncopied, so callers hand it a map without
-    zeros that nothing changes later: generator, y_monomial, pow and combine
+    zeros that nothing changes later: generator, from_key, pow and combine
     (through exps_combine) build a fresh one, and from_json, the one place
     that meets outside input, drops the zeros.  Monomials may share a map.
+    A q-character from qc_frenkel_mukhin keeps its terms as key() triples
+    until a caller asks for monomials (from_key).
     """
 
     __slots__ = ("cd", "exps", "const", "_key", "_hash")
@@ -77,6 +79,15 @@ class LWeightMonomial:
             )
             self._hash = hash(self._key)
         return self._key
+
+    @staticmethod
+    def from_key(cd, key):
+        """The monomial whose key() is key, a (sorted nonzero exps items,
+        q-exponents, reduced zetas) triple, with the key and hash preset."""
+        m = LWeightMonomial(cd, dict(key[0]), ConstantFactor(key[1], key[2]))
+        m._key = key
+        m._hash = hash(key)
+        return m
 
     def exps_key(self):
         return tuple(sorted(self.exps.items()))
@@ -207,7 +218,7 @@ def expand_in_basis(cd, basis, vmap):
     """Oracle: the monomial prod basis_{i,q^u}^{v} for vmap {(i,u): v}.
 
     One generator, power and product per variable.  This is the independent
-    check of y_monomial, which qc_frenkel_mukhin uses instead, and the
+    check of y_key, which qc_frenkel_mukhin uses instead, and the
     re-expansion that verifies factor_in_basis.
     """
     out = LWeightMonomial(cd)
@@ -217,37 +228,50 @@ def expand_in_basis(cd, basis, vmap):
     return out
 
 
-def y_monomial(cd, ykey):
-    """prod Y_{i,q^t}^{e} in closed form, for ykey the sorted ((i, t), e)
+def y_key(cd, ykey):
+    """The key() of prod Y_{i,q^t}^{e}, for ykey the sorted ((i, t), e)
     items of a Y-exponent map y (the key fm_expand gives each term).
 
     Y_{i,t}^e is Psi_{i,t-r_i}^e Psi_{i,t+r_i}^{-e} times omega-bar_i^e, and
     omega-bar_i does not depend on t, so the constant has q-exponent
-    r_i * (sum of the node-i exponents) at coordinate i and zeta 0.  The
-    variables are taken in sorted order with the add/pop rule of exps_combine,
-    so exps has the insertion order of expand_in_basis(cd, "Y", y), the
-    oracle this equals.  A node outside 1..n raises ValueError.
+    r_i * (sum of the node-i exponents) at coordinate i and zeta 0.  Within
+    a node t - r_i and t + r_i both rise with t: merging the two runs, equal
+    shifts summed, gives the Psi items sorted.  The oracle is
+    expand_in_basis(cd, "Y", y).  A node outside 1..n raises ValueError.
     """
     r, n = cd.r, cd.n
-    exps = {}
+    out = []
     q = [0] * n
+    highs = []  # the node's Psi_{i,t+r_i}^{-e} items not yet merged
+    node = None
     for (i, t), e in ykey:
         if not e:
             continue
-        if not 0 < i <= n:
-            raise ValueError(f"node {i} out of range for {cd.type_label}")
-        ri = r[i - 1]
+        if i != node:
+            if not 0 < i <= n:
+                raise ValueError(f"node {i} out of range for {cd.type_label}")
+            out += highs
+            highs = []
+            node = i
+            ri = r[i - 1]
         q[i - 1] += ri * e
-        # a sum of 0 with e != 0 means the key was there
-        if s := exps.get(lo := (i, t - ri), 0) + e:
-            exps[lo] = s
+        lo = (i, t - ri)
+        while highs and highs[0][0] < lo:
+            out.append(highs.pop(0))
+        if highs and highs[0][0] == lo:
+            if s := highs.pop(0)[1] + e:
+                out.append((lo, s))
         else:
-            del exps[lo]
-        if s := exps.get(hi := (i, t + ri), 0) - e:
-            exps[hi] = s
-        else:
-            del exps[hi]
-    return LWeightMonomial(cd, exps, ConstantFactor(q, (0,) * n))
+            out.append((lo, e))
+        highs.append(((i, t + ri), -e))
+    out += highs
+    return tuple(out), tuple(q), (0,) * n
+
+
+def y_monomial(cd, ykey):
+    """prod Y_{i,q^t}^{e} for ykey the sorted ((i, t), e) items of a
+    Y-exponent map: the monomial of y_key, its exps in sorted order."""
+    return LWeightMonomial.from_key(cd, y_key(cd, ykey))
 
 
 # ---------------------------------------------------------------------------

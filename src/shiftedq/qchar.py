@@ -12,6 +12,7 @@ heads; other dominant heads are accepted but flagged heuristic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .cartan import a_in_y_table, coroot_inverse
 from .lweight import (
@@ -20,7 +21,7 @@ from .lweight import (
     generator,
     is_dominant,
     leq_certificate,
-    y_monomial,
+    y_key,
 )
 
 
@@ -33,6 +34,10 @@ class FMBudgetError(FMError):
 
 
 class QCharacter:
+    """A character from from_entries keeps one (LWeightMonomial.key(),
+    multiplicity, A^{-1}-path) entry per term, head first: len, dim and
+    to_json read the keys, and terms and paths are built on first access."""
+
     def __init__(self, cd, head, terms, depth, complete, paths=None, heuristic=False):
         self.cd = cd
         self.head = head
@@ -41,13 +46,32 @@ class QCharacter:
         self.complete = complete
         self.paths = paths or {}
         self.heuristic = heuristic
+        self._entries = None
         if terms.get(head, 0) != 1:
             raise ValueError("head must appear with multiplicity 1")
 
+    @classmethod
+    def from_entries(cls, cd, entries, depth, complete, heuristic):
+        head = LWeightMonomial.from_key(cd, entries[0][0])
+        x = cls(cd, head, {head: entries[0][1]}, depth, complete, None, heuristic)
+        del x.terms, x.paths  # left to the cached properties below
+        x._entries = entries
+        return x
+
+    @cached_property
+    def terms(self):
+        return {LWeightMonomial.from_key(self.cd, k): c for k, c, _p in self._entries}
+
+    @cached_property
+    def paths(self):
+        return dict(zip(self.terms, [p for _k, _c, p in self._entries]))
+
     def __len__(self):
-        return len(self.terms)
+        return len(self._entries or self.terms)
 
     def dim(self):
+        if self._entries:
+            return sum(c for _k, c, _p in self._entries)
         return sum(self.terms.values())
 
     def term_distance(self, m):
@@ -83,15 +107,21 @@ class QCharacter:
         )
 
     def to_json(self):
-        items = sorted(
-            ((t.to_json(), c) for t, c in self.terms.items()),
-            key=lambda x: (x[0]["exps"], x[0]["const"]),
-        )
+        """Terms sorted by (Psi items, const JSON); each distinct weight
+        has one const JSON list, shared, as the payload is acyclic."""
+        consts = {}
+        rows = []
+        for (items, q, z), c, _p in self._entries or [
+                (m.key(), c, None) for m, c in self.terms.items()]:
+            if (cj := consts.get((q, z))) is None:
+                cj = consts[q, z] = [[e.numerator, e.denominator, s] for e, s in zip(q, z)]
+            rows.append(([[i, r, e] for (i, r), e in items], cj, c))
+        rows.sort()
         out = {
             "head": self.head.to_json(),
             "depth": self.depth,
             "complete": self.complete,
-            "terms": [[t, c] for t, c in items],
+            "terms": [[{"exps": ex, "const": cj}, c] for ex, cj, c in rows],
         }
         if self.heuristic:
             out["heuristic"] = True
@@ -113,7 +143,7 @@ class QCharacter:
 
     def __repr__(self):
         flag = "complete" if self.complete else f"depth={self.depth}"
-        return f"QCharacter({len(self.terms)} terms, {flag})"
+        return f"QCharacter({len(self)} terms, {flag})"
 
 
 def qc_one(cd):
@@ -484,19 +514,16 @@ def _fm_run(head_y, depth, width, lo, size, rows):
 
 
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
-    """fm_expand as a QCharacter over l-weights.
+    """fm_expand as a QCharacter over l-weights, kept as key entries
+    (QCharacter.from_entries) in fm_expand's order.
 
-    lweight.y_monomial turns each term's sorted Y-key into its l-weight;
+    lweight.y_key turns each term's sorted Y-key into its l-weight key;
     lweight.expand_in_basis(cd, "Y", y) is the oracle it is tested against.
     Guaranteed for KR/fundamental heads; anything else is flagged heuristic.
     """
     state, complete = fm_expand(cd, head_y, depth, require_complete)
-    terms = {}
-    paths = {}
-    for k, (mult, path, _w) in state.items():
-        m = y_monomial(cd, k)
-        terms[m] = mult  # Y-exponents determine the monomial injectively
-        paths[m] = path
+    # Y-exponents determine the l-weight injectively
+    entries = [(y_key(cd, k), mult, path) for k, (mult, path, _w) in state.items()]
 
     # KR/fundamental contract on the head (the first key, zero exponents
     # dropped): one node, one maximal string
@@ -513,8 +540,7 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
                 all(e == 1 for e in u.values())
                 and len(_strings(u, 2 * cd.ri(i0))) == 1
             )
-    return QCharacter(cd, next(iter(terms)), terms, depth, complete, paths,
-                      heuristic)
+    return QCharacter.from_entries(cd, entries, depth, complete, heuristic)
 
 
 def _kr_distance(cd, i, k):

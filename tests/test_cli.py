@@ -112,16 +112,16 @@ def test_truncfd_command():
 def test_fm_budget_error_is_a_refusal(capsys, monkeypatch):
     # an expansion that does not close within its depth is a rejection with
     # one error line, not a traceback
-    from shiftedq import langlands
+    from shiftedq import qchar
     from shiftedq.qchar import FMBudgetError
 
     def budget(cd, chains):
         raise FMBudgetError("expansion of {(2, 0): 1} did not close within depth 132")
 
-    monkeypatch.setattr(langlands, "qc_kr_chains", budget)
-    mono = json.dumps({"exps": [[1, -2, 1], [1, 2, -1]],
-                       "const": [[0, 1, 0], [0, 1, 0]]})
-    code, out, err = run_main(capsys, "truncfd", "--type", "B2", "--psi", mono)
+    monkeypatch.setattr(qchar, "qc_kr_chains", budget)
+    mono = json.dumps({"exps": [[1, -1, 1], [1, 3, -1]], "const": [[2, 1, 0]]})
+    code, out, err = run_main(capsys, "qchar", "--type", "A1", "--family", "simple_sl2",
+                              "--monomial", mono)
     assert (code, out) == (1, "")
     assert err == "error: expansion of {(2, 0): 1} did not close within depth 132\n"
 

@@ -1,12 +1,20 @@
 import hashlib
 import io
 from contextlib import redirect_stdout
+from time import perf_counter
 
 import pytest
 
 from shiftedq import cli
 from shiftedq.cartan import build_cartan
-from shiftedq.lweight import LWeightMonomial, generator, node_sums, y_monomial
+from shiftedq.lweight import (
+    LWeightMonomial,
+    expand_in_basis,
+    generator,
+    leq_certificate,
+    node_sums,
+    y_monomial,
+)
 from shiftedq.langlands import (
     LanglandsError,
     chi_L_fundamental,
@@ -16,7 +24,7 @@ from shiftedq.langlands import (
     specialize_interpolating_b2,
     truncfd_Z_for,
 )
-from shiftedq.qchar import fm_expand, qc_frenkel_mukhin, qc_mul
+from shiftedq.qchar import fm_expand, qc_frenkel_mukhin, qc_kr, qc_mul
 from shiftedq.truncation import TruncationData
 from support import zorder_bound_holds
 
@@ -255,6 +263,38 @@ def test_truncfd_sl2_derived():
 def test_truncfd_constant():
     z, cert = truncfd_Z_for(LWeightMonomial(B2))
     assert all(not v for v in z.zroots.values())
+    assert cert["holds"]
+
+
+# KR modules W^{(i)}_k, every node, checked against their FM expansion
+_LOWEST_CASES = [(t, k) for t in ("A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4")
+                 for k in (1, 2)] + [("F4", 1), ("E6", 1)]
+
+
+@pytest.mark.parametrize("label,k", _LOWEST_CASES)
+def test_truncfd_lowest_term_is_fm_lowest(label, k):
+    # truncfd_Z_for reads v off the closed-form lowest l-weight
+    # prod Y_{ibar, t + r h}^{-1}; the FM expansion is the oracle: its term
+    # at the largest distance is unique, is that monomial, and its path is
+    # the certificate v
+    cd = build_cartan(label)
+    for i in cd.nodes():
+        x = qc_kr(cd, i, 3, k)
+        dist = {m: sum(p.values()) for m, p in x.paths.items()}
+        (low,) = [m for m, d in dist.items() if d == max(dist.values())]
+        heads = [3 - 2 * cd.ri(i) * l for l in range(k)]
+        shift = cd.lacing * cd.dual_coxeter
+        assert low == expand_in_basis(cd, "Y", {(cd.bar(i), t + shift): -1 for t in heads})
+        assert x.paths[low] == leq_certificate(low, x.head)
+        _z, cert = truncfd_Z_for(x.head)
+        assert cert["v"] == [[j, t, e] for (j, t), e in sorted(x.paths[low].items())]
+
+
+def test_truncfd_e7_needs_no_expansion():
+    # E7 Y_{4,0} took 30 s and 2.8 GB while v came from an FM expansion
+    t0 = perf_counter()
+    _z, cert = truncfd_Z_for(generator(build_cartan("E7"), "Y", 4, 0))
+    assert perf_counter() - t0 < 1.0
     assert cert["holds"]
 
 

@@ -16,6 +16,7 @@ from shiftedq.lweight import (
     leq,
     leq_certificate,
     pair_class,
+    y_key,
     y_monomial,
 )
 from shiftedq.qchar import qc_frenkel_mukhin, qc_mul
@@ -599,11 +600,16 @@ def test_y_monomial_matches_oracle(label):
     cd = build_cartan(label)
     rng = random.Random(f"ymap:{label}")
     for y in [{}] + [_random_ymap(rng, cd) for _ in range(40)]:
-        m, want = y_monomial(cd, tuple(sorted(y.items()))), expand_in_basis(cd, "Y", y)
-        assert m == want
-        assert m.key() == want.key()
-        # insertion order too: the add/pop rule of exps_combine
-        assert list(m.exps) == list(want.exps)
+        items = tuple(sorted(y.items()))
+        key, want = y_key(cd, items), expand_in_basis(cd, "Y", y)
+        assert key == want.key()
+        for m in (y_monomial(cd, items), LWeightMonomial.from_key(cd, key)):
+            assert m == want
+            assert m.key() == want.key()
+            # the key and hash are preset, and agree with a monomial built
+            # without them
+            assert hash(m) == hash(want) == hash(key)
+            assert list(m.exps) == sorted(m.exps)
     for i in (0, -1, cd.n + 1):
         with pytest.raises(ValueError, match="out of range"):
             y_monomial(cd, (((i, 0), 1),))

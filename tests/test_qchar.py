@@ -342,19 +342,20 @@ def test_fm_terms_are_head_times_path(label, head, depth):
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "E6", "F4", "G2"])
 def test_fm_terms_match_y_oracle(label):
-    # FM builds its terms with lweight.y_monomial; each must be the oracle
-    # expansion of its Y-exponents, key and exponent order alike
+    # FM keys its terms with lweight.y_key; each must be the key of the
+    # oracle expansion of its Y-exponents, and the monomials built from the
+    # keys hold their exps in sorted order
     cd = build_cartan(label)
     for i in cd.nodes():
         head = {(i, 0): 1}
         x = qc_frenkel_mukhin(cd, head, 6)
         state, _ = fm_expand(cd, head, 6)
         want = expand_in_basis(cd, "Y", head)
-        assert x.head.key() == want.key() and list(x.head.exps) == list(want.exps)
+        assert x.head.key() == want.key() and list(x.head.exps) == sorted(x.head.exps)
         assert len(x.terms) == len(state)
         for m, (k, (mult, _path, _w)) in zip(x.terms, state.items()):
             want = expand_in_basis(cd, "Y", dict(k))
-            assert m.key() == want.key() and list(m.exps) == list(want.exps)
+            assert m.key() == want.key() and list(m.exps) == sorted(m.exps)
             assert y_monomial(cd, k) == m and x.terms[m] == mult >= 1
 
 
@@ -647,3 +648,52 @@ def test_fm_reference_grid_runs_once(monkeypatch, label):
     cd = build_cartan(label)
     _assert_one_run(monkeypatch, [(cd, head, depth) for head in _reference_heads(cd)
                                   for depth in (-1, 0, 1, 3, 7, 13, 80, 200)])
+
+
+def _materialized(x):
+    # the same character built from its own terms and paths
+    return QCharacter(x.cd, x.head, dict(x.terms), x.depth, x.complete, dict(x.paths),
+                      x.heuristic)
+
+
+def _assert_keyed_prints_like_materialized(x):
+    # len, dim and to_json read the keys before any monomial exists
+    n, d, data = len(x), x.dim(), x.to_json()
+    assert "terms" not in vars(x) and "paths" not in vars(x)
+    y = _materialized(x)
+    assert y.to_json() == data and len(y) == n and y.dim() == d == sum(x.terms.values())
+    assert list(x.terms) == list(x.paths) and x.head == next(iter(x.terms))
+    return y
+
+
+def test_keyed_fm_characters_print_like_their_terms():
+    for label, i, _, _ in _FM_PINS:
+        _assert_keyed_prints_like_materialized(
+            qc_frenkel_mukhin(build_cartan(label), {(i, 0): 1}, 80))
+
+
+@pytest.mark.parametrize("label,kr1,kr2", [("B2", (1, 3), (2, 2)), ("A3", (2, 3), (1, 2))])
+def test_keyed_fusion_factors_print_like_their_terms(label, kr1, kr2):
+    # perfbench's two qc_mul jobs: the product of the keyed factors is the
+    # product of their materialized copies
+    cd = build_cartan(label)
+    x1, x2 = qc_kr(cd, kr1[0], 1, kr1[1]), qc_kr(cd, kr2[0], 4, kr2[1])
+    y1, y2 = (_assert_keyed_prints_like_materialized(x) for x in (x1, x2))
+    assert qc_mul(x1, x2).to_json() == qc_mul(y1, y2).to_json()
+    assert qc_mul(x1, x2).dim() == x1.dim() * x2.dim()
+
+
+@pytest.mark.parametrize("label,head,depth,digest", [
+    ("B2", "2:0", 12, "690ea4cd30d471df5db18fc6a56181890a71893028d78f8c14621dce8577ce6f"),
+    ("G2", "1:0", 40, "55e78099d55cba0796c6971c948878cde4facae01f5da2b2cb31dd78bf56e740"),
+    ("D4", "2:0", 80, "540b416f8e5ed16e4434caa9519c5e839ba21726314660c98a04d36b880bbc89"),
+    ("A2", "1:0;2:1", 8, "4904620a2634c64b9f15b3846c2b826348748e2a8901313406640778b7d371a3"),
+])
+def test_fm_text_output_pinned(label, head, depth, digest):
+    # qchar --text lists the materialized terms; its bytes are pinned
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["qchar", "--type", label, "--family", "fm", "--head", head,
+                         "--depth", str(depth), "--text"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
