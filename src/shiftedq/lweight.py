@@ -26,8 +26,8 @@ class LWeightMonomial:
     zeros that nothing changes later: generator, from_key, pow and combine
     (through exps_combine) build a fresh one, and from_json, the one place
     that meets outside input, drops the zeros.  Monomials may share a map.
-    A q-character from qc_frenkel_mukhin keeps its terms as key() triples
-    until a caller asks for monomials (from_key).
+    A QCharacter keeps its terms as key() triples until a caller asks for
+    monomials (from_key).
     """
 
     __slots__ = ("cd", "exps", "const", "_key", "_hash")

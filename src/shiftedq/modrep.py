@@ -176,11 +176,6 @@ def _osc_verma(sign, gamma_exp, cutoff):
                           gens, 0, up)
 
 
-def _ladder_lweights(x):
-    """The l-weights of a closed-form ladder character, in ladder order."""
-    return sorted(x.terms, key=lambda m: sum(x.paths[m].values()))
-
-
 def _node_gens(cd, lws, window, scale=ONE):
     """The x^{+-}_{j,m} of every node as zero matrices, and the diagonal
     phi^{+-}_{j,m} read off the l-weight series of the basis vectors lws,
@@ -210,7 +205,7 @@ def _affine_node_module(cd, i, r, cutoff, window, kind, gamma_exp=0):
     ri = cd.ri(i)
     denom = ExactScalar.q_power(ri) - ExactScalar.q_power(-ri)
     gamma = ExactScalar.q_power(gamma_exp)
-    lws = _ladder_lweights(qc_closed_form(cd, "psitilde", i, r, N))
+    lws = list(qc_closed_form(cd, "psitilde", i, r, N).terms)  # ladder order
     # the gamma-twist multiplies the phi series and x^-
     gens = _node_gens(cd, lws, window, gamma)
     up = dict.fromkeys(gens, 0)
@@ -244,7 +239,7 @@ def _affine_node_module(cd, i, r, cutoff, window, kind, gamma_exp=0):
 
 
 def _psistar_module(cd, i, r, window):
-    lws = _ladder_lweights(qc_closed_form(cd, "psistar", i, r, 1))
+    lws = list(qc_closed_form(cd, "psistar", i, r, 1).terms)
     gens = _node_gens(cd, lws, window)
     # basis 0,1 only: no cutoff pollution (x^- v_1 = 0 is exact), so every
     # symbol has up-shift 0 and both columns are checked

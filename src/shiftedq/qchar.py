@@ -1,12 +1,14 @@
 """q-characters as multiplicity maps over l-weights.
 
-Infinite characters are represented by depth-truncated slices: every
-retained term sits at A^{-1}-distance <= depth from the head, and identity
-checks only compare inside the guaranteed margin.  The node-wise sl2
-completion (fm_expand) works over Y-exponent keys; the Langlands-dual
-characters read its multiplicities directly, and qc_frenkel_mukhin turns
-its terms into l-weights.  It is contract-restricted to KR/fundamental
-heads; other dominant heads are accepted but flagged heuristic.
+Every QCharacter is one (l-weight key, multiplicity, A^{-1}-path) entry
+per term, head first.  Infinite characters are represented by
+depth-truncated slices: every retained term sits at A^{-1}-distance <= depth
+from the head, and identity checks only compare inside the guaranteed
+margin.  The node-wise sl2 completion (fm_expand) works over Y-exponent
+keys; the Langlands-dual characters read its multiplicities directly, and
+qc_frenkel_mukhin keys its terms by l-weight.  qc_frenkel_mukhin is
+contract-restricted to KR/fundamental heads; other dominant heads are
+accepted but flagged heuristic.
 """
 
 from __future__ import annotations
@@ -34,85 +36,67 @@ class FMBudgetError(FMError):
 
 
 class QCharacter:
-    """A character from from_entries keeps one (LWeightMonomial.key(),
-    multiplicity, A^{-1}-path) entry per term, head first: len, dim and
-    to_json read the keys, and terms and paths are built on first access."""
+    """A q-character as one (LWeightMonomial.key(), multiplicity,
+    A^{-1}-path) entry per term, head first: each term is the head times
+    prod A_{i,q^s}^{-path[(i, s)]}.  len, dim, restrict and to_json read the
+    entries; head, terms and paths are built on first access."""
 
-    def __init__(self, cd, head, terms, depth, complete, paths=None, heuristic=False):
+    def __init__(self, cd, entries, depth, complete, heuristic=False):
         self.cd = cd
-        self.head = head
-        self.terms = terms  # LWeightMonomial -> positive multiplicity
+        self.entries = entries
         self.depth = depth
         self.complete = complete
-        self.paths = paths or {}
         self.heuristic = heuristic
-        self._entries = None
-        if terms.get(head, 0) != 1:
+        if entries[0][1] != 1:
             raise ValueError("head must appear with multiplicity 1")
 
-    @classmethod
-    def from_entries(cls, cd, entries, depth, complete, heuristic):
-        head = LWeightMonomial.from_key(cd, entries[0][0])
-        x = cls(cd, head, {head: entries[0][1]}, depth, complete, None, heuristic)
-        del x.terms, x.paths  # left to the cached properties below
-        x._entries = entries
-        return x
+    @cached_property
+    def head(self):
+        return LWeightMonomial.from_key(self.cd, self.entries[0][0])
 
     @cached_property
     def terms(self):
-        return {LWeightMonomial.from_key(self.cd, k): c for k, c, _p in self._entries}
+        return {LWeightMonomial.from_key(self.cd, k): c for k, c, _p in self.entries}
 
     @cached_property
     def paths(self):
-        return dict(zip(self.terms, [p for _k, _c, p in self._entries]))
+        return dict(zip(self.terms, [p for _k, _c, p in self.entries]))
 
     def __len__(self):
-        return len(self._entries or self.terms)
+        return len(self.entries)
 
     def dim(self):
-        if self._entries:
-            return sum(c for _k, c, _p in self._entries)
-        return sum(self.terms.values())
+        return sum(c for _k, c, _p in self.entries)
 
     def term_distance(self, m):
-        """A^{-1}-distance of a term from the head."""
+        """A^{-1}-distance of m from the head: a term's path read off its
+        entry, leq_certificate for anything else; None when m is not below
+        the head.  Nothing is stored."""
         p = self.paths.get(m)
         if p is None:
             p = leq_certificate(m, self.head)
             if p is None:
                 return None
-            self.paths[m] = p
         return sum(p.values())
 
     def restrict(self, depth):
         """Exact restriction to terms at distance <= depth."""
-        terms = {}
-        paths = {}
-        for m, c in self.terms.items():
-            d = self.term_distance(m)
-            if d is not None and d <= depth:
-                terms[m] = c
-                paths[m] = self.paths[m]
-        still_complete = self.complete and len(terms) == len(self.terms)
-        return QCharacter(
-            self.cd, self.head, terms, depth, still_complete, paths, self.heuristic
-        )
+        entries = [e for e in self.entries if sum(e[2].values()) <= depth]
+        still_complete = self.complete and len(entries) == len(self.entries)
+        return QCharacter(self.cd, entries, depth, still_complete, self.heuristic)
 
     def scale_monomial(self, m):
         """Multiply by the one-term character [m]."""
-        terms = {t * m: c for t, c in self.terms.items()}
-        paths = {t * m: p for t, p in self.paths.items() if t in self.terms}
-        return QCharacter(
-            self.cd, self.head * m, terms, self.depth, self.complete, paths, self.heuristic
-        )
+        entries = [((t * m).key(), c, p)
+                   for t, (_k, c, p) in zip(self.terms, self.entries)]
+        return QCharacter(self.cd, entries, self.depth, self.complete, self.heuristic)
 
     def to_json(self):
         """Terms sorted by (Psi items, const JSON); each distinct weight
         has one const JSON list, shared, as the payload is acyclic."""
         consts = {}
         rows = []
-        for (items, q, z), c, _p in self._entries or [
-                (m.key(), c, None) for m, c in self.terms.items()]:
+        for (items, q, z), c, _p in self.entries:
             if (cj := consts.get((q, z))) is None:
                 cj = consts[q, z] = [[e.numerator, e.denominator, s] for e, s in zip(q, z)]
             rows.append(([[i, r, e] for (i, r), e in items], cj, c))
@@ -129,17 +113,23 @@ class QCharacter:
 
     @staticmethod
     def from_json(cd, data):
+        """Validate outside input: every term must lie below the head, whose
+        multiplicity must be 1; each path is its leq_certificate."""
+        head = LWeightMonomial.from_json(cd, data["head"])
         terms = {}
         for t, c in data["terms"]:
             terms[LWeightMonomial.from_json(cd, t)] = int(c)
-        return QCharacter(
-            cd,
-            LWeightMonomial.from_json(cd, data["head"]),
-            terms,
-            int(data["depth"]),
-            bool(data["complete"]),
-            heuristic=bool(data.get("heuristic", False)),
-        )
+        if terms.get(head) != 1:
+            raise ValueError("head must appear with multiplicity 1")
+        entries = [(head.key(), 1, {})]
+        for m, c in terms.items():
+            if m != head:
+                p = leq_certificate(m, head)
+                if p is None:
+                    raise ValueError(f"term {m!r} is not below the head {head!r}")
+                entries.append((m.key(), c, p))
+        return QCharacter(cd, entries, int(data["depth"]), bool(data["complete"]),
+                          bool(data.get("heuristic", False)))
 
     def __repr__(self):
         flag = "complete" if self.complete else f"depth={self.depth}"
@@ -151,14 +141,13 @@ def qc_one(cd):
 
 
 def qc_monomial(m, depth=0):
-    return QCharacter(m.cd, m, {m: 1}, depth, True, {m: {}})
+    return QCharacter(m.cd, [(m.key(), 1, {})], depth, True)
 
 
 def qc_mul(x1, x2):
     """Convolution product; heads multiply, margins take the minimum."""
     if x1.cd != x2.cd:
         raise ValueError("characters over different Cartan data")
-    head = x1.head * x2.head
     if x1.complete and x2.complete:
         depth = x1.depth + x2.depth
     elif x1.complete:
@@ -167,22 +156,23 @@ def qc_mul(x1, x2):
         depth = x1.depth
     else:
         depth = min(x1.depth, x2.depth)
-    terms = {}
-    paths = {}
-    for m1, c1 in x1.terms.items():
-        p1 = x1.paths.get(m1)
-        for m2, c2 in x2.terms.items():
+    # term -> [multiplicity, path]; a product's path is the sum of its
+    # factors' paths, the same for every pair giving it
+    acc = {}
+    for m1, (_k1, c1, p1) in zip(x1.terms, x1.entries):
+        for m2, (_k2, c2, p2) in zip(x2.terms, x2.entries):
             m = m1 * m2
-            terms[m] = terms.get(m, 0) + c1 * c2
-            p2 = x2.paths.get(m2)
-            if p1 is not None and p2 is not None and m not in paths:
+            cur = acc.get(m)
+            if cur is None:
                 p = dict(p1)
-                for k, v in p2.items():
-                    p[k] = p.get(k, 0) + v
-                paths[m] = p
+                for a, v in p2.items():
+                    p[a] = p.get(a, 0) + v
+                acc[m] = [c1 * c2, p]
+            else:
+                cur[0] += c1 * c2
     out = QCharacter(
-        x1.cd, head, terms, depth, x1.complete and x2.complete, paths,
-        x1.heuristic or x2.heuristic,
+        x1.cd, [(m.key(), c, p) for m, (c, p) in acc.items()], depth,
+        x1.complete and x2.complete, x1.heuristic or x2.heuristic,
     )
     if not out.complete:
         out = out.restrict(depth)
@@ -194,19 +184,17 @@ def qc_mul(x1, x2):
 # ---------------------------------------------------------------------------
 
 def _ladder(cd, head, i, r, depth, step):
-    """head * sum_m prod_{l<m} A_{i, r - l*step}^{-1}, m = 0..depth."""
-    terms = {head: 1}
-    paths = {head: {}}
+    """The entries of head * sum_m prod_{l<m} A_{i, r - l*step}^{-1},
+    m = 0..depth, in that order."""
+    entries = [(head.key(), 1, {})]
     cur = head
     path = {}
     for m in range(1, depth + 1):
-        a = generator(cd, "A", i, r - (m - 1) * step)
-        cur = cur.combine(a, -1)
+        cur = cur.combine(generator(cd, "A", i, r - (m - 1) * step), -1)
         path = dict(path)
         path[(i, r - (m - 1) * step)] = 1
-        terms[cur] = 1
-        paths[cur] = path
-    return terms, paths
+        entries.append((cur.key(), 1, path))
+    return entries
 
 
 def qc_closed_form(cd, kind, i, r, depth):
@@ -216,20 +204,13 @@ def qc_closed_form(cd, kind, i, r, depth):
         if cd.n != 1:
             raise ValueError("neg_prefund_sl2 needs rank 1")
         head = generator(cd, "Psi", i, r).pow(-1)
-        terms, paths = _ladder(cd, head, i, r, depth, 2)
-        return QCharacter(cd, head, terms, depth, False, paths)
+        return QCharacter(cd, _ladder(cd, head, i, r, depth, 2), depth, False)
     if kind == "psitilde":
         head = generator(cd, "PsiTilde", i, r)
-        terms, paths = _ladder(cd, head, i, r, depth, 2 * cd.ri(i))
-        return QCharacter(cd, head, terms, depth, False, paths)
+        return QCharacter(cd, _ladder(cd, head, i, r, depth, 2 * cd.ri(i)), depth, False)
     if kind == "psistar":
         head = generator(cd, "PsiStar", i, r)
-        a = generator(cd, "A", i, r)
-        low = head.combine(a, -1)
-        return QCharacter(
-            cd, head, {head: 1, low: 1}, max(depth, 1), True,
-            {head: {}, low: {(i, r): 1}},
-        )
+        return QCharacter(cd, _ladder(cd, head, i, r, 1, 0), max(depth, 1), True)
     raise ValueError(f"unknown closed form {kind!r}")
 
 
@@ -514,16 +495,15 @@ def _fm_run(head_y, depth, width, lo, size, rows):
 
 
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
-    """fm_expand as a QCharacter over l-weights, kept as key entries
-    (QCharacter.from_entries) in fm_expand's order.
+    """fm_expand as a QCharacter, its entries in fm_expand's order.
 
     lweight.y_key turns each term's sorted Y-key into its l-weight key;
     lweight.expand_in_basis(cd, "Y", y) is the oracle it is tested against.
-    Guaranteed for KR/fundamental heads; anything else is flagged heuristic.
+    The state is consumed as the entries are built, so the two are never
+    both whole.  Guaranteed for KR/fundamental heads; anything else is
+    flagged heuristic.
     """
     state, complete = fm_expand(cd, head_y, depth, require_complete)
-    # Y-exponents determine the l-weight injectively
-    entries = [(y_key(cd, k), mult, path) for k, (mult, path, _w) in state.items()]
 
     # KR/fundamental contract on the head (the first key, zero exponents
     # dropped): one node, one maximal string
@@ -540,7 +520,13 @@ def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
                 all(e == 1 for e in u.values())
                 and len(_strings(u, 2 * cd.ri(i0))) == 1
             )
-    return QCharacter.from_entries(cd, entries, depth, complete, heuristic)
+    # Y-exponents determine the l-weight injectively
+    entries = []
+    while state:
+        k, (mult, path, _w) = state.popitem()
+        entries.append((y_key(cd, k), mult, path))
+    entries.reverse()
+    return QCharacter(cd, entries, depth, complete, heuristic)
 
 
 def _kr_distance(cd, i, k):
@@ -573,25 +559,21 @@ def qc_kr_chains(cd, chains):
 
 def qc_neg_prefund_limit(cd, i, r, depth):
     """Depth slice of chi_q(L^-_{i,q^r}) as the stabilized, head-normalized
-    KR character at k = depth+1 (two consecutive slices must agree).
+    KR character at k = depth+1 (two consecutive slices must agree on their
+    (path, multiplicity) pairs).
 
     The terms are the KR terms times Psi_{i,r}^{-1} / head, in the order of
     their sorted A^{-1}-paths."""
     prev = None
     for k in range(depth + 1, depth + 5):
         x = qc_kr(cd, i, r - cd.ri(i), k, depth=depth, require_complete=False)
-        order = sorted(x.paths, key=lambda m: sorted(x.paths[m].items()))
-        sl = [(x.paths[m], x.terms[m]) for m in order]
+        order = sorted(x.entries, key=lambda e: sorted(e[2].items()))
+        sl = [(p, c) for _k, c, p in order]
         if sl == prev:
-            head = generator(cd, "Psi", i, r).pow(-1)
-            scale = head.combine(x.head, -1)
-            terms = {}
-            paths = {}
-            for m in order:
-                t = m * scale
-                terms[t] = x.terms[m]
-                paths[t] = x.paths[m]
-            return QCharacter(cd, head, terms, depth, False, paths)
+            scale = generator(cd, "Psi", i, r).pow(-1).combine(x.head, -1)
+            entries = [((LWeightMonomial.from_key(cd, key) * scale).key(), c, p)
+                       for key, c, p in order]
+            return QCharacter(cd, entries, depth, False)
         prev = sl
     raise FMError(
         f"negative prefundamental slice at node {i} did not stabilize"

@@ -324,16 +324,19 @@ def _gift_caps(site_keys, a, givers):
     return cap
 
 
-def _extend(state, need, gift, cap):
-    """The search state after one more node's multiset, or None once a need
-    exceeds its gifts plus cap at its key (cap is _gift_caps of the nodes
-    still undecided).  Rules 1 and 2 of _covered_choices build only the
-    multisets that pass.
+def _extend(state, need, gift):
+    """The search state after one more node's multiset.
 
     state is (short, given): short maps each (j, t) of a decided node to its
     need minus the gifts so far, where positive; given maps each (j, t) of
     an undecided node to the gifts so far.  need and gift are _need_gift of
     the multiset.
+
+    No shortage ends above cap = caps[d] of _covered_choices, which builds
+    the multiset: its rule 1 bounds each own count by Z + given + cap, so a
+    new shortage, count - Z - given, is at most cap; its rule 2 keeps
+    cap + g - shortage >= 0 for each decided shortage, g being the
+    multiset's gifts at that key, which come off it here.
     """
     short, given = state
     short = dict(short)
@@ -347,10 +350,7 @@ def _extend(state, need, gift, cap):
             short[key] -= 1
         else:
             given[key] = given.get(key, 0) + 1
-    short = {key: n for key, n in short.items() if n > 0}
-    if any(n > cap.get(key, 0) for key, n in short.items()):
-        return None
-    return short, given
+    return {key: n for key, n in short.items() if n > 0}, given
 
 
 def _covered_choices(site_keys, a, zexps, caps):
@@ -359,8 +359,8 @@ def _covered_choices(site_keys, a, zexps, caps):
     choice in which every need is covered by the gifts of the other nodes.
 
     Node d + 1's multiset is built one site at a time in nondecreasing
-    order, less the partial multisets that _extend would reject whatever
-    their rest:
+    order, less the partial multisets that would leave a shortage above
+    caps[d] whatever their rest:
 
     1. a count at a site's own key (i, u + r_i) above Z, the decided gifts
        and caps[d] there (the most the later nodes can give at each key):
@@ -370,8 +370,9 @@ def _covered_choices(site_keys, a, zexps, caps):
        there uses up one unit of the slack cap + k - shortage.  Once a
        slack is 0, only the sites giving at its key are tried.
 
-    Each whole multiset goes through _extend against caps[d], and the
-    search descends into the next node before it builds the next multiset.
+    Each whole multiset but the last node's updates the state through
+    _extend, and the search descends into the next node before it builds
+    the next multiset.
     Every entry into a site walk is one step; past MAX_STEPS the search
     raises TruncationError.
     """
@@ -395,12 +396,10 @@ def _covered_choices(site_keys, a, zexps, caps):
                 raise TruncationError(f"candidate search passed {MAX_STEPS} steps "
                                       f"at node {d + 1}; stopped by the step budget")
             if len(ms) == k:
-                nxt = _extend(state, *_need_gift(ms, sites, zexps), cap)
-                if nxt is None:
-                    return
                 if d + 1 == len(a):
                     yield chosen + (ms,)
                 else:
+                    nxt = _extend(state, *_need_gift(ms, sites, zexps))
                     yield from node(d + 1, nxt, chosen + (ms,))
                 return
             tight = next((key for key, n in zip(keys, slack) if not n), None)
@@ -624,13 +623,9 @@ def descent_refine(z, cand, depth):
         else:
             cand.notes["descent_refine"] = "chi_q slice unavailable; node ladders pass"
         return cand
-    for m in x.terms:
-        path = x.paths.get(m)
-        if path is None:
-            bad = leq_certificate(m, z.z_monomial(), "zorder") is None
-        else:
-            bad = _check_term_paths(z, cand, [path]) is not None
-        if bad:
+    for key, _c, path in x.entries:
+        if _check_term_paths(z, cand, [path]) is not None:
+            m = LWeightMonomial.from_key(cd, key)
             cand.status = STATUS_REFUTED
             cand.notes["witness"] = m.to_json()
             cand.notes["witness_repr"] = repr(m)
@@ -640,7 +635,7 @@ def descent_refine(z, cand, depth):
         if not any(node_sums(cd, cand.lambda_exps)):
             cand.status = STATUS_CONFIRMED  # lambda = mu (semisimple case)
     cand.notes["descent_depth"] = depth
-    cand.notes["terms_checked"] = len(x.terms)
+    cand.notes["terms_checked"] = len(x)
     return cand
 
 

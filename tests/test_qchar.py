@@ -218,22 +218,35 @@ def test_depth_monotone_restriction():
 # --- triangularity ---------------------------------------------------------
 
 def test_triangularity_on_produced_characters():
+    kr = qc_kr(A1, 1, 2, 2)
+    fm = qc_frenkel_mukhin(B2, {(2, 0): 1}, 12)
+    star = qc_closed_form(B2, "psistar", 1, 0, 2)
     for x in (
-        qc_kr(A1, 1, 2, 2),
+        kr,
         qc_frenkel_mukhin(A2, {(1, -3): 1}, 8),
-        qc_frenkel_mukhin(B2, {(2, 0): 1}, 12),
+        fm,
         qc_closed_form(B2, "psitilde", 2, 0, 3),
-        qc_closed_form(B2, "psistar", 1, 0, 2),
+        star,
+        qc_mul(fm, star),
+        qc_mul(qc_closed_form(A1, "neg_prefund_sl2", 1, 0, 3), kr),  # restricted
+        fm.restrict(3),
+        fm.scale_monomial(generator(B2, "Psi", 1, 5)),
+        qc_neg_prefund_limit(B2, 2, 1, 3),
+        qc_simple_sl2(Y(A1, 1, 0) * Y(A1, 1, 2) * generator(A1, "Psi", 1, 7)),
+        QCharacter.from_json(B2, json.loads(json.dumps(fm.to_json()))),
     ):
         assert check_triangularity(x)["ok"]
+        # every producer puts the head first and gives each term its path
+        assert next(iter(x.terms)) == x.head
+        for m in x.terms:
+            assert m == x.head * expand_in_basis(x.cd, "A", x.paths[m]).pow(-1)
 
 
 def test_triangularity_negative_control():
     x = qc_kr(A1, 1, 0, 1)
     bad = x.head * generator(A1, "A", 1, 5)  # A^{+1} offset: above the head
-    terms = dict(x.terms)
-    terms[bad] = 1
-    corrupted = QCharacter(A1, x.head, terms, x.depth, False)
+    # one more entry; no A^{-1}-path leads above the head
+    corrupted = QCharacter(A1, x.entries + [(bad.key(), 1, {})], x.depth, False)
     rep = check_triangularity(corrupted)
     assert not rep["ok"]
     assert rep["violations"] == [bad.to_json()]
@@ -309,6 +322,15 @@ def test_qcharacter_json_roundtrip():
     assert back.terms == x.terms
     assert back.head == x.head
     assert back.complete == x.complete
+    assert back.paths == x.paths
+    # a term above the head, and the head at multiplicity 2, are refused
+    above = x.head * generator(B2, "A", 2, 5)
+    with pytest.raises(ValueError):
+        QCharacter.from_json(B2, dict(data, terms=data["terms"] + [[above.to_json(), 1]]))
+    terms = [[t, 2 if t == data["head"] else c] for t, c in data["terms"]]
+    assert terms != data["terms"]
+    with pytest.raises(ValueError):
+        QCharacter.from_json(B2, dict(data, terms=terms))
 
 
 def test_heuristic_flag_in_json_only_when_set():
@@ -652,8 +674,8 @@ def test_fm_reference_grid_runs_once(monkeypatch, label):
 
 def _materialized(x):
     # the same character built from its own terms and paths
-    return QCharacter(x.cd, x.head, dict(x.terms), x.depth, x.complete, dict(x.paths),
-                      x.heuristic)
+    return QCharacter(x.cd, [(m.key(), c, x.paths[m]) for m, c in x.terms.items()],
+                      x.depth, x.complete, x.heuristic)
 
 
 def _assert_keyed_prints_like_materialized(x):

@@ -733,8 +733,8 @@ def test_truncate_above_guard_pinned(argv, digest):
 
 def test_site_search_work_bound(monkeypatch):
     # B2 "1:0;2:0" at mu = (-1, 0): over the 5 sites per node within 4 chain
-    # steps of a root, rules 1 and 2 leave 44 whole multisets for _extend to
-    # check, and it rejects none of them
+    # steps of a root, rules 1 and 2 leave 44 whole multisets, 31 at node 1,
+    # whose states _extend builds, and 13 at node 2, each a candidate
     calls = [0]
     rejected = [0]
     extend = truncation._extend
