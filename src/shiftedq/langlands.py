@@ -71,13 +71,13 @@ _B2_NODE1_TERMS = (
 )
 
 
-def specialize_interpolating_b2(table=_B2_NODE2_INTERPOLATING):
+def specialize_interpolating_b2():
     """Drop alpha-terms, set t = 1, rewrite Y -> Z by the lacing dictionary.
 
     Returns the list of Z-exponent dicts (6 terms for the node-2 table).
     """
     out = []
-    for alpha, factors in table:
+    for alpha, factors in _B2_NODE2_INTERPOLATING:
         if alpha:
             continue
         y = {}

@@ -68,28 +68,11 @@ class QCharacter:
     def dim(self):
         return sum(c for _k, c, _p in self.entries)
 
-    def term_distance(self, m):
-        """A^{-1}-distance of m from the head: a term's path read off its
-        entry, leq_certificate for anything else; None when m is not below
-        the head.  Nothing is stored."""
-        p = self.paths.get(m)
-        if p is None:
-            p = leq_certificate(m, self.head)
-            if p is None:
-                return None
-        return sum(p.values())
-
     def restrict(self, depth):
         """Exact restriction to terms at distance <= depth."""
         entries = [e for e in self.entries if sum(e[2].values()) <= depth]
         still_complete = self.complete and len(entries) == len(self.entries)
         return QCharacter(self.cd, entries, depth, still_complete, self.heuristic)
-
-    def scale_monomial(self, m):
-        """Multiply by the one-term character [m]."""
-        entries = [((t * m).key(), c, p)
-                   for t, (_k, c, p) in zip(self.terms, self.entries)]
-        return QCharacter(self.cd, entries, self.depth, self.complete, self.heuristic)
 
     def to_json(self):
         """Terms sorted by (Psi items, const JSON); each distinct weight
@@ -145,7 +128,8 @@ def qc_monomial(m, depth=0):
 
 
 def qc_mul(x1, x2):
-    """Convolution product; heads multiply, margins take the minimum."""
+    """Convolution product; heads multiply, margins take the minimum.  The
+    one product of q-characters: a one-term factor is a qc_monomial."""
     if x1.cd != x2.cd:
         raise ValueError("characters over different Cartan data")
     if x1.complete and x2.complete:
@@ -571,9 +555,7 @@ def qc_neg_prefund_limit(cd, i, r, depth):
         sl = [(p, c) for _k, c, p in order]
         if sl == prev:
             scale = generator(cd, "Psi", i, r).pow(-1).combine(x.head, -1)
-            entries = [((LWeightMonomial.from_key(cd, key) * scale).key(), c, p)
-                       for key, c, p in order]
-            return QCharacter(cd, entries, depth, False)
+            return qc_mul(QCharacter(cd, order, depth, False), qc_monomial(scale))
         prev = sl
     raise FMError(
         f"negative prefundamental slice at node {i} did not stabilize"
@@ -598,8 +580,7 @@ def qc_simple_sl2(psi):
     const = psi.combine(out.head * rest, -1)
     if const.exps:
         raise AssertionError("factorization lost monomial content")
-    out = out.scale_monomial(rest.with_const(const.const))
-    return out
+    return qc_mul(out, qc_monomial(rest.with_const(const.const)))
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +634,11 @@ def check_identity(cd, kind, i, r, depth):
             qc_closed_form(cd, "psitilde", i, r, depth),
             qc_monomial(generator(cd, "Psi", i, r)),
         )
+        tw = LWeightMonomial(cd, {}, cd.alpha_bar(i).inv())
         x2 = qc_mul(
             qc_closed_form(cd, "psitilde", i, r - 2 * ri, depth),
-            qc_monomial(generator(cd, "Psi", i, r + 2 * ri)),
+            qc_monomial(generator(cd, "Psi", i, r + 2 * ri) * tw),
         )
-        tw = LWeightMonomial(cd, {}, cd.alpha_bar(i).inv())
-        x2 = x2.scale_monomial(tw)
         m2 = generator(cd, "PsiTilde", i, r) * generator(cd, "Psi", i, r)
         rhs_terms = dict(x2.terms)
         rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
@@ -696,15 +676,6 @@ def weight_character(x):
     return out
 
 
-def _wc_mul(w1, w2):
-    out = {}
-    for a, ca in w1.items():
-        for b, cb in w2.items():
-            k = a.mul(b)
-            out[k] = out.get(k, 0) + ca * cb
-    return out
-
-
 def _check_charqf_sl2(cd, i, r, depth):
     """chi(L^b(Psi)) = chi(L(Psi)) * chi_1^{alpha(mu)} for the rank-1 case
     Psi = Y_{1,r} * Psi_{1,r+5}, compared as weight characters.
@@ -712,19 +683,20 @@ def _check_charqf_sl2(cd, i, r, depth):
     chi_1 is derived from the negative prefundamental character (the
     duality D preserves dimensions and characters).  The left side is
     assembled from the factorized Borel formula, the right side from the
-    full rank-1 classification character.
+    full rank-1 classification character.  Both are q-character products
+    projected once: in rank 1 a term's A^{-1}-distance is its alpha-height,
+    so qc_mul's restriction to depth keeps every weight ht_slice reads.
     """
     if cd.n != 1:
         raise ValueError("charqf_sl2 needs rank 1")
     psi = generator(cd, "Y", 1, r) * generator(cd, "Psi", 1, r + 5)
-    chi1 = weight_character(qc_closed_form(cd, "neg_prefund_sl2", 1, 0, depth))
+    chi1 = qc_closed_form(cd, "neg_prefund_sl2", 1, 0, depth)
     # LHS: chi(L^b(Psi)) = chi(KR-part) * [w+] * chi_1  (cform route)
-    kr_w = weight_character(qc_simple_sl2(generator(cd, "Y", 1, r)))
-    wplus = {generator(cd, "Psi", 1, r + 5).const: 1}
-    lhs = _wc_mul(_wc_mul(kr_w, wplus), chi1)
+    kr = qc_simple_sl2(generator(cd, "Y", 1, r))
+    wplus = qc_monomial(generator(cd, "Psi", 1, r + 5))
+    lhs = weight_character(qc_mul(qc_mul(kr, wplus), chi1))
     # RHS: chi(L(Psi)) * chi_1^{alpha_1(mu)}; alpha_1(mu) = 1 here
-    full_w = weight_character(qc_simple_sl2(psi))
-    rhs = _wc_mul(full_w, chi1)
+    rhs = weight_character(qc_mul(qc_simple_sl2(psi), chi1))
     # compare on alpha-heights <= depth relative to the top weight
     top = psi.const
     def ht_slice(w):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 from .cartan import basis_generator, build_cartan, coroot_inverse
 from .kernel import exps_combine
@@ -32,7 +31,7 @@ from .qchar import (
     qc_one,
     qc_simple_sl2,
 )
-from .scalars import ConstantFactor
+from .scalars import ConstantFactor, json_int
 
 STATUS_NECESSARY = "NecessaryOnly"
 STATUS_STRONG = "StrongCandidate"
@@ -88,7 +87,13 @@ class TruncationData:
     @staticmethod
     def from_json(data):
         cd = build_cartan(data["type"])
-        zroots = {int(i): list(v) for i, v in data.get("zroots", {}).items()}
+        zroots = {}
+        for i, v in data.get("zroots", {}).items():
+            i = int(i)
+            if i not in cd.nodes() or i in zroots:
+                raise TruncationError(f"node {i} out of range or repeated for "
+                                      f"{cd.type_label}")
+            zroots[i] = [json_int(m, "zroot shift") for m in v]
         td = TruncationData(cd, zroots)
         if "lambda" in data and tuple(data["lambda"]) != td.lam:
             raise TruncationError("lambda does not match the zroot counts")
@@ -494,36 +499,19 @@ def enumerate_candidates(z, lam, mu):
 
 
 def sl2_classify(z, lam, mu):
-    """Exact rank-1 classification: candidates are in bijection with the
-    degree-a divisors of Z(z q^{-2}); statuses ConfirmedByPaper."""
-    cd = z.cd
-    if cd.n != 1:
+    """Exact rank-1 classification: the candidates of enumerate_candidates,
+    relabelled ConfirmedByPaper, since in rank 1 the necessary conditions
+    are sufficient.  They are in bijection with the degree-a divisors of
+    Z(z q^{-2}), whose zeros sit at the shifts m + r - 2 = m - 1: a Lambda
+    site u is the zero u - 1, listed with multiplicity as divisor_shifts."""
+    if z.cd.n != 1:
         raise TruncationError("sl2_classify needs rank 1")
-    if tuple(lam) != z.lam:
-        raise TruncationError("lambda does not match the truncation data")
-    (a,) = truncation_shifts(z, mu)
-    # zeros of Z(z q^{-2}) sit at shifts m + r - 2 = m - 1
-    roots = sorted(m - 1 for m in z.zroots[1])
-    zmono = z.z_monomial()
-    out = {}
-    for pick in set(combinations(roots, a)):
-        v = {}
-        for s in pick:
-            v[(1, s + 1)] = v.get((1, s + 1), 0) + 1
-        psi = zmono
-        for (i, u), e in v.items():
-            psi = psi.combine(generator(cd, "Lambda", i, u).pow(e), -1)
-        psi = psi.monomial_part()
-        if psi.coweight() != tuple(mu):
-            continue
-        rep = maint_check(z, lam, mu, psi, cert=v)
-        if not rep["ok"]:
-            raise AssertionError("sl2 divisor candidate failed maint_check")
-        cls = ConstantFactor.from_json(rep["const_class"])
-        cand = Candidate(psi.with_const(cls), v, mu, STATUS_CONFIRMED, z,
-                         notes={"divisor_shifts": list(pick)})
-        out.setdefault(cand.psi.exps_key(), cand)
-    return sorted(out.values(), key=lambda c: c.psi.exps_key())
+    out = enumerate_candidates(z, lam, mu)
+    for c in out:
+        c.status = STATUS_CONFIRMED
+        c.notes = {"divisor_shifts": sorted(
+            u - 1 for (_i, u), e in c.lambda_exps.items() for _ in range(e))}
+    return out
 
 
 def _character_slice(cand, depth):
@@ -540,7 +528,7 @@ def _character_slice(cand, depth):
             for _ in range(-e):
                 x = qc_mul(x, f)
         const = psi.combine(x.head, -1)
-        return x.scale_monomial(LWeightMonomial(cd, {}, const.const))
+        return qc_mul(x, qc_monomial(LWeightMonomial(cd, {}, const.const)))
     if cd.n == 1 and is_dominant(psi):
         return qc_simple_sl2(psi)
     return None

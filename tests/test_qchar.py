@@ -14,6 +14,7 @@ from shiftedq.qchar import (
     FMBudgetError,
     FMError,
     QCharacter,
+    _compare_on_margin,
     _string_eigen_terms,
     _string_products,
     check_identity,
@@ -22,6 +23,7 @@ from shiftedq.qchar import (
     qc_closed_form,
     qc_frenkel_mukhin,
     qc_kr,
+    qc_monomial,
     qc_mul,
     qc_neg_prefund_limit,
     qc_one,
@@ -157,23 +159,17 @@ def test_qc_mul_fusion_relation_sl2():
         qc_closed_form(A1, "pos_prefund", 1, 0, depth),
     )
     tw = LWeightMonomial(A1, {}, A1.alpha_bar(1).inv())
-    rhs = qc_mul(
+    rhs = qc_mul(qc_mul(
         qc_closed_form(A1, "neg_prefund_sl2", 1, -2, depth),
         qc_closed_form(A1, "pos_prefund", 1, 2, depth),
-    ).scale_monomial(tw)
+    ), qc_monomial(tw))
     one = LWeightMonomial(A1)
     rhs_terms = dict(rhs.terms)
     rhs_terms[one] = rhs_terms.get(one, 0) + 1
     assert lhs.head == one
     # term-by-term comparison inside the margin
-    for m, c in rhs_terms.items():
-        d = lhs.term_distance(m)
-        if d is not None and d <= depth:
-            assert lhs.terms.get(m, 0) == c
-    for m, c in lhs.terms.items():
-        d = lhs.term_distance(m)
-        if d is not None and d <= depth:
-            assert rhs_terms.get(m, 0) == c
+    ok, witness = _compare_on_margin(lhs.terms, rhs_terms, lhs.head, depth)
+    assert ok, witness
 
 
 def test_qc_mul_brute_force_multiplicities():
@@ -230,7 +226,7 @@ def test_triangularity_on_produced_characters():
         qc_mul(fm, star),
         qc_mul(qc_closed_form(A1, "neg_prefund_sl2", 1, 0, 3), kr),  # restricted
         fm.restrict(3),
-        fm.scale_monomial(generator(B2, "Psi", 1, 5)),
+        qc_mul(fm, qc_monomial(generator(B2, "Psi", 1, 5))),
         qc_neg_prefund_limit(B2, 2, 1, 3),
         qc_simple_sl2(Y(A1, 1, 0) * Y(A1, 1, 2) * generator(A1, "Psi", 1, 7)),
         QCharacter.from_json(B2, json.loads(json.dumps(fm.to_json()))),
@@ -256,8 +252,9 @@ def test_triangularity_negative_control():
 
 @pytest.mark.parametrize("cd,i", [(A1, 1), (B2, 1), (B2, 2), (A2, 1)])
 def test_qqtilde(cd, i):
-    rep = check_identity(cd, "QQtilde", i, 0, 4)
-    assert rep["ok"], rep
+    for r in (0, 3, -2):
+        rep = check_identity(cd, "QQtilde", i, r, 4)
+        assert rep["ok"], (r, rep)
 
 
 @pytest.mark.parametrize("cd,i", [(A1, 1), (B2, 1), (B2, 2)])
@@ -267,7 +264,8 @@ def test_qqstar(cd, i):
 
 
 def test_charqf_sl2():
-    assert check_identity(A1, "charqf_sl2", 1, 0, 4)["ok"]
+    for r, depth in product(range(-3, 4), range(2, 7)):
+        assert check_identity(A1, "charqf_sl2", 1, r, depth)["ok"], (r, depth)
 
 
 def test_identity_depth_validation():

@@ -4,7 +4,7 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -15,7 +15,7 @@ from shiftedq import cli, truncation
 from shiftedq.cartan import build_cartan
 from shiftedq.kernel import exps_combine
 from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, node_sums
-from shiftedq.qchar import qc_mul, qc_neg_prefund_limit, qc_one
+from shiftedq.qchar import qc_monomial, qc_mul, qc_neg_prefund_limit, qc_one
 from shiftedq.scalars import ConstantFactor
 from shiftedq.truncation import (
     STATUS_CONFIRMED,
@@ -67,6 +67,12 @@ def test_truncation_data_invariants():
     assert Z_SL2.z_monomial().exps == {(1, 3): 1, (1, -1): 1}
     back = TruncationData.from_json(Z_SL2.to_json())
     assert back.zroots == Z_SL2.zroots
+    # a root at a node outside the diagram, a node given twice, or a shift
+    # that is not an int
+    for bad in ({"1": [0], "7": [3]}, {"1": [0], "01": [3]}, {"1": [0.5]},
+                {"1": [True]}, {"1": ["3"]}):
+        with pytest.raises(ValueError):
+            TruncationData.from_json({"type": "A1", "zroots": bad})
 
 
 def test_truncation_shifts():
@@ -222,6 +228,39 @@ def test_sl2_classify_contained_in_enumerate():
         enu = {c.psi.exps_key() for c in enumerate_candidates(Z_SL2, (2,), mu)}
         assert cls <= enu
         assert cls == enu  # maint is sufficient in rank 1
+    # oracle: one candidate per distinct a-subset of the zeros m - 1 of
+    # Z(z q^{-2}), each Lambda site u = s + 1 a zero s, in exps_key order
+    rng = random.Random(5)
+    for _ in range(200):
+        roots = [rng.randint(-6, 6) for _ in range(rng.randint(0, 5))]
+        z = TruncationData(A1, {1: roots})
+        for mu in [(m,) for m in range(z.lam[0], -z.lam[0] - 3, -1)]:
+            try:
+                (a,) = truncation_shifts(z, mu)
+            except TruncationError as e:
+                with pytest.raises(TruncationError) as got:
+                    sl2_classify(z, z.lam, mu)
+                assert str(got.value) == str(e)
+                continue
+            want = {}
+            for pick in set(combinations(sorted(m - 1 for m in roots), a)):
+                v = {}
+                for s in pick:
+                    v[(1, s + 1)] = v.get((1, s + 1), 0) + 1
+                psi = z.z_monomial()
+                for (i, u), e in v.items():
+                    psi = psi.combine(generator(A1, "Lambda", i, u).pow(e), -1)
+                psi = psi.monomial_part()
+                assert psi.coweight() == mu
+                rep = maint_check(z, z.lam, mu, psi, cert=v)
+                assert rep["ok"], rep
+                psi = psi.with_const(ConstantFactor.from_json(rep["const_class"]))
+                assert psi.exps_key() not in want  # distinct subsets, distinct Psi
+                want[psi.exps_key()] = (psi.to_json(), v, list(pick))
+            got = sl2_classify(z, z.lam, mu)
+            assert [(c.psi.to_json(), c.lambda_exps, c.notes["divisor_shifts"])
+                    for c in got] == [want[k] for k in sorted(want)]
+            assert all(c.status == STATUS_CONFIRMED for c in got)
 
 
 # --- sl2 classification ----------------------------------------------------------
@@ -872,8 +911,8 @@ def test_character_slice_one_limit_per_negative_site(monkeypatch):
     for (i, t), e in sorted(psi.exps.items()):
         for _ in range(-e):
             want = qc_mul(want, qc_neg_prefund_limit(B2, i, t, 3))
-    want = want.scale_monomial(
-        LWeightMonomial(B2, {}, psi.combine(want.head, -1).const))
+    want = qc_mul(want, qc_monomial(
+        LWeightMonomial(B2, {}, psi.combine(want.head, -1).const)))
     calls = []
     limit = truncation.qc_neg_prefund_limit
 
