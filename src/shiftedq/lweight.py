@@ -90,7 +90,7 @@ class LWeightMonomial:
         return m
 
     def exps_key(self):
-        return tuple(sorted(self.exps.items()))
+        return self.key()[0]
 
     def __eq__(self, other):
         return (

@@ -1,7 +1,9 @@
 """Explicit modules with exact matrices and a mode-window relation verifier.
 
-Matrices are sparse {(row, col): ExactScalar} over Q(v).  Relations are
-evaluated column-by-column as exact identities for all modes inside the
+Matrices are sparse {(row, col): ExactScalar} over Q(v), built without a
+gcd: the phi series are Laurent polynomials, and the x^- and f entries are
+q-powers times qnum(m)_{q_i}/(q_i - q_i^{-1}), already coprime.  Relations
+are evaluated column-by-column as exact identities for all modes inside the
 window; basis columns whose raising chains would cross the cutoff are
 excluded rather than approximated (exactness over coverage).  The verifier
 walks each module's column tables packed once at v = 2**W (scalars.pack), so
@@ -124,10 +126,9 @@ def component_series(const, zeros, poles, nmodes, direction):
         c = num[k] if k < len(num) else ZERO
         for l in range(1, min(k, len(den) - 1) + 1):
             c = c - den[l] * prev[k - l]
-        c = c.reduced()
         prev.append(c)
         if c:
-            out[deg + direction * k] = (const * c).reduced()
+            out[deg + direction * k] = const * c
     return out
 
 
@@ -166,9 +167,9 @@ def _osc_verma(sign, gamma_exp, cutoff):
             e[(r - 1, r)] = ONE
         if r < N:
             if sign > 0:
-                f[(r + 1, r)] = (gamma * ExactScalar.q_power(-r) * qnum(r + 1) / denom).reduced()
+                f[(r + 1, r)] = gamma * ExactScalar.q_power(-r) * qnum(r + 1) / denom
             else:
-                f[(r + 1, r)] = (-(ONE / gamma) * ExactScalar.q_power(r) * qnum(r + 1) / denom).reduced()
+                f[(r + 1, r)] = -(ONE / gamma) * ExactScalar.q_power(r) * qnum(r + 1) / denom
     gens = {"e": e, "f": f, "k": k, "kinv": kinv}
     up = {"e": -1, "f": 1, "k": 0, "kinv": 0}
     kind = "osc_verma_plus" if sign > 0 else "osc_verma_minus"
@@ -192,7 +193,7 @@ def _node_gens(cd, lws, window, scale=ONE):
             for j, lw in enumerate(lws):
                 for mm, s in _lweight_series(lw, jn, nm, direction).items():
                     if -nm <= mm <= nm:
-                        mats[mm][(j, j)] = (scale * s).reduced()
+                        mats[mm][(j, j)] = scale * s
             for mm, mat in mats.items():
                 gens[(sym, jn, mm)] = mat
     return gens
@@ -217,13 +218,8 @@ def _affine_node_module(cd, i, r, cutoff, window, kind, gamma_exp=0):
             if j > 0:
                 xp[(j - 1, j)] = am * ExactScalar.q_power(2 * ri * m * (1 - j))
             if j < N:
-                xm[(j + 1, j)] = (
-                    gamma
-                    * am
-                    * ExactScalar.q_power(-ri * (2 * m + 1) * j)
-                    * qnum(j + 1, ri)
-                    / denom
-                ).reduced()
+                xm[(j + 1, j)] = (gamma * am * ExactScalar.q_power(-ri * (2 * m + 1) * j)
+                                  * qnum(j + 1, ri) / denom)
         gens[(X_PLUS, i, m)] = xp
         gens[(X_MINUS, i, m)] = xm
         up[(X_PLUS, i, m)] = -1
@@ -405,10 +401,6 @@ def _phi_symbol(eps, i, m):
     return (PHI_PLUS if eps > 0 else PHI_MINUS, i, m)
 
 
-def _qpow(e):
-    return ExactScalar.q_power(e)
-
-
 _MINUS_ONE = ExactScalar.from_int(-1)
 
 
@@ -444,14 +436,15 @@ def _drinfeld_relations(mod):
         leads = ((1, (PHI_PLUS, i, 0), "+0"), (-1, (PHI_MINUS, i, lead_minus), "-lead"))
         for jn in cd.nodes():
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
-                neg_qds = [-_qpow(eps * sgn * cd.ri(i) * cd.c(i, jn)) for eps, _, _ in leads]
+                neg_qds = [-ExactScalar.q_power(eps * sgn * cd.ri(i) * cd.c(i, jn))
+                           for eps, _, _ in leads]
                 for r in modes:
                     for (_, phi, tag), neg_qd in zip(leads, neg_qds):
                         p = [(ONE, [phi, (xop, jn, r)]), (neg_qd, [(xop, jn, r), phi])]
                         yield ("deux", (i, jn, xop, r, tag), p)
     # (trois): [x^+_{i,r}, x^-_{j,s}] = delta_ij (phi^+_{r+s} - phi^-_{r+s})/(q_i - q_i^{-1})
     for i in cd.nodes():
-        inv = ONE / (_qpow(cd.ri(i)) - _qpow(-cd.ri(i)))
+        inv = ONE / (ExactScalar.q_power(cd.ri(i)) - ExactScalar.q_power(-cd.ri(i)))
         neg_inv = -inv
         for jn in cd.nodes():
             for r in modes:
@@ -470,7 +463,7 @@ def _drinfeld_relations(mod):
         for jn in cd.nodes():
             b = cd.b(i, jn)
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
-                neg_qb = -_qpow(sgn * b)
+                neg_qb = -ExactScalar.q_power(sgn * b)
                 for r in range(-M, M):
                     for s in range(-M, M):
                         p = _q_commutator(neg_qb, (xop, i, r + 1), (xop, jn, s),
@@ -482,7 +475,7 @@ def _drinfeld_relations(mod):
         for jn in cd.nodes():
             b = cd.b(i, jn)
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
-                neg_qb = -_qpow(sgn * b)
+                neg_qb = -ExactScalar.q_power(sgn * b)
                 for eps in (1, -1):
                     for a in range(-M - 1, M + 2):
                         for bb in range(-M + 1, M + 1):
@@ -522,15 +515,15 @@ def _sl2_relations(ef_tail):
     e f - f e + ef_tail = 0."""
     return [
         ("kkinv", [(ONE, ["k", "kinv"]), (_MINUS_ONE, [])]),
-        ("ke", [(ONE, ["k", "e"]), (-_qpow(2), ["e", "k"])]),
-        ("kf", [(ONE, ["k", "f"]), (-_qpow(-2), ["f", "k"])]),
+        ("ke", [(ONE, ["k", "e"]), (-ExactScalar.q_power(2), ["e", "k"])]),
+        ("kf", [(ONE, ["k", "f"]), (-ExactScalar.q_power(-2), ["f", "k"])]),
         ("ef", [(ONE, ["e", "f"]), (_MINUS_ONE, ["f", "e"])] + ef_tail),
     ]
 
 
 def _oscillator_relations(mod):
     sign = 1 if mod.kind.endswith("plus") else -1
-    denom = _qpow(1) - _qpow(-1)
+    denom = ExactScalar.q_power(1) - ExactScalar.q_power(-1)
     rels = _sl2_relations([(-ExactScalar.from_int(sign) / denom,
                             ["k" if sign > 0 else "kinv"])])
     return [(name, (sign,) if name == "ef" else (), p) for name, p in rels]
@@ -622,7 +615,7 @@ def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
     up = {"e": 0, "f": 0, "k": 0, "kinv": 0}
     # f raises either tensor factor: exclude top rows of both factors
     mod = ExplicitModule(cd, "osc_tensor", {"sign": sign}, size, weights, gens, 0, up)
-    denom = _qpow(1) - _qpow(-1)
+    denom = ExactScalar.q_power(1) - ExactScalar.q_power(-1)
     rels = _sl2_relations([(-ONE / denom, ["k"]), (ONE / denom, ["kinv"])])
     # columns with both tensor indices below the cutoffs (f may raise each once)
     good_cols = [

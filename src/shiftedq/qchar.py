@@ -25,6 +25,7 @@ from .lweight import (
     leq_certificate,
     y_key,
 )
+from .scalars import json_int
 
 
 class FMError(RuntimeError):
@@ -96,12 +97,26 @@ class QCharacter:
 
     @staticmethod
     def from_json(cd, data):
-        """Validate outside input: every term must lie below the head, whose
-        multiplicity must be 1; each path is its leq_certificate."""
+        """Validate outside input: every term is listed once with an integer
+        multiplicity >= 1 and lies below the head, whose multiplicity must be
+        1; depth is an integer >= 0 and the flags are JSON booleans; each
+        path is its leq_certificate."""
         head = LWeightMonomial.from_json(cd, data["head"])
         terms = {}
         for t, c in data["terms"]:
-            terms[LWeightMonomial.from_json(cd, t)] = int(c)
+            m = LWeightMonomial.from_json(cd, t)
+            c = json_int(c, "multiplicity")
+            if c < 1:
+                raise ValueError(f"multiplicity {c} is below 1")
+            if m in terms:
+                raise ValueError(f"term {m!r} is listed twice")
+            terms[m] = c
+        depth = json_int(data["depth"], "depth")
+        if depth < 0:
+            raise ValueError(f"depth {depth} is negative")
+        complete, heuristic = data["complete"], data.get("heuristic", False)
+        if type(complete) is not bool or type(heuristic) is not bool:
+            raise ValueError("complete and heuristic must be booleans")
         if terms.get(head) != 1:
             raise ValueError("head must appear with multiplicity 1")
         entries = [(head.key(), 1, {})]
@@ -111,8 +126,7 @@ class QCharacter:
                 if p is None:
                     raise ValueError(f"term {m!r} is not below the head {head!r}")
                 entries.append((m.key(), c, p))
-        return QCharacter(cd, entries, int(data["depth"]), bool(data["complete"]),
-                          bool(data.get("heuristic", False)))
+        return QCharacter(cd, entries, depth, complete, heuristic)
 
     def __repr__(self):
         flag = "complete" if self.complete else f"depth={self.depth}"

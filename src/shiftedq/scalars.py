@@ -1,13 +1,13 @@
 """Exact scalars for the coefficient field Q(v) with v**2 = q.
 
-ExactScalar is a fraction of sparse Laurent polynomials in v over Q.  Its
-coefficients are plain ints; a Fraction appears only where a division by a
-coefficient other than +-1 needs one.  pack / unpack / packed_mul /
-packed_add give the same field as plain ints by Kronecker substitution at
-v = 2**PACK_WIDTH, read back only where a carried coefficient bound proves
-them exact (see the comment above PACK_WIDTH); the relation verifier of
-modrep walks this form.  ConstantFactor is the group (C*)^I
-restricted to coordinates zeta**k * q**e with e rational and zeta a fixed
+ExactScalar is an immutable fraction of sparse Laurent polynomials in v over
+Q; only reduced() takes a gcd.  Its coefficients are plain ints; a Fraction
+appears only where a division by a coefficient other than +-1 needs one.
+pack / unpack / packed_mul / packed_add give the same field as plain ints by
+Kronecker substitution at v = 2**PACK_WIDTH, read back only where a carried
+coefficient bound proves them exact (see the comment above PACK_WIDTH); the
+relation verifier of modrep walks this form.  ConstantFactor is the group
+(C*)^I restricted to coordinates zeta**k * q**e with e rational and zeta a fixed
 primitive 8th root of unity (ZETA_ORDER): the exact home of the constants
 omega-bar(w) appearing on l-weights.  Only the coordinates with zeta**k = +-1
 are scalars of Q(v).
@@ -28,10 +28,6 @@ def _inv_coeff(c):
     if c == 1 or c == -1:
         return int(c)
     return 1 / Fraction(c)
-
-
-def _poly_min_exp(p):
-    return min(p) if p else 0
 
 
 def _poly_to_list(p):
@@ -92,16 +88,15 @@ _TRIVIAL_DEN = {0: 1}  # shared read-only by convention
 class ExactScalar:
     """Fraction num/den of Laurent polynomials in v (v**2 = q).
 
-    Arithmetic is lazy (no gcd); zero tests and equality are exact via
-    cross-multiplication, and canonical reduced form is computed on demand
-    (key / hash / reduced / evaluate).  The denominator is kept normalized:
-    its lowest term is exactly v**0 with coefficient 1.  Products and
-    same-denominator sums of normalized denominators are normalized, so the
-    ring ops other than division skip the normalizing constructor (see
-    _trusted); no num or den dict is mutated once built, so results share them.
+    An immutable value: every result goes through the constructor, which
+    keeps the denominator normalized (its lowest term is exactly v**0 with
+    coefficient 1).  Arithmetic is lazy (no gcd); zero tests and equality are
+    exact via cross-multiplication, and the coprime form is computed on
+    demand by reduced(), which key / hash / repr / evaluate read.  No num or
+    den dict is mutated once built, so values share them.
     """
 
-    __slots__ = ("num", "den", "_key", "_canon")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -111,47 +106,33 @@ class ExactScalar:
         if not num:
             num, den = {}, _TRIVIAL_DEN
         else:
-            num, den = self._normalize(num, den)
+            # den becomes a polynomial with den[0] = 1; the shift and leading
+            # constant are pushed into num.  Every den of 1 is one shared
+            # dict: most matrix entries have it.
+            lo = min(den)
+            c0 = den[lo]
+            if lo != 0 or c0 != 1:
+                inv = _inv_coeff(c0)
+                den = poly_scale(den, inv, -lo)
+                num = poly_scale(num, inv, -lo)
+            if len(den) == 1:
+                den = _TRIVIAL_DEN
         self.num = num
         self.den = den
-        self._key = None
-        self._canon = den is _TRIVIAL_DEN or len(den) == 1
-
-    @staticmethod
-    def _normalize(num, den):
-        # den becomes a polynomial with den[0] = 1; the shift and leading
-        # constant are pushed into num.
-        lo = _poly_min_exp(den)
-        c0 = den[lo]
-        if lo == 0 and c0 == 1:
-            return num, den
-        inv = _inv_coeff(c0)
-        den = poly_scale(den, inv, -lo)
-        num = poly_scale(num, inv, -lo)
-        return num, den
-
-    def _canonicalize(self):
-        if self._canon:
-            return self
-        num, den = self.num, self.den
-        nl, nlo = _poly_to_list(num)
-        dl, dlo = _poly_to_list(den)
-        g = _list_gcd(nl, dl)
-        if len(g) > 1:
-            nq, nr = _list_divmod(nl, g)
-            dq, dr = _list_divmod(dl, g)
-            assert not nr and not dr
-            num = _list_to_poly(nq, nlo)
-            den = _list_to_poly(dq, dlo)
-            num, den = self._normalize(num, den)
-        self.num = num
-        self.den = den
-        self._canon = True
-        return self
 
     def reduced(self):
-        self._canonicalize()
-        return self
+        """The coprime form: a new value, or self when the gcd is 1."""
+        if len(self.den) == 1:  # a normalized one-term den is 1; zero has it
+            return self
+        nl, nlo = _poly_to_list(self.num)
+        dl, dlo = _poly_to_list(self.den)
+        g = _list_gcd(nl, dl)
+        if len(g) == 1:
+            return self
+        nq, nr = _list_divmod(nl, g)
+        dq, dr = _list_divmod(dl, g)
+        assert not nr and not dr
+        return ExactScalar(_list_to_poly(nq, nlo), _list_to_poly(dq, dlo))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -163,11 +144,11 @@ class ExactScalar:
     def q_power(e):
         """q**e for rational e; requires 2e integral (v = q**(1/2))."""
         if type(e) is int:
-            return _trusted({2 * e: 1}, _TRIVIAL_DEN)
+            return ExactScalar({2 * e: 1})
         ve = 2 * Fraction(e)
         if ve.denominator != 1:
             raise ValueError(f"q**{e} is not in Q(v): needs v**{ve}")
-        return _trusted({int(ve): 1}, _TRIVIAL_DEN)
+        return ExactScalar({int(ve): 1})
 
     # -- ring ops ------------------------------------------------------
     def __add__(self, other):
@@ -175,9 +156,9 @@ class ExactScalar:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return _trusted(poly_add(self.num, o.num), self.den)
+            return ExactScalar(poly_add(self.num, o.num), self.den)
         num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return _trusted(num, poly_mul(self.den, o.den))
+        return ExactScalar(num, poly_mul(self.den, o.den))
 
     __radd__ = __add__
 
@@ -186,9 +167,9 @@ class ExactScalar:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return _trusted(poly_sub(self.num, o.num), self.den)
+            return ExactScalar(poly_sub(self.num, o.num), self.den)
         num = poly_sub(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return _trusted(num, poly_mul(self.den, o.den))
+        return ExactScalar(num, poly_mul(self.den, o.den))
 
     def __rsub__(self, other):
         o = _coerce_scalar(other)
@@ -200,27 +181,9 @@ class ExactScalar:
         o = _coerce_scalar(other)
         if o is None:
             return NotImplemented
-        # a one-term factor c*v**e (a normalized one-term denominator is 1)
-        # shifts and scales the other operand's numerator
-        if len(o.num) == 1 and len(o.den) == 1:
-            return self._monomial_mul(o.num)
-        if len(self.num) == 1 and len(self.den) == 1:
-            return o._monomial_mul(self.num)
-        num = poly_mul(self.num, o.num)
-        if len(o.den) == 1:
-            return _trusted(num, self.den)
-        if len(self.den) == 1:
-            return _trusted(num, o.den)
-        return _trusted(num, poly_mul(self.den, o.den))
+        return ExactScalar(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
-
-    def _monomial_mul(self, mono):
-        """self * c*v**e for mono = {e: c}; self itself when c*v**e is 1."""
-        (e, c), = mono.items()
-        if e == 0 and c == 1:
-            return self
-        return _trusted(poly_scale(self.num, c, e), self.den)
 
     def __truediv__(self, other):
         o = _coerce_scalar(other)
@@ -237,7 +200,7 @@ class ExactScalar:
         return o / self
 
     def __neg__(self):
-        return _trusted(poly_neg(self.num), self.den)
+        return ExactScalar(poly_neg(self.num), self.den)
 
     def __bool__(self):
         return bool(self.num)
@@ -254,43 +217,29 @@ class ExactScalar:
         return hash(self.key())
 
     def key(self):
-        if self._key is None:
-            self._canonicalize()
-            # equal ints and Fractions compare and hash alike
-            self._key = (tuple(sorted(self.num.items())),
-                         tuple(sorted(self.den.items())))
-        return self._key
+        # equal ints and Fractions compare and hash alike
+        r = self.reduced()
+        return (tuple(sorted(r.num.items())), tuple(sorted(r.den.items())))
 
     def evaluate(self, v0):
         """Exact value at a rational v0 != 0, as a Fraction."""
-        self._canonicalize()
+        r = self.reduced()
         v0 = Fraction(v0)
-        num = sum(c * v0**e for e, c in self.num.items())
-        den = sum(c * v0**e for e, c in self.den.items())
+        num = sum(c * v0**e for e, c in r.num.items())
+        den = sum(c * v0**e for e, c in r.den.items())
         return num / den
 
     def __repr__(self):
-        self._canonicalize()
+        r = self.reduced()
 
         def side(p):
             if not p:
                 return "0"
             return " + ".join(f"{c}*v^{e}" for e, c in sorted(p.items()))
 
-        if len(self.den) == 1:
-            return f"({side(self.num)})"
-        return f"({side(self.num)}) / ({side(self.den)})"
-
-
-def _trusted(num, den):
-    """num/den for a den that is already normalized (lowest term v**0 with
-    coefficient 1): the ring ops build their results here."""
-    s = object.__new__(ExactScalar)
-    s.num = num
-    s.den = den if num else _TRIVIAL_DEN
-    s._key = None
-    s._canon = len(s.den) == 1
-    return s
+        if len(r.den) == 1:
+            return f"({side(r.num)})"
+        return f"({side(r.num)}) / ({side(r.den)})"
 
 
 def _coerce_scalar(x):

@@ -66,7 +66,7 @@ def abar_series_oracle(z, psi, i, order=8):
 
     def subst(s, m):
         # q -> q^m on an ExactScalar (exponent scaling)
-        s._canonicalize()
+        s = s.reduced()
         num = {e * m: c for e, c in s.num.items()}
         den = {e * m: c for e, c in s.den.items()}
         return ExactScalar(num, den)

@@ -151,6 +151,31 @@ def test_psistar_action_and_relations():
     assert rep["ok"], [f for f in rep["families"] if f["failures"]]
 
 
+def test_module_entries_are_built_coprime():
+    # the constructions take no gcd: each entry must already be in its
+    # reduced() form, over both oscillator Vermas, eval_sl2 and every node
+    # of psitilde / psistar (67 modules)
+    mods = [build_module(kind, {"gamma_exp": g}, cutoff=6)
+            for kind in ("osc_verma_plus", "osc_verma_minus") for g in range(-2, 3)]
+    mods += [build_module("eval_sl2", {"gamma_exp": g, "shift": -g}, cutoff=6, mode_window=3)
+             for g in range(-2, 3)]
+    for t in ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4"):
+        for i in build_cartan(t).nodes():
+            mods.append(build_module("psitilde", {"type": t, "node": i, "shift": i % 2},
+                                     cutoff=4, mode_window=2))
+            mods.append(build_module("psistar", {"type": t, "node": i, "shift": -i},
+                                     mode_window=2))
+    assert len(mods) == 67
+    fractions = 0  # entries whose denominator is not 1, where a gcd could cancel
+    for mod in mods:
+        for mat in mod.gens.values():
+            for s in mat.values():
+                r = s.reduced()
+                assert (r.num, r.den) == (s.num, s.den), (mod.kind, mod.params, s)
+                fractions += len(s.den) > 1
+    assert fractions > 500, fractions
+
+
 def test_psitilde_pmz_coefficient_check():
     # relation (trois)/(pmz) modes on v_m, m <= N-1, via an independent
     # symbolic evaluation of both sides

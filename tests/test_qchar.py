@@ -329,6 +329,26 @@ def test_qcharacter_json_roundtrip():
     assert terms != data["terms"]
     with pytest.raises(ValueError):
         QCharacter.from_json(B2, dict(data, terms=terms))
+    # multiplicities, depth and flags are validated, not coerced
+    t0, c0 = data["terms"][-1]
+    assert c0 == 1 and t0 != data["head"]
+    for bad in (2.7, "3", True, 0, -2):
+        with pytest.raises(ValueError):
+            QCharacter.from_json(B2, dict(data, terms=data["terms"][:-1] + [[t0, bad]]))
+    assert QCharacter.from_json(B2, dict(data, terms=data["terms"][:-1] + [[t0, 2.0]])).terms
+    for bad in ("5", 4.9, -1, None):
+        with pytest.raises(ValueError):
+            QCharacter.from_json(B2, dict(data, depth=bad))
+    for flag in ("complete", "heuristic"):
+        for bad in ("false", 1, 0, None):
+            with pytest.raises(ValueError):
+                QCharacter.from_json(B2, dict(data, **{flag: bad}))
+    # a term listed twice is refused, not merged to one count
+    two = {"head": data["head"], "depth": 1, "complete": False,
+           "terms": [[data["head"], 1], [t0, 1]]}
+    assert QCharacter.from_json(B2, two).dim() == 2
+    with pytest.raises(ValueError):
+        QCharacter.from_json(B2, dict(two, terms=two["terms"] + [[t0, 1]]))
 
 
 def test_heuristic_flag_in_json_only_when_set():
