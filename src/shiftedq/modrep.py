@@ -6,9 +6,10 @@ q-powers times qnum(m)_{q_i}/(q_i - q_i^{-1}), already coprime.  Relations
 are evaluated column-by-column as exact identities for all modes inside the
 window; basis columns whose raising chains would cross the cutoff are
 excluded rather than approximated (exactness over coverage).  The verifier
-walks each module's column tables packed once at v = 2**W (scalars.pack), so
-a relation residual is a sum of plain int products; a nonzero residual is
-unpacked back into an ExactScalar only to be returned or reported.
+walks column tables packed at v = 2**W (scalars.pack) the first time a
+relation word holds their generator, so a relation residual is a sum of
+plain int products; a nonzero residual is unpacked back into an ExactScalar
+only to be returned or reported.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ X_PLUS, X_MINUS, PHI_PLUS, PHI_MINUS = "x+", "x-", "phi+", "phi-"
 # ---------------------------------------------------------------------------
 
 def _pack_cols(mat, width):
-    """{col: [(row, packed entry)]} of a sparse matrix, packed at v = 2**width."""
+    """{col: [(row, packed entry)]} of a sparse matrix, packed at v = 2**width;
+    None for an empty one."""
     cols = {}
     for (r, c), s in mat.items():
         cols.setdefault(c, []).append((r, pack(s, width)))
-    return cols
+    return cols or None
 
 
 class ExplicitModule:
@@ -49,7 +51,7 @@ class ExplicitModule:
         self.mode_window = mode_window
         self.upshift = upshift  # symbol -> basis-index shift of its action
         self.lweights = lweights  # optional l-weight per basis vector
-        self._cols = {s: _pack_cols(m, PACK_WIDTH) for s, m in gens.items()}
+        self._cols = {}  # symbol -> (up-shift, packed table or None), by _resolve
         self.cutoff_note = (
             f"rows within raising reach of basis index {size - 1} are "
             "truncation-polluted and excluded from checks"
@@ -286,35 +288,32 @@ def build_module(kind, params=None, cutoff=8, mode_window=4):
 def _resolve(mod, products, width=PACK_WIDTH, packs=None):
     """(max up-shift, walks) of a relation given as [(coeff, word)].
 
-    A word is resolved once into its column tables packed at v = 2**width
-    (the module's own at PACK_WIDTH, packed again from its matrices at any
-    other width), rightmost first, and its max prefix cumulative up-shift is
-    read in the same pass.  A word with a missing or empty table acts by
-    zero, so it has no walk; its up-shift still counts.  packs maps id(coeff)
-    to (coeff, packed coeff) at this width; a caller that passes one dict for
-    many relations packs each shared coefficient object once.
+    A symbol resolves to its up-shift and _pack_cols table once per module
+    at PACK_WIDTH, the first time a word holds it (mod._cols), and once per
+    call at a wider width.  A word reads its tables rightmost first with its
+    max prefix cumulative up-shift; one holding a None table acts by zero and
+    has no walk, but its up-shift still counts.  A walk's coefficient ONE is
+    None: it starts from its first entry.  packs maps id(coeff) to (coeff,
+    packed coeff) at this width, so one dict packs each coefficient once.
     """
-    upshift = mod.upshift
-    if packs is None:
-        packs = {}
-    if width == PACK_WIDTH:
-        all_cols = mod._cols
-    else:
-        used = {sym for _, word in products for sym in word}
-        all_cols = {sym: _pack_cols(mod.gens[sym], width)
-                    for sym in used if sym in mod.gens}
+    cache = mod._cols if width == PACK_WIDTH else {}
+    packs = {} if packs is None else packs
     maxup = 0
     walks = []
     for coeff, word in products:
         tot = 0
         tables = []
         for sym in reversed(word):
-            tot += upshift.get(sym, 0)
+            hit = cache.get(sym)
+            if hit is None:
+                hit = cache[sym] = (mod.upshift.get(sym, 0),
+                                    _pack_cols(mod.gens.get(sym, {}), width))
+            tot += hit[0]
             if tot > maxup:
                 maxup = tot
-            tables.append(all_cols.get(sym))
-        if all(tables):
-            hit = packs.get(id(coeff))
+            tables.append(hit[1])
+        if None not in tables:
+            hit = (ONE, None) if coeff is ONE and tables else packs.get(id(coeff))
             if hit is None:
                 hit = packs[id(coeff)] = (coeff, pack(coeff, width))
             walks.append((hit[1], tables))
@@ -325,28 +324,30 @@ def _residual(walks, j):
     """Sum of coeff * word applied to basis vector j as {row: ExactScalar}
     of its nonzero rows; {} means exact zero.
 
-    Each word walks its packed tables starting from its coefficient.  The
-    generators of the ladder and oscillator modules have at most one entry
-    per column, so a walk carries one (row, packed scalar) pair; from a
-    column with two or more entries on (the coproduct tensor module) the
-    rest of the walk is a sparse accumulate over a vector (_spread).  A row
-    is read only while its bound proves its digits (scalars.pack); otherwise
-    the relation is packed again at a width past the largest bound and
-    walked again.
+    Each word walks its packed tables from its coefficient (from its first
+    entry for ONE).  The generators of the ladder and oscillator modules
+    have at most one entry per column, so a walk carries one (row, packed
+    scalar) pair; from a column with two or more entries on (the coproduct
+    tensor module) the rest of the walk is a sparse accumulate over a vector
+    (_spread).  A row is read only while its bound proves its digits
+    (scalars.pack); otherwise the relation is packed again at a width past
+    the largest bound and walked again.
     """
     mod, products, width, pairs = walks
     acc = {}
     for val, tables in pairs:
         row = j
-        for k, cols in enumerate(tables):
+        rest = iter(tables)
+        for cols in rest:
             entries = cols.get(row)
             if not entries:
                 break
             if len(entries) > 1:
-                _spread(tables, k, {row: val}, acc, width)
+                vec = {r: packed_mul(s, val) if val else s for r, s in entries}
+                _spread(rest, vec, acc, width)
                 break
             row, s = entries[0]
-            val = packed_mul(s, val)
+            val = packed_mul(s, val) if val else s
         else:
             cur = acc.get(row)
             acc[row] = val if cur is None else packed_add(cur, val, width)
@@ -360,9 +361,9 @@ def _residual(walks, j):
     return out
 
 
-def _spread(tables, k, vec, acc, width):
-    """Add the sparse packed vector vec, walked through tables[k:], into acc."""
-    for cols in tables[k:]:
+def _spread(tables, vec, acc, width):
+    """Add the sparse packed vector vec, walked through tables, into acc."""
+    for cols in tables:
         out = {}
         for c, v in vec.items():
             for r, s in cols.get(c, ()):
@@ -414,10 +415,20 @@ def _drinfeld_relations(mod):
     """Relation instances (name, info, products) for the shifted algebra,
     yielded one at a time: each is checked and dropped before the next is
     built.  Each coefficient is built once per family loop, so the instances
-    of a loop share the coefficient objects."""
+    of a loop share the coefficient objects.
+
+    A block (one family and outer parameters) whose every word holds an x of
+    a dead (op, node), one with no nonempty matrix, acts by zero: its
+    instances come with no words.  Families count as dead only where no word
+    of length 2 can raise v_0 past the cutoff, so these are not "unchecked"."""
     cd = mod.cd
     M = mod.mode_window
     modes = range(-M, M + 1)
+    dead = set()
+    if 2 * max(mod.upshift.values(), default=0) < mod.size:
+        dead = {(op, jn) for op in (X_PLUS, X_MINUS) for jn in cd.nodes()
+                if not any(mod.gens.get((op, jn, m)) for m in modes)}
+
     # (un): phi modes commute (and with the other sign)
     for i in cd.nodes():
         for jn in cd.nodes():
@@ -438,21 +449,22 @@ def _drinfeld_relations(mod):
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
                 neg_qds = [-ExactScalar.q_power(eps * sgn * cd.ri(i) * cd.c(i, jn))
                            for eps, _, _ in leads]
+                zero = (xop, jn) in dead
                 for r in modes:
                     for (_, phi, tag), neg_qd in zip(leads, neg_qds):
-                        p = [(ONE, [phi, (xop, jn, r)]), (neg_qd, [(xop, jn, r), phi])]
+                        p = [] if zero else [(ONE, [phi, (xop, jn, r)]),
+                                             (neg_qd, [(xop, jn, r), phi])]
                         yield ("deux", (i, jn, xop, r, tag), p)
     # (trois): [x^+_{i,r}, x^-_{j,s}] = delta_ij (phi^+_{r+s} - phi^-_{r+s})/(q_i - q_i^{-1})
     for i in cd.nodes():
         inv = ONE / (ExactScalar.q_power(cd.ri(i)) - ExactScalar.q_power(-cd.ri(i)))
         neg_inv = -inv
         for jn in cd.nodes():
+            zero = i != jn and ((X_PLUS, i) in dead or (X_MINUS, jn) in dead)
             for r in modes:
                 for s in modes:
-                    p = [
-                        (ONE, [(X_PLUS, i, r), (X_MINUS, jn, s)]),
-                        (_MINUS_ONE, [(X_MINUS, jn, s), (X_PLUS, i, r)]),
-                    ]
+                    p = [] if zero else [(ONE, [(X_PLUS, i, r), (X_MINUS, jn, s)]),
+                                         (_MINUS_ONE, [(X_MINUS, jn, s), (X_PLUS, i, r)])]
                     if i == jn:
                         p.append((neg_inv, [_phi_symbol(1, i, r + s)]))
                         p.append((inv, [_phi_symbol(-1, i, r + s)]))
@@ -464,10 +476,11 @@ def _drinfeld_relations(mod):
             b = cd.b(i, jn)
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
                 neg_qb = -ExactScalar.q_power(sgn * b)
+                zero = (xop, i) in dead or (xop, jn) in dead
                 for r in range(-M, M):
                     for s in range(-M, M):
-                        p = _q_commutator(neg_qb, (xop, i, r + 1), (xop, jn, s),
-                                          (xop, i, r), (xop, jn, s + 1))
+                        p = [] if zero else _q_commutator(
+                            neg_qb, (xop, i, r + 1), (xop, jn, s), (xop, i, r), (xop, jn, s + 1))
                         yield ("hdd", (i, jn, xop, r, s), p)
     # (phix) coefficientwise: phi^eps_a x_b-1 - q^{+-B} phi^eps_{a-1} x_b
     #                       = q^{+-B} x_{b-1} phi^eps_a - x_b phi^eps_{a-1}
@@ -476,11 +489,13 @@ def _drinfeld_relations(mod):
             b = cd.b(i, jn)
             for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
                 neg_qb = -ExactScalar.q_power(sgn * b)
+                zero = (xop, jn) in dead
                 for eps in (1, -1):
                     for a in range(-M - 1, M + 2):
                         for bb in range(-M + 1, M + 1):
-                            p = _q_commutator(neg_qb, _phi_symbol(eps, i, a), (xop, jn, bb - 1),
-                                              _phi_symbol(eps, i, a - 1), (xop, jn, bb))
+                            p = [] if zero else _q_commutator(
+                                neg_qb, _phi_symbol(eps, i, a), (xop, jn, bb - 1),
+                                _phi_symbol(eps, i, a - 1), (xop, jn, bb))
                             yield ("phix", (i, jn, xop, eps, a, bb), p)
     # (seq) Drinfeld-Serre for i != j with C_{ij} < 0, small mode tuples
     for i in cd.nodes():
@@ -574,11 +589,9 @@ def check_relations(module):
 # ---------------------------------------------------------------------------
 
 def _kron(a, b, nb):
-    out = {}
-    for (r1, c1), s1 in a.items():
-        for (r2, c2), s2 in b.items():
-            out[(r1 * nb + r2, c1 * nb + c2)] = s1 * s2
-    return out
+    """a (x) b; an entry times ONE is the entry itself, shared, not a copy."""
+    return {(r1 * nb + r2, c1 * nb + c2): s2 if s1 is ONE else s1 if s2 is ONE else s1 * s2
+            for (r1, c1), s1 in a.items() for (r2, c2), s2 in b.items()}
 
 
 def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
@@ -597,32 +610,19 @@ def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
     eye2 = {(j, j): ONE for j in range(n2)}
     kpm = "kinv" if sign > 0 else "k"
     kpm2 = "k" if sign > 0 else "kinv"
-    E = poly_add(
-        _kron(m1.matrix("e"), eye2, n2), _kron(m1.matrix(kpm), m2.matrix("e"), n2)
-    )
-    F = poly_add(
-        _kron(m1.matrix("f"), m2.matrix(kpm2), n2), _kron(eye1, m2.matrix("f"), n2)
-    )
+    E = poly_add(_kron(m1.matrix("e"), eye2, n2), _kron(m1.matrix(kpm), m2.matrix("e"), n2))
+    F = poly_add(_kron(m1.matrix("f"), m2.matrix(kpm2), n2), _kron(eye1, m2.matrix("f"), n2))
     K = _kron(m1.matrix("k"), m2.matrix("k"), n2)
     Kinv = _kron(m1.matrix("kinv"), m2.matrix("kinv"), n2)
-    cd = m1.cd
-    weights = [
-        m1.weights[j1].mul(m2.weights[j2])
-        for j1 in range(m1.size)
-        for j2 in range(n2)
-    ]
+    weights = [w1.mul(w2) for w1 in m1.weights for w2 in m2.weights]
     gens = {"e": E, "f": F, "k": K, "kinv": Kinv}
-    up = {"e": 0, "f": 0, "k": 0, "kinv": 0}
     # f raises either tensor factor: exclude top rows of both factors
-    mod = ExplicitModule(cd, "osc_tensor", {"sign": sign}, size, weights, gens, 0, up)
+    mod = ExplicitModule(m1.cd, "osc_tensor", {"sign": sign}, size, weights, gens, 0,
+                         dict.fromkeys(gens, 0))
     denom = ExactScalar.q_power(1) - ExactScalar.q_power(-1)
     rels = _sl2_relations([(-ONE / denom, ["k"]), (ONE / denom, ["kinv"])])
     # columns with both tensor indices below the cutoffs (f may raise each once)
-    good_cols = [
-        j1 * n2 + j2
-        for j1 in range(m1.size - 1)
-        for j2 in range(n2 - 1)
-    ]
+    good_cols = [j1 * n2 + j2 for j1 in range(m1.size - 1) for j2 in range(n2 - 1)]
     families = []
     ok = True
     for name, products in rels:

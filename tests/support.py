@@ -3,11 +3,13 @@
 import json
 import os
 from fractions import Fraction
+from itertools import permutations, product as iproduct
 
 from shiftedq.cartan import a_in_y, basis_generator, invert_quantum_cartan
 from shiftedq.langlands import psi_of_monomial
 from shiftedq.lweight import leq_certificate
-from shiftedq.modrep import _poly_from_shifts
+from shiftedq import modrep
+from shiftedq.modrep import PHI_MINUS, PHI_PLUS, X_MINUS, X_PLUS, _poly_from_shifts
 from shiftedq.qchar import (
     FMBudgetError,
     FMError,
@@ -16,7 +18,8 @@ from shiftedq.qchar import (
     _strings,
 )
 from shiftedq import truncation
-from shiftedq.scalars import ONE, ExactScalar
+from shiftedq.scalars import (PACK_WIDTH, ONE, ExactScalar, fit_width, pack, packed_add,
+                              packed_mul, qbinom, unpack)
 from shiftedq.truncation import abar_eigenvalue
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -302,3 +305,203 @@ def load_matrix_fixture(name="square_head_t_matrices"):
             entries[(r, c)] = {int(k): _scalar_from_json(s) for k, s in poly}
         out[key] = {"size": mat["size"], "entries": entries}
     return out
+
+
+# ---------------------------------------------------------------------------
+# relation suites instance by instance, every word built and walked
+# ---------------------------------------------------------------------------
+
+def _drinfeld_instances(mod):
+    """(name, info, products) of every Drinfeld relation instance, each with
+    all of its words, whether or not they act by zero."""
+    cd = mod.cd
+    M = mod.mode_window
+    modes = range(-M, M + 1)
+    minus_one = ExactScalar.from_int(-1)
+
+    def phi(eps, i, m):
+        return (PHI_PLUS if eps > 0 else PHI_MINUS, i, m)
+
+    def q_commutator(neg_qb, u1, w0, u0, w1):
+        return [(ONE, [u1, w0]), (neg_qb, [w0, u1]), (neg_qb, [u0, w1]), (ONE, [w1, u0])]
+
+    nodes = cd.nodes()
+    for i in nodes:
+        for jn in nodes:
+            for e1, e2 in ((1, 1), (1, -1)):
+                for m1 in dict.fromkeys((-1, 0, 1, M)):
+                    for m2 in (0, 1, -M):
+                        yield ("un", (i, jn, e1, m1, e2, m2),
+                               [(ONE, [phi(e1, i, m1), phi(e2, jn, m2)]),
+                                (minus_one, [phi(e2, jn, m2), phi(e1, i, m1)])])
+    for i in nodes:
+        lead_minus = mod.lweights[0].coweight()[i - 1] if mod.lweights else 0
+        leads = ((1, (PHI_PLUS, i, 0), "+0"), (-1, (PHI_MINUS, i, lead_minus), "-lead"))
+        for jn in nodes:
+            for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
+                neg_qds = [-ExactScalar.q_power(eps * sgn * cd.ri(i) * cd.c(i, jn))
+                           for eps, _, _ in leads]
+                for r in modes:
+                    for (_, ph, tag), neg_qd in zip(leads, neg_qds):
+                        yield ("deux", (i, jn, xop, r, tag),
+                               [(ONE, [ph, (xop, jn, r)]), (neg_qd, [(xop, jn, r), ph])])
+    for i in nodes:
+        inv = ONE / (ExactScalar.q_power(cd.ri(i)) - ExactScalar.q_power(-cd.ri(i)))
+        neg_inv = -inv
+        for jn in nodes:
+            for r in modes:
+                for s in modes:
+                    p = [(ONE, [(X_PLUS, i, r), (X_MINUS, jn, s)]),
+                         (minus_one, [(X_MINUS, jn, s), (X_PLUS, i, r)])]
+                    if i == jn:
+                        p += [(neg_inv, [phi(1, i, r + s)]), (inv, [phi(-1, i, r + s)])]
+                    yield ("trois", (i, jn, r, s), p)
+    for i in nodes:
+        for jn in nodes:
+            for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
+                neg_qb = -ExactScalar.q_power(sgn * cd.b(i, jn))
+                for r in range(-M, M):
+                    for s in range(-M, M):
+                        yield ("hdd", (i, jn, xop, r, s), q_commutator(
+                            neg_qb, (xop, i, r + 1), (xop, jn, s), (xop, i, r), (xop, jn, s + 1)))
+    for i in nodes:
+        for jn in nodes:
+            for sgn, xop in ((1, X_PLUS), (-1, X_MINUS)):
+                neg_qb = -ExactScalar.q_power(sgn * cd.b(i, jn))
+                for eps in (1, -1):
+                    for a in range(-M - 1, M + 2):
+                        for bb in range(-M + 1, M + 1):
+                            yield ("phix", (i, jn, xop, eps, a, bb), q_commutator(
+                                neg_qb, phi(eps, i, a), (xop, jn, bb - 1),
+                                phi(eps, i, a - 1), (xop, jn, bb)))
+    for i in nodes:
+        for jn in nodes:
+            cij = cd.c(i, jn)
+            if i == jn or cij >= 0:
+                continue
+            s = 1 - cij
+            coeffs = [(-1) ** rr * qbinom(s, rr, cd.ri(i)) for rr in range(s + 1)]
+            for xop in (X_PLUS, X_MINUS):
+                # the one trivial instance when a node's x(0), x(1) act by zero
+                if any(all(not mod.gens.get((xop, nn, m)) for m in (0, 1))
+                       for nn in (i, jn)):
+                    yield ("seq", (i, jn, xop, "trivial"), [])
+                    continue
+                for mtuple in set(iproduct((0, 1), repeat=s)):
+                    p = []
+                    for pi in set(permutations(range(s))):
+                        for rr, coeff in enumerate(coeffs):
+                            word = ([(xop, i, mtuple[pi[t]]) for t in range(rr)]
+                                    + [(xop, jn, 0)]
+                                    + [(xop, i, mtuple[pi[t]]) for t in range(rr, s)])
+                            p.append((coeff, word))
+                    yield ("seq", (i, jn, xop, mtuple), p)
+
+
+def _packed_tables(mod, width):
+    """{symbol: {col: [(row, packed entry)]}} of every generator."""
+    out = {}
+    for sym, mat in mod.gens.items():
+        cols = out[sym] = {}
+        for (r, c), s in mat.items():
+            cols.setdefault(c, []).append((r, pack(s, width)))
+    return out
+
+
+def _reference_walks(tables, products, width, packs=None):
+    """(packed coeff, tables rightmost first) of each word whose tables
+    (_packed_tables at v = 2**width) are all present and nonempty; packs
+    keeps each coefficient object packed once, {id: (coeff, packed)}."""
+    packs = {} if packs is None else packs
+    walks = []
+    for coeff, word in products:
+        ts = [tables.get(sym) for sym in reversed(word)]
+        if all(ts):
+            if id(coeff) not in packs:
+                packs[id(coeff)] = (coeff, pack(coeff, width))
+            walks.append((packs[id(coeff)][1], ts))
+    return walks
+
+
+def _reference_residual(mod, products, walks, j, width=PACK_WIDTH):
+    """{row: ExactScalar} of the nonzero rows of sum coeff * word v_j.  A
+    word walks one (row, packed scalar) pair from its coefficient until a
+    column has two entries, then a sparse vector; a row whose bound reaches
+    2**(W-1) sends the relation through a wider packing."""
+    acc = {}
+    for val, ts in walks:
+        row = j
+        for k, cols in enumerate(ts):
+            entries = cols.get(row)
+            if not entries:
+                break
+            if len(entries) > 1:
+                vec = {row: val}
+                for cols in ts[k:]:
+                    out = {}
+                    for c, v in vec.items():
+                        for r, s in cols.get(c, ()):
+                            p = packed_mul(s, v)
+                            out[r] = p if r not in out else packed_add(out[r], p, width)
+                    vec = out
+                for r, v in vec.items():
+                    acc[r] = v if r not in acc else packed_add(acc[r], v, width)
+                break
+            row, s = entries[0]
+            val = packed_mul(s, val)
+        else:
+            acc[row] = val if row not in acc else packed_add(acc[row], val, width)
+    if any(p[3] >> (width - 1) for p in acc.values()):
+        wide = fit_width(max(p[3] for p in acc.values()))
+        walks = _reference_walks(_packed_tables(mod, wide), products, wide)
+        return _reference_residual(mod, products, walks, j, wide)
+    return {r: unpack(p, width) for r, p in acc.items() if p[1]}
+
+
+def check_relations_reference(module):
+    """Reference for modrep.check_relations: every instance built with all
+    its words, its max prefix up-shift read from module.upshift, and every
+    unpolluted column walked until one fails; no table is cached, no block
+    skipped and no ONE coefficient left out of a product."""
+    if module.kind.startswith("osc"):
+        rels = modrep._oscillator_relations(module)
+    else:
+        rels = _drinfeld_instances(module)
+    tables = _packed_tables(module, PACK_WIDTH)
+    packs = {}
+    families = {}
+    ok = True
+    for name, info, products in rels:
+        fam = families.setdefault(name, {"family": name, "instances": 0, "failures": []})
+        fam["instances"] += 1
+        if not products:
+            continue
+        maxup = 0
+        for _, word in products:
+            tot = 0
+            for sym in reversed(word):
+                tot += module.upshift.get(sym, 0)
+                if tot > maxup:
+                    maxup = tot
+        cols = range(module.size - maxup)
+        walks = _reference_walks(tables, products, PACK_WIDTH, packs)
+        for j in cols if walks else ():
+            res = _reference_residual(module, products, walks, j)
+            if res:
+                ok = False
+                r = min(res)
+                fam["failures"].append({"instance": list(map(str, info)), "column": j,
+                                        "row": r, "value": repr(res[r])})
+                break
+        else:
+            if not cols:
+                fam["unchecked"] = fam.get("unchecked", 0) + 1
+    grading_ok = module.weight_grading_ok()
+    return {
+        "ok": ok and grading_ok,
+        "kind": module.kind,
+        "cutoff": module.size - 1,
+        "mode_window": module.mode_window,
+        "weight_grading_ok": grading_ok,
+        "families": sorted(families.values(), key=lambda f: f["family"]),
+    }

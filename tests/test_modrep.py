@@ -20,6 +20,7 @@ from shiftedq.modrep import (
     t_series_ratio,
 )
 from shiftedq.scalars import PACK_WIDTH, ExactScalar, ONE, ZERO, qnum
+from support import check_relations_reference
 
 A1 = build_cartan("A1")
 B2 = build_cartan("B2")
@@ -395,6 +396,117 @@ def test_vacuous_instances_reported_unchecked():
     # the benchmark's size leaves every instance a column
     rep = check_relations(build_module("eval_sl2", {}, cutoff=8, mode_window=4))
     assert all("unchecked" not in f for f in rep["families"])
+
+
+def _same_report(mod):
+    """check_relations equals its reference, JSON bytes included."""
+    rep, ref = check_relations(mod), check_relations_reference(mod)
+    assert rep == ref, (mod.kind, mod.params, mod.size, mod.mode_window)
+    assert json.dumps(rep) == json.dumps(ref)
+    return rep
+
+
+@pytest.mark.parametrize("t", ["A2", "B2", "G2", "A3", "C3"])
+def test_relations_match_reference(t):
+    # psitilde and psistar at every node, cutoffs 1-4, windows 1-3: many
+    # instances hold an x-symbol of a node whose x-matrices are empty and
+    # are counted unbuilt; at cutoff 1 a two-symbol word can raise v_0 past
+    # the cutoff, so every block is built there
+    for i in build_cartan(t).nodes():
+        for window in (1, 2, 3):
+            _same_report(build_module("psistar", {"type": t, "node": i, "shift": i - 2},
+                                      mode_window=window))
+            for cutoff in (1, 2, 3, 4):
+                _same_report(build_module("psitilde", {"type": t, "node": i, "shift": 1 - i},
+                                          cutoff=cutoff, mode_window=window))
+
+
+def _raised_module():
+    """psitilde A2 node 1 with x^-_2 (all matrices empty) given up-shift 2:
+    x^-_2 x^-_2 raises v_0 past cutoff 3, so (hdd) has unchecked instances."""
+    mod = build_module("psitilde", {"type": "A2", "node": 1}, cutoff=3, mode_window=2)
+    up = dict(mod.upshift)
+    up.update({s: 2 for s in mod.gens if s[:2] == ("x-", 2)})
+    return ExplicitModule(mod.cd, mod.kind, mod.params, mod.size, mod.weights,
+                          mod.gens, mod.mode_window, up, lweights=mod.lweights)
+
+
+def test_small_relation_suites_match_reference():
+    for cutoff in (1, 2, 3):
+        for window in (1, 2, 3):
+            rep = _same_report(build_module("eval_sl2", {"gamma_exp": 1, "shift": -1},
+                                            cutoff=cutoff, mode_window=window))
+            if (cutoff, window) == (1, 2):
+                hdd = next(f for f in rep["families"] if f["family"] == "hdd")
+                assert (hdd["instances"], hdd["unchecked"]) == (32, 16)
+    for kind in ("osc_verma_plus", "osc_verma_minus"):
+        _same_report(build_module(kind, {"gamma_exp": -1}, cutoff=3))
+    rep = _same_report(_tampered_eval_module())
+    assert {f["family"] for f in rep["families"] if f["failures"]} == {"hdd", "phix", "trois"}
+    rep = _same_report(_raised_module())
+    assert rep["ok"]
+    assert [f["family"] for f in rep["families"] if f.get("unchecked")] == ["hdd"]
+
+
+def test_generators_packed_on_first_use(monkeypatch):
+    packed = []
+    real = modrep._pack_cols
+
+    def recorded(mat, width):
+        packed.append(mat)
+        return real(mat, width)
+
+    monkeypatch.setattr(modrep, "_pack_cols", recorded)
+    pack_calls = []
+    real_pack = modrep.pack
+    monkeypatch.setattr(modrep, "pack",
+                        lambda s, w=PACK_WIDTH: pack_calls.append(s) or real_pack(s, w))
+    mod = build_module("psitilde", {"type": "B2", "node": 1}, cutoff=3, mode_window=2)
+    build_module("psistar", {"type": "A2", "node": 2}, mode_window=2)
+    build_module("eval_sl2", {}, cutoff=3, mode_window=2)
+    build_module("osc_verma_plus", {"gamma_exp": 1}, cutoff=3)
+    assert not packed and not pack_calls
+    # a suite packs each symbol's table at most once, and never the phi
+    # modes 5 and 6 (2M + 1, 2M + 2 at window M = 2) that no word holds
+    assert check_relations(mod)["ok"]
+    syms = [next(s for s, m in mod.gens.items() if m is mat) for mat in packed]
+    assert len(syms) == len(set(syms)) < len(mod.gens)
+    assert all(abs(s[2]) <= 4 for s in syms)
+    assert any(abs(s[2]) > 5 for s in mod.gens)
+    # the coproduct packs the tensor module's e, f, k, kinv, not its factors
+    factors = []
+    real_build = modrep.build_module
+
+    def kept(*args):
+        factors.append(real_build(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(modrep, "build_module", kept)
+    packed.clear()
+    assert check_coproduct(-1, 2, -1, cutoff=4)["ok"]
+    assert len(factors) == 2 and len(packed) == len({id(m) for m in packed}) == 4
+    tensor = {(r, c) for m in packed for r, c in m}
+    assert max(max(rc) for rc in tensor) == 5 * 5 - 1
+    assert all(m is not f for m in packed for fm in factors for f in fm.gens.values())
+
+
+def test_coproduct_identity_factors_make_no_products(monkeypatch):
+    # e (x) 1, k^{-1} (x) e (e's entries are ONE) and 1 (x) f share their
+    # entries; only f (x) k, k (x) k and k^{-1} (x) k^{-1} multiply
+    calls = []
+    real = ExactScalar.__mul__
+
+    def counted(self, other):
+        calls.append(self is ONE or other is ONE)
+        return real(self, other)
+
+    monkeypatch.setattr(ExactScalar, "__mul__", counted)
+    build_module("osc_verma_plus", {"gamma_exp": 2}, 5, 1)
+    build_module("osc_verma_minus", {"gamma_exp": -1}, 5, 1)
+    built = len(calls)
+    assert check_coproduct(+1, 2, -1, cutoff=5)["ok"]
+    assert not any(calls)
+    assert len(calls) - 2 * built == 5 * 6 + 6 * 6 + 6 * 6
 
 
 @pytest.mark.parametrize("kind,params", [
