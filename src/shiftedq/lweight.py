@@ -12,7 +12,7 @@ import json
 
 from .cartan import basis_generator, factor_solver
 from .kernel import exps_combine
-from .scalars import ConstantFactor, json_int
+from .scalars import ZETA_ORDER, ConstantFactor, json_int
 from .smith import laurent_divide
 
 GENERATOR_KINDS = ("Psi", "Y", "Ytilde", "A", "Lambda", "Z", "PsiTilde", "PsiStar")
@@ -266,6 +266,40 @@ def y_key(cd, ykey):
         highs.append(((i, t + ri), -e))
     out += highs
     return tuple(out), tuple(q), (0,) * n
+
+
+def key_mul(k1, k2):
+    """The key() of the product of the monomials whose keys are k1 and k2,
+    with no monomial built: the two sorted Psi-item runs merged, equal
+    shifts summed and zero sums dropped, the q-exponents added and the
+    zetas added mod ZETA_ORDER, as LWeightMonomial.combine gives them.  The
+    oracle is combine."""
+    a, b = k1[0], k2[0]
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ka, ea = a[i]
+        kb, eb = b[j]
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:
+            if s := ea + eb:
+                out.append((ka, s))
+            i += 1
+            j += 1
+    out += a[i:]
+    out += b[j:]
+    z1, z2 = k1[2], k2[2]
+    return (
+        tuple(out),
+        tuple([x + y for x, y in zip(k1[1], k2[1])]),
+        tuple([(x + y) % ZETA_ORDER for x, y in zip(z1, z2)]) if any(z2) else z1,
+    )
 
 
 def y_monomial(cd, ykey):

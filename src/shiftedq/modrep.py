@@ -285,6 +285,10 @@ def build_module(kind, params=None, cutoff=8, mode_window=4):
 # relation verification
 # ---------------------------------------------------------------------------
 
+# the packed values of +1 and -1 at every width (scalars.pack), by sign
+_UNITS = {(0, 1, 1, 1): 1, (0, -1, 1, 1): -1}
+
+
 def _resolve(mod, products, width=PACK_WIDTH, packs=None):
     """(max up-shift, walks) of a relation given as [(coeff, word)].
 
@@ -292,9 +296,10 @@ def _resolve(mod, products, width=PACK_WIDTH, packs=None):
     at PACK_WIDTH, the first time a word holds it (mod._cols), and once per
     call at a wider width.  A word reads its tables rightmost first with its
     max prefix cumulative up-shift; one holding a None table acts by zero and
-    has no walk, but its up-shift still counts.  A walk's coefficient ONE is
-    None: it starts from its first entry.  packs maps id(coeff) to (coeff,
-    packed coeff) at this width, so one dict packs each coefficient once.
+    has no walk, but its up-shift still counts.  A walk is (packed coeff,
+    sign, tables); a coefficient packed to +-1 (_UNITS) is None and its
+    sign.  packs maps id(coeff) to (coeff, packed coeff) at this width, so
+    one dict packs each coefficient once.
     """
     cache = mod._cols if width == PACK_WIDTH else {}
     packs = {} if packs is None else packs
@@ -313,10 +318,11 @@ def _resolve(mod, products, width=PACK_WIDTH, packs=None):
                 maxup = tot
             tables.append(hit[1])
         if None not in tables:
-            hit = (ONE, None) if coeff is ONE and tables else packs.get(id(coeff))
+            hit = packs.get(id(coeff))
             if hit is None:
                 hit = packs[id(coeff)] = (coeff, pack(coeff, width))
-            walks.append((hit[1], tables))
+            sign = _UNITS.get(hit[1]) if tables else None
+            walks.append((hit[1], 1, tables) if sign is None else (None, sign, tables))
     return maxup, (mod, products, width, walks)
 
 
@@ -325,17 +331,17 @@ def _residual(walks, j):
     of its nonzero rows; {} means exact zero.
 
     Each word walks its packed tables from its coefficient (from its first
-    entry for ONE).  The generators of the ladder and oscillator modules
-    have at most one entry per column, so a walk carries one (row, packed
-    scalar) pair; from a column with two or more entries on (the coproduct
-    tensor module) the rest of the walk is a sparse accumulate over a vector
-    (_spread).  A row is read only while its bound proves its digits
-    (scalars.pack); otherwise the relation is packed again at a width past
-    the largest bound and walked again.
+    entry for +-1, negated at the end for -1).  The generators of the ladder
+    and oscillator modules have at most one entry per column, so a walk
+    carries one (row, packed scalar) pair; from a column with two or more
+    entries on (the coproduct tensor module) the rest of the walk is a
+    sparse accumulate over a vector (_spread).  A row is read only while its
+    bound proves its digits (scalars.pack); otherwise the relation is packed
+    again at a width past the largest bound and walked again.
     """
     mod, products, width, pairs = walks
     acc = {}
-    for val, tables in pairs:
+    for val, sign, tables in pairs:
         row = j
         rest = iter(tables)
         for cols in rest:
@@ -344,11 +350,13 @@ def _residual(walks, j):
                 break
             if len(entries) > 1:
                 vec = {r: packed_mul(s, val) if val else s for r, s in entries}
-                _spread(rest, vec, acc, width)
+                _spread(rest, vec, acc, width, sign)
                 break
             row, s = entries[0]
             val = packed_mul(s, val) if val else s
         else:
+            if sign < 0:
+                val = (val[0], -val[1], val[2], val[3])
             cur = acc.get(row)
             acc[row] = val if cur is None else packed_add(cur, val, width)
     out = {}
@@ -361,8 +369,9 @@ def _residual(walks, j):
     return out
 
 
-def _spread(tables, vec, acc, width):
-    """Add the sparse packed vector vec, walked through tables, into acc."""
+def _spread(tables, vec, acc, width, sign):
+    """Add sign times the sparse packed vector vec, walked through tables,
+    into acc."""
     for cols in tables:
         out = {}
         for c, v in vec.items():
@@ -375,6 +384,8 @@ def _spread(tables, vec, acc, width):
         if not vec:
             return
     for r, v in vec.items():
+        if sign < 0:
+            v = (v[0], -v[1], v[2], v[3])
         cur = acc.get(r)
         acc[r] = v if cur is None else packed_add(cur, v, width)
 
@@ -562,7 +573,9 @@ def check_relations(module):
     ok = True
     packs = {}
     for name, info, products in rels:
-        fam = families.setdefault(name, {"family": name, "instances": 0, "failures": []})
+        fam = families.get(name)
+        if fam is None:
+            fam = families[name] = {"family": name, "instances": 0, "failures": []}
         fam["instances"] += 1
         if not products:
             continue

@@ -1,14 +1,14 @@
 """q-characters as multiplicity maps over l-weights.
 
 Every QCharacter is one (l-weight key, multiplicity, A^{-1}-path) entry
-per term, head first.  Infinite characters are represented by
-depth-truncated slices: every retained term sits at A^{-1}-distance <= depth
-from the head, and identity checks only compare inside the guaranteed
-margin.  The node-wise sl2 completion (fm_expand) works over Y-exponent
-keys; the Langlands-dual characters read its multiplicities directly, and
-qc_frenkel_mukhin keys its terms by l-weight.  qc_frenkel_mukhin is
-contract-restricted to KR/fundamental heads; other dominant heads are
-accepted but flagged heuristic.
+per term, head first; products multiply keys.  Infinite characters are
+depth-truncated slices: every retained term sits at A^{-1}-distance <=
+depth from the head, and identity checks only compare inside the
+guaranteed margin.  The node-wise sl2 completion runs over packed
+Y-exponent keys; fm_expand decodes them, and qc_frenkel_mukhin turns them
+into l-weight keys.  qc_frenkel_mukhin is contract-restricted to
+KR/fundamental heads; other dominant heads are accepted but flagged
+heuristic.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .lweight import (
     dominant_factorization,
     generator,
     is_dominant,
+    key_mul,
     leq_certificate,
     y_key,
 )
@@ -143,33 +144,32 @@ def qc_monomial(m, depth=0):
 
 def qc_mul(x1, x2):
     """Convolution product; heads multiply, margins take the minimum.  The
-    one product of q-characters: a one-term factor is a qc_monomial."""
+    one product of q-characters: a one-term factor is a qc_monomial.  Keys
+    multiply (lweight.key_mul); no monomial is built.  Distances add, so a
+    product compared on a margin m is the product of the factors restricted
+    to m."""
     if x1.cd != x2.cd:
         raise ValueError("characters over different Cartan data")
     if x1.complete and x2.complete:
         depth = x1.depth + x2.depth
-    elif x1.complete:
-        depth = x2.depth
-    elif x2.complete:
-        depth = x1.depth
     else:
-        depth = min(x1.depth, x2.depth)
-    # term -> [multiplicity, path]; a product's path is the sum of its
+        depth = min(x.depth for x in (x1, x2) if not x.complete)
+    # key -> [multiplicity, path]; a product's path is the sum of its
     # factors' paths, the same for every pair giving it
     acc = {}
-    for m1, (_k1, c1, p1) in zip(x1.terms, x1.entries):
-        for m2, (_k2, c2, p2) in zip(x2.terms, x2.entries):
-            m = m1 * m2
-            cur = acc.get(m)
+    for k1, c1, p1 in x1.entries:
+        for k2, c2, p2 in x2.entries:
+            k = key_mul(k1, k2)
+            cur = acc.get(k)
             if cur is None:
                 p = dict(p1)
                 for a, v in p2.items():
                     p[a] = p.get(a, 0) + v
-                acc[m] = [c1 * c2, p]
+                acc[k] = [c1 * c2, p]
             else:
                 cur[0] += c1 * c2
     out = QCharacter(
-        x1.cd, [(m.key(), c, p) for m, (c, p) in acc.items()], depth,
+        x1.cd, [(k, c, p) for k, (c, p) in acc.items()], depth,
         x1.complete and x2.complete, x1.heuristic or x2.heuristic,
     )
     if not out.complete:
@@ -187,10 +187,10 @@ def _ladder(cd, head, i, r, depth, step):
     entries = [(head.key(), 1, {})]
     cur = head
     path = {}
-    for m in range(1, depth + 1):
-        cur = cur.combine(generator(cd, "A", i, r - (m - 1) * step), -1)
-        path = dict(path)
-        path[(i, r - (m - 1) * step)] = 1
+    for m in range(depth):
+        s = r - m * step
+        cur = cur.combine(generator(cd, "A", i, s), -1)
+        path = {**path, (i, s): 1}
         entries.append((cur.key(), 1, path))
     return entries
 
@@ -245,10 +245,7 @@ def _string_eigen_terms(top, k, step):
     top + step/2, top + step/2 - step, ... (j factors).
     """
     half = step // 2
-    out = []
-    for j in range(k + 1):
-        out.append([top + half - l * step for l in range(j)])
-    return out
+    return [[top + half - l * step for l in range(j)] for j in range(k + 1)]
 
 
 def _string_products(factors, cap):
@@ -275,7 +272,7 @@ def _string_products(factors, cap):
 
 
 def _node_products(part, width, step, inverse, cap):
-    """The q-string products of one node part of a term, for fm_expand.
+    """The q-string products of one node part of a term, for _fm_index.
 
     part: the exponents of node i as width-bit digits, every one >= 0, the
     lowest nonzero at digit 0; digit t is relative shift t.  inverse: the
@@ -318,12 +315,12 @@ def _node_products(part, width, step, inverse, cap):
 
 
 def _window(width, size, rows):
-    """(bits, mask, bias, full, inverses) of fm_expand's packing with size
-    slots per node, rows the a_in_y_table rows: the bits of one node part,
-    their mask, a part of all-zero exponents (every digit 2^(width-1)), the
-    key of the empty monomial, and per node i the change A_{i,q^{lo+r_i}}^{-1}
-    makes to a key (lo the shift of slot 0), which shifted by
-    width * (s - r_i) is the change of A_{i,q^{lo+s}}^{-1}, s >= r_i."""
+    """(bits, mask, bias, full, inverses) of _fm_index's packing with size
+    slots per node, rows the a_in_y_table rows: a node part's bits and
+    mask, an all-zero part (every digit 2^(width-1)), the empty monomial's
+    key, and per node i the change A_{i,q^{lo+r_i}}^{-1} makes to a key,
+    which shifted by width * (s - r_i) is that of A_{i,q^{lo+s}}^{-1},
+    s >= r_i."""
     bits = width * size
     mask = (1 << bits) - 1
     bias = mask // ((1 << width) - 1) << (width - 1)
@@ -338,10 +335,10 @@ def _window(width, size, rows):
 
 
 def _decode(x, width, slots):
-    """The sorted Y-exponent tuple of x, a key of fm_expand XOR its
-    all-bias key, slots the (node, shift) of each slot: each exponent is
-    left as its width-bit two's complement, so only the nonzero digits are
-    visited.  Node-major slots come in sorted (node, shift) order."""
+    """The sorted Y-exponent tuple of x, a packed key or node part XOR its
+    all-bias value, slots the (node, shift) of each slot, node-major: each
+    exponent is a width-bit two's complement, so only nonzero digits are
+    visited."""
     digit = (1 << width) - 1
     sign = 1 << width - 1
     out = []
@@ -374,34 +371,37 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     A^{-1}-path {(i, s): count}, A^{-1}-distance from the head]; complete
     is False when a string product longer than the remaining depth was
     dropped, which raises FMBudgetError under require_complete.
+    """
+    index, complete, (width, size, full, slots) = _fm_index(
+        cd, head_y, depth, require_complete)
+    return {_decode(k ^ full, width, slots): rec for k, rec in index.items()}, complete
 
-    Inside the loop a term is only its key, one int of width-bit digits:
-    the exponent of Y_{j,q^t} plus the bias 2^(width-1) at digit
-    (j - 1) * size + (t - lo), lo the lowest head shift.  Every A^{-1}
-    factor changes a digit by at most the largest |exponent| c of an A_i in
-    Y, and a term at distance w <= depth has had w of them, so no exponent
-    is further from 0 than the largest head exponent plus depth * c, which
-    is below the bias: no digit carries or borrows.  No shift falls below
-    lo (_node_products), and a child rises at most 2 r_i above its parent,
-    so size starts at the head's span plus _window_pad; when a delta would
-    reach past it, the expansion runs again from the head at a size that
-    holds it, so nothing wraps.  Each key is decoded once, at the end
-    (_decode).
 
-    Node i's part is one shift and mask of the key: all bias means the node
-    is absent, a cleared top bit a negative exponent (skipped), and XOR with
-    the bias the plain exponents.  Its products depend only on the part up
-    to translation, so one table for the run, keyed by node and by the part
-    shifted down to its lowest slot, holds them (_node_products): a child is
-    the parent plus the delta shifted to the part's place.  An entry is
-    enumerated at the remaining depth of the first term that meets it, and
-    again, wider, only when a term with more room meets a part whose
-    longest product did not fit.  A term at distance w takes the products
-    of at most depth - w shifts: the products, in the order, that
-    _string_products gives at cap depth - w, which drops one exactly when
-    the longest is longer.  Only a new child gets its path.  A term reached
-    again with a larger multiplicity takes it and is queued again (the
-    `max` merge of ROADMAP item 1).
+def _fm_index(cd, head_y, depth, require_complete):
+    """fm_expand's state over packed keys: (index, complete, (width, size,
+    full, slots)), index mapping each key to its record, head first.
+
+    A key is one int of width-bit digits: the exponent of Y_{j,q^t} plus
+    the bias 2^(width-1) at digit (j - 1) * size + t - lo, lo the lowest
+    head shift; full is the empty monomial's key and slots the (j, t) of
+    each digit.  No exponent passes the
+    largest head exponent plus depth times the largest |exponent| of an A_i
+    in Y, which is below the bias, so no digit carries.  No shift falls
+    below lo (_node_products), and a child rises at most 2 r_i above its
+    parent, so size starts at the head's span plus _window_pad; a delta
+    reaching past it runs the expansion again from the head in a window
+    that holds it, so nothing wraps.
+
+    Node i's part is one shift and mask of the key (all bias: absent; a
+    cleared top bit: a negative exponent, skipped).  Its products depend
+    only on the part up to translation, so one table per run, keyed by node
+    and by the part shifted to its lowest slot, holds them (_node_products),
+    enumerated at the remaining depth of the first term that meets it and
+    again, wider, only for a term with more room that meets a cut one.  A
+    term at distance w takes the products of at most depth - w shifts, in
+    _string_products order.  Only a new child gets its path; a term reached again with a larger
+    multiplicity takes it and is queued again (the `max` merge of ROADMAP
+    item 1).
     """
     head_y = {k: e for k, e in head_y.items() if e}
     if any(e < 0 for e in head_y.values()):
@@ -420,17 +420,14 @@ def fm_expand(cd, head_y, depth, require_complete=False):
     run = max(shifts, default=0) - lo + 1
     while isinstance(run, int):
         run = _fm_run(head_y, depth, width, lo, run + pad, rows)
-    state, complete = run
-    if require_complete and not complete:
-        raise FMBudgetError(
-            f"expansion of {head_y} did not close within depth {depth}"
-        )
-    return state, complete
+    if require_complete and not run[1]:
+        raise FMBudgetError(f"expansion of {head_y} did not close within depth {depth}")
+    return run
 
 
 def _fm_run(head_y, depth, width, lo, size, rows):
-    """fm_expand's loop in a window of size slots per node: (state,
-    complete), or the slots a delta reaching past the window needs."""
+    """_fm_index's loop in a window of size slots per node: its result, or
+    the slots a delta past the window needs."""
     bits, mask, bias, head, inverses = _window(width, size, rows)
     full = head
     for (i, t), e in head_y.items():
@@ -489,40 +486,48 @@ def _fm_run(head_y, depth, width, lo, size, rows):
                         new_frontier.append(nk)
         frontier = new_frontier
     slots = [(i, t) for i in nodes for t in range(lo, lo + size)]
-    return {_decode(k ^ full, width, slots): rec for k, rec in index.items()}, not truncated
+    return index, not truncated, (width, size, full, slots)
 
 
 def qc_frenkel_mukhin(cd, head_y, depth, require_complete=False):
     """fm_expand as a QCharacter, its entries in fm_expand's order.
 
-    lweight.y_key turns each term's sorted Y-key into its l-weight key;
-    lweight.expand_in_basis(cd, "Y", y) is the oracle it is tested against.
-    The state is consumed as the entries are built, so the two are never
-    both whole.  Guaranteed for KR/fundamental heads; anything else is
-    flagged heuristic.
+    A packed key (_fm_index) becomes its node parts' Psi items in node
+    order and their q-exponents, each distinct part decoded once per call
+    (_decode, lweight.y_key).  The index is consumed as entries are built.
+    Guaranteed for KR/fundamental heads; anything else is flagged heuristic.
     """
-    state, complete = fm_expand(cd, head_y, depth, require_complete)
-
-    # KR/fundamental contract on the head (the first key, zero exponents
-    # dropped): one node, one maximal string
-    head_key = next(iter(state))
-    nodes_used = {i for (i, _), _e in head_key}
-    heuristic = True
-    if len(nodes_used) <= 1:
-        if not head_key:
-            heuristic = False
-        else:
-            (i0,) = nodes_used
-            u = {t: e for (_, t), e in head_key}
-            heuristic = not (
-                all(e == 1 for e in u.values())
-                and len(_strings(u, 2 * cd.ri(i0))) == 1
-            )
-    # Y-exponents determine the l-weight injectively
+    index, complete, (width, size, full, slots) = _fm_index(
+        cd, head_y, depth, require_complete)
+    # KR/fundamental contract on the head: one node, one q-string (an
+    # exponent above 1 starts a second)
+    head = {k: e for k, e in head_y.items() if e}
+    used = {i for i, _t in head}
+    heuristic = len(used) > 1 or bool(head) and len(
+        _strings({t: e for (_i, t), e in head.items()}, 2 * cd.ri(min(used)))) != 1
+    n = cd.n
+    bits = width * size
+    mask = (1 << bits) - 1
+    parts = [{} for _ in range(n)]
+    zetas = (0,) * n
     entries = []
-    while state:
-        k, (mult, path, _w) = state.popitem()
-        entries.append((y_key(cd, k), mult, path))
+    while index:
+        k, (mult, path, _w) = index.popitem()
+        x = k ^ full
+        items = ()
+        q = [0] * n
+        i = 0
+        while x:
+            if part := x & mask:
+                hit = parts[i].get(part)
+                if hit is None:
+                    ky = y_key(cd, _decode(part, width, slots[i * size:]))
+                    hit = parts[i][part] = (ky[0], ky[1][i])
+                items += hit[0]
+                q[i] = hit[1]
+            x >>= bits
+            i += 1
+        entries.append(((items, tuple(q), zetas), mult, path))
     entries.reverse()
     return QCharacter(cd, entries, depth, complete, heuristic)
 
@@ -571,9 +576,7 @@ def qc_neg_prefund_limit(cd, i, r, depth):
             scale = generator(cd, "Psi", i, r).pow(-1).combine(x.head, -1)
             return qc_mul(QCharacter(cd, order, depth, False), qc_monomial(scale))
         prev = sl
-    raise FMError(
-        f"negative prefundamental slice at node {i} did not stabilize"
-    )
+    raise FMError(f"negative prefundamental slice at node {i} did not stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +688,7 @@ def weight_character(x):
     """Project a q-character to its weight character: ConstantFactor -> dim."""
     out = {}
     for m, c in x.terms.items():
-        w = m.const
-        out[w] = out.get(w, 0) + c
+        out[m.const] = out.get(m.const, 0) + c
     return out
 
 

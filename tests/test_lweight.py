@@ -13,6 +13,7 @@ from shiftedq.lweight import (
     factor_in_basis,
     generator,
     is_dominant,
+    key_mul,
     leq,
     leq_certificate,
     pair_class,
@@ -668,3 +669,41 @@ def test_shared_exponent_maps_stay_unchanged():
         assert hash(m) == hash(again)
         assert m.key() == again.key()
         assert all(m.exps.values())
+
+
+def _random_const_monomial(rng, cd):
+    """0-3 Psi items at shifts -3..3 and a constant with zetas anywhere in
+    Z/8; half the constants are a sqrt_class, with Fraction q-exponents."""
+    exps = {}
+    for _ in range(rng.randrange(4)):
+        k = (rng.choice(list(cd.nodes())), rng.randint(-3, 3))
+        exps[k] = exps.get(k, 0) + rng.choice((-2, -1, 1, 2))
+    q = [rng.randint(-3, 3) for _ in cd.nodes()]
+    if rng.random() < 0.5:
+        const = ConstantFactor(q, [rng.randrange(8) for _ in cd.nodes()])
+    else:
+        const = ConstantFactor(q, [2 * rng.randrange(8) for _ in cd.nodes()]).sqrt_class()
+    return LWeightMonomial(cd, {k: e for k, e in exps.items() if e}, const)
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "G2", "C3"])
+def test_key_mul_matches_combine(label):
+    # random monomials, their inverses (items cancelling to the empty
+    # monomial, zetas summing to 8), one-item and empty factors: the key
+    # product is the key of the monomial product, and builds a monomial
+    # that prints the same
+    cd = build_cartan(label)
+    rng = random.Random(f"key_mul:{label}")
+    ms = [_random_const_monomial(rng, cd) for _ in range(30)]
+    ms += [m.pow(-1) for m in ms[:6]]
+    ms += [LWeightMonomial(cd), generator(cd, "Psi", 1, 2), generator(cd, "Y", cd.n, -1)]
+    assert any(m.const.zetas[0] + m.pow(-1).const.zetas[0] == 8 for m in ms)
+    assert any(type(e) is Fraction for m in ms for e in m.const.qexps)
+    for a in ms:
+        for b in ms:
+            want = a.combine(b)
+            got = key_mul(a.key(), b.key())
+            assert got == want.key() and hash(got) == hash(want)
+            assert LWeightMonomial.from_key(cd, got).dumps() == want.dumps()
+    for a in ms[:6]:
+        assert key_mul(a.key(), a.pow(-1).key()) == LWeightMonomial(cd).key()

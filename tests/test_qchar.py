@@ -9,7 +9,7 @@ import pytest
 
 from shiftedq import cli, qchar
 from shiftedq.cartan import a_in_y, build_cartan
-from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, y_monomial
+from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, y_key, y_monomial
 from shiftedq.qchar import (
     FMBudgetError,
     FMError,
@@ -185,6 +185,41 @@ def test_qc_mul_brute_force_multiplicities():
             if (m1 * m2) == m
         )
         assert brute == c
+
+
+@pytest.mark.parametrize("label,make1,make2", [
+    ("A1", lambda cd: qc_closed_form(cd, "neg_prefund_sl2", 1, 0, 4),
+     lambda cd: qc_kr(cd, 1, 3, 2)),
+    ("B2", lambda cd: qc_closed_form(cd, "psitilde", 2, 1, 3),
+     lambda cd: qc_kr(cd, 1, 0, 1)),
+    ("B2", lambda cd: qc_neg_prefund_limit(cd, 1, 0, 3),
+     lambda cd: qc_kr(cd, 2, 5, 1)),
+])
+def test_qc_mul_restricted_brute_force(label, make1, make2):
+    # an incomplete slice times a complete character, both ways round: the
+    # product keeps the slice's depth and, term by term, the sum over the
+    # monomial pairs whose summed path lies within it; on a margin m it is
+    # the product of the factors restricted to m, entries in order
+    cd = build_cartan(label)
+    x1, x2 = make1(cd), make2(cd)
+    assert not x1.complete and x2.complete and len(x2) > 1
+    for a, b in ((x1, x2), (x2, x1)):
+        prod = qc_mul(a, b)
+        assert not prod.complete and prod.depth == x1.depth
+        want, paths = {}, {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                p = dict(a.paths[m1])
+                for k, v in b.paths[m2].items():
+                    p[k] = p.get(k, 0) + v
+                if sum(p.values()) <= x1.depth:
+                    m = m1 * m2
+                    want[m] = want.get(m, 0) + c1 * c2
+                    assert paths.setdefault(m, p) == p
+        assert prod.terms == want and prod.paths == paths
+        for margin in range(x1.depth + 1):
+            assert qc_mul(a.restrict(margin), b.restrict(margin)).entries == (
+                prod.restrict(margin).entries)
 
 
 def test_ring_laws_at_matched_depth():
@@ -448,9 +483,43 @@ def _reference_heads(cd):
     yield {(min(cd.nodes(), key=cd.ri), 0): 5}
 
 
+def _assert_keys_from_parts(cd, head, depth):
+    # qc_frenkel_mukhin's entries are fm_expand's state in its order, keyed
+    # by y_key, and every distinct (node, part) goes through _decode and
+    # y_key once per call: a second call builds its own table
+    decoded, keyed = [], []
+    real_decode, real_key = qchar._decode, qchar.y_key
+
+    def decode(x, width, slots):
+        decoded.append(real_decode(x, width, slots))
+        return decoded[-1]
+
+    def key(cd, ykey):
+        keyed.append(ykey)
+        return real_key(cd, ykey)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qchar, "_decode", decode)
+        mp.setattr(qchar, "y_key", key)
+        x = qc_frenkel_mukhin(cd, head, depth)
+        parts = sorted(decoded)
+        assert keyed == decoded
+        decoded.clear()
+        assert qc_frenkel_mukhin(cd, head, depth).entries == x.entries
+        assert sorted(decoded) == parts
+        decoded.clear()
+        state, complete = fm_expand(cd, head, depth)
+    assert x.complete == complete and len(decoded) == len(state)
+    assert [k for k, _c, _p in x.entries] == [y_key(cd, k) for k in state]
+    assert [(c, list(p.items())) for _k, c, p in x.entries] == [
+        (mult, list(path.items())) for mult, path, _w in state.values()]
+    want = {tuple(it for it in k if it[0][0] == i) for k in state for (i, _t), _e in k}
+    assert parts == sorted(want)
+
+
 def _assert_matches_reference(cd, head, depth):
     # key order, multiplicity, path item order, distance and the flag of
-    # the per-term loop
+    # the per-term loop; qc_frenkel_mukhin keys the same state
     state, complete = fm_expand(cd, head, depth)
     want, want_complete = fm_expand_reference(cd, head, depth)
     assert complete == want_complete
@@ -461,6 +530,7 @@ def _assert_matches_reference(cd, head, depth):
     if not complete:
         with pytest.raises(FMBudgetError):
             fm_expand(cd, head, depth, require_complete=True)
+    _assert_keys_from_parts(cd, head, depth)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "C3", "G2", "D4"])
