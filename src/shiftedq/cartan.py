@@ -11,7 +11,8 @@ coroot inverse and the inverse quantum Cartan matrix) is a functools.cache'd
 function of a CartanData.  CartanData hashes and compares by its type
 label, so every object of one type shares one entry; it has __slots__, so no
 table can be hung on it instead.  The cached tables are shared: callers read
-them and never mutate them.
+them and never mutate them.  build_cartan is cached too, so a label gives
+one CartanData object.
 """
 
 from __future__ import annotations
@@ -210,8 +211,10 @@ class CartanData:
         return hash(self.type_label)
 
 
+@cache
 def build_cartan(type_label, rank=None):
-    """build_cartan('B', 2) or build_cartan('B2')."""
+    """build_cartan('B', 2) or build_cartan('B2'), built and checked once
+    per argument pair; a bad label raises CartanError on every call."""
     if rank is None:
         label = type_label.strip()
         try:

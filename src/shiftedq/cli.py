@@ -52,14 +52,17 @@ def _emit(args, payload, text_lines):
     """Write the text lines under --text, the canonical JSON otherwise.
 
     payload and text_lines are callables returning the JSON payload and the
-    lines, so that each is built only when it is printed.  A payload is a
-    freshly built tree, never cyclic, so json skips its cycle check.
+    lines, so that each is built only when it is printed.  A payload is
+    either its canonical text already (QCharacter.dumps) or a freshly built
+    tree, never cyclic, so json skips its cycle check.
     """
     if args.text:
         sys.stdout.write("\n".join(text_lines()) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload(), sort_keys=True, separators=(",", ":"),
-                                    check_circular=False) + "\n")
+        return
+    out = payload()
+    if not isinstance(out, str):
+        out = json.dumps(out, sort_keys=True, separators=(",", ":"), check_circular=False)
+    sys.stdout.write(out + "\n")
 
 
 def _cartan_of(args):
@@ -230,7 +233,7 @@ def cmd_qchar(args):
             out.append(f"  {x.terms[m]} * {m!r}")
         return out
 
-    _emit(args, x.to_json, lines)
+    _emit(args, x.dumps, lines)
     return 0
 
 

@@ -13,6 +13,7 @@ heuristic.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,6 +21,7 @@ from .cartan import a_in_y_table, coroot_inverse
 from .lweight import (
     LWeightMonomial,
     dominant_factorization,
+    factor_in_basis,
     generator,
     is_dominant,
     key_mul,
@@ -37,11 +39,39 @@ class FMBudgetError(FMError):
     """Expansion did not close within the depth budget."""
 
 
+class _Texts(dict):
+    """Memo of JSON texts: a missing key is rendered once by render."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _int(x):
+    """x, which must be an int: "%d" would print a bool, float or Fraction
+    as an int, and json.dumps refuses a Fraction."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def _coord_text(coord):
+    """(num, den, zeta) of a const coordinate (q-exponent, zeta), and its
+    JSON text."""
+    e, s = coord
+    t = (e.numerator, e.denominator, s)
+    return t, "[%d,%d,%d]" % t
+
+
 class QCharacter:
     """A q-character as one (LWeightMonomial.key(), multiplicity,
     A^{-1}-path) entry per term, head first: each term is the head times
-    prod A_{i,q^s}^{-path[(i, s)]}.  len, dim, restrict and to_json read the
-    entries; head, terms and paths are built on first access."""
+    prod A_{i,q^s}^{-path[(i, s)]}.  len, dim, restrict and dumps (the
+    payload writer, which to_json parses) read the entries; head, terms and
+    paths are built on first access."""
 
     def __init__(self, cd, entries, depth, complete, heuristic=False):
         self.cd = cd
@@ -76,25 +106,48 @@ class QCharacter:
         still_complete = self.complete and len(entries) == len(self.entries)
         return QCharacter(self.cd, entries, depth, still_complete, self.heuristic)
 
-    def to_json(self):
-        """Terms sorted by (Psi items, const JSON); each distinct weight
-        has one const JSON list, shared, as the payload is acyclic."""
-        consts = {}
+    def dumps(self):
+        """The canonical payload text, written from the entries: the bytes
+        json.dumps(tree, sort_keys=True, separators=(",", ":")) gives for
+        the tree {"complete", "depth", "head", "heuristic" (only when set),
+        "terms": [[{"const": [[num, den, zeta], ...], "exps": [[i, r, e],
+        ...]}, multiplicity], ...]}, terms sorted by (Psi items, const
+        triples, multiplicity).  Each distinct Psi item and weight is
+        rendered once.  A node, shift, exponent, zeta, multiplicity or depth
+        that is not an int, or a q-exponent that is neither an int nor a
+        Fraction, raises TypeError."""
+        psi = _Texts(lambda item: "[%d,%d,%d]" % (*item[0], item[1]))
+        coords = _Texts(_coord_text)
+        weights = {}
         rows = []
+        checked_z = None
         for (items, q, z), c, _p in self.entries:
-            if (cj := consts.get((q, z))) is None:
-                cj = consts[q, z] = [[e.numerator, e.denominator, s] for e, s in zip(q, z)]
-            rows.append(([[i, r, e] for (i, r), e in items], cj, c))
+            for (i, r), e in items:
+                if type(i) is not int or type(r) is not int or type(e) is not int:
+                    raise TypeError(f"Psi item {((i, r), e)!r} is not integral")
+            for e in q:
+                if type(e) is not int and type(e) is not Fraction:
+                    raise TypeError(f"q-exponent {e!r} is neither an int nor a Fraction")
+            if z is not checked_z:
+                for s in z:
+                    _int(s)
+                checked_z = z
+            if (w := weights.get((q, z))) is None:
+                t, texts = zip(*map(coords.__getitem__, zip(q, z)))
+                w = weights[q, z] = (t, "[%s]" % ",".join(texts))
+            rows.append((items, w, _int(c)))
         rows.sort()
-        out = {
-            "head": self.head.to_json(),
-            "depth": self.depth,
-            "complete": self.complete,
-            "terms": [[{"exps": ex, "const": cj}, c] for ex, cj, c in rows],
-        }
-        if self.heuristic:
-            out["heuristic"] = True
-        return out
+        get = psi.__getitem__
+        (items, q, z), _c, _p = self.entries[0]
+        return '{"complete":%s,"depth":%d,"head":{"const":%s,"exps":[%s]}%s,"terms":[%s]}' % (
+            json.dumps(self.complete), _int(self.depth), weights[q, z][1],
+            ",".join(map(get, items)), ',"heuristic":true' if self.heuristic else "",
+            ",".join(['[{"const":%s,"exps":[%s]},%d]' % (w[1], ",".join(map(get, ps)), c)
+                      for ps, w, c in rows]))
+
+    def to_json(self):
+        """The payload as a tree: dumps() parsed, so it has one writer."""
+        return json.loads(self.dumps())
 
     @staticmethod
     def from_json(cd, data):
@@ -625,19 +678,31 @@ def _first_difference(a, b, name, show):
     return None
 
 
-def _compare_on_margin(lhs, rhs, ref_head, margin):
-    """Term-by-term comparison of multiplicity maps inside distance <= margin
-    of ref_head. Returns (equal, witness)."""
-    def slice_of(terms):
-        out = {}
-        for m, c in terms.items():
-            p = leq_certificate(m, ref_head)
-            if p is not None and sum(p.values()) <= margin:
-                out[m] = c
-        return out
+def _compare_on_margin(lhs, rhs, extra, margin):
+    """Term-by-term comparison of lhs with rhs plus the term extra, inside
+    A^{-1}-distance <= margin of lhs.head, keyed by l-weight key; a monomial
+    is built only for the witness.  Returns (equal, witness).
 
-    witness = _first_difference(slice_of(lhs), slice_of(rhs), "term",
-                                LWeightMonomial.to_json)
+    A term's certificate against lhs.head (leq_certificate) is its path for
+    lhs; for rhs it is its path plus d, the signed A-factorization of
+    lhs.head / rhs.head (none: no rhs term is below lhs.head); extra takes
+    one leq_certificate."""
+    def slice_of(x, d):
+        if d is None:
+            return {}
+        low = [(a, -e) for a, e in d.items() if e < 0]
+        room = margin - sum(d.values())
+        return {k: c for k, c, p in x.entries
+                if sum(p.values()) <= room and all(p.get(a, 0) >= e for a, e in low)}
+
+    left = slice_of(lhs, {})
+    right = slice_of(rhs, factor_in_basis(lhs.head.combine(rhs.head, -1), "A"))
+    cert = leq_certificate(extra, lhs.head)
+    if cert is not None and sum(cert.values()) <= margin:
+        k = extra.key()
+        right[k] = right.get(k, 0) + 1
+    witness = _first_difference(left, right, "term",
+                                lambda k: LWeightMonomial.from_key(lhs.cd, k).to_json())
     return witness is None, witness
 
 
@@ -657,10 +722,8 @@ def check_identity(cd, kind, i, r, depth):
             qc_monomial(generator(cd, "Psi", i, r + 2 * ri) * tw),
         )
         m2 = generator(cd, "PsiTilde", i, r) * generator(cd, "Psi", i, r)
-        rhs_terms = dict(x2.terms)
-        rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
         margin = depth - 1
-        ok, witness = _compare_on_margin(lhs.terms, rhs_terms, lhs.head, margin)
+        ok, witness = _compare_on_margin(lhs, x2, m2, margin)
         return {"identity": "QQtilde", "ok": ok, "margin": margin, "witness": witness}
     if kind == "QQstar":
         lhs = qc_mul(

@@ -7,15 +7,19 @@ from itertools import permutations, product as iproduct
 
 from shiftedq.cartan import a_in_y, basis_generator, invert_quantum_cartan
 from shiftedq.langlands import psi_of_monomial
-from shiftedq.lweight import leq_certificate
+from shiftedq.lweight import LWeightMonomial, generator, leq_certificate
 from shiftedq import modrep
 from shiftedq.modrep import PHI_MINUS, PHI_PLUS, X_MINUS, X_PLUS, _poly_from_shifts
 from shiftedq.qchar import (
     FMBudgetError,
     FMError,
+    _first_difference,
     _string_eigen_terms,
     _string_products,
     _strings,
+    qc_closed_form,
+    qc_monomial,
+    qc_mul,
 )
 from shiftedq import truncation
 from shiftedq.scalars import (PACK_WIDTH, ONE, ExactScalar, fit_width, pack, packed_add,
@@ -266,6 +270,77 @@ def fm_expand_reference(cd, head_y, depth, require_complete=False):
             f"expansion of {head_y} did not close within depth {depth}"
         )
     return state, not truncated
+
+
+# ---------------------------------------------------------------------------
+# q-character payload tree and identity margins, per term
+# ---------------------------------------------------------------------------
+
+def qchar_tree(x):
+    """Reference for QCharacter.dumps: the payload as a tree, its terms
+    sorted by (Psi items, const JSON); json.dumps(tree, sort_keys=True,
+    separators=(",", ":")) is the canonical text."""
+    consts = {}
+    rows = []
+    for (items, q, z), c, _p in x.entries:
+        if (cj := consts.get((q, z))) is None:
+            cj = consts[q, z] = [[e.numerator, e.denominator, s] for e, s in zip(q, z)]
+        rows.append(([[i, r, e] for (i, r), e in items], cj, c))
+    rows.sort()
+    out = {
+        "head": x.head.to_json(),
+        "depth": x.depth,
+        "complete": x.complete,
+        "terms": [[{"exps": ex, "const": cj}, c] for ex, cj, c in rows],
+    }
+    if x.heuristic:
+        out["heuristic"] = True
+    return out
+
+
+def qchar_tree_text(x):
+    return json.dumps(qchar_tree(x), sort_keys=True, separators=(",", ":"))
+
+
+def compare_on_margin_reference(lhs_terms, rhs_terms, ref_head, margin):
+    """Reference for qchar._compare_on_margin: one leq_certificate per term
+    of two {monomial: multiplicity} maps, kept inside distance <= margin of
+    ref_head.  Returns (equal, witness)."""
+    def slice_of(terms):
+        out = {}
+        for m, c in terms.items():
+            p = leq_certificate(m, ref_head)
+            if p is not None and sum(p.values()) <= margin:
+                out[m] = c
+        return out
+
+    witness = _first_difference(slice_of(lhs_terms), slice_of(rhs_terms), "term",
+                                LWeightMonomial.to_json)
+    return witness is None, witness
+
+
+def qqtilde_sides(cd, i, r, depth):
+    """The two sides of check_identity's QQtilde at (i, r, depth): lhs, the
+    rhs character x2 and the extra rhs term m2."""
+    ri = cd.ri(i)
+    lhs = qc_mul(qc_closed_form(cd, "psitilde", i, r, depth),
+                 qc_monomial(generator(cd, "Psi", i, r)))
+    tw = LWeightMonomial(cd, {}, cd.alpha_bar(i).inv())
+    x2 = qc_mul(qc_closed_form(cd, "psitilde", i, r - 2 * ri, depth),
+                qc_monomial(generator(cd, "Psi", i, r + 2 * ri) * tw))
+    m2 = generator(cd, "PsiTilde", i, r) * generator(cd, "Psi", i, r)
+    return lhs, x2, m2
+
+
+def qqtilde_reference(cd, i, r, depth, x2=None):
+    """check_identity(cd, "QQtilde", i, r, depth) with the per-term
+    comparison, x2 optionally replaced (a tampered right-hand side)."""
+    lhs, own_x2, m2 = qqtilde_sides(cd, i, r, depth)
+    rhs_terms = dict((own_x2 if x2 is None else x2).terms)
+    rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
+    margin = depth - 1
+    ok, witness = compare_on_margin_reference(lhs.terms, rhs_terms, lhs.head, margin)
+    return {"identity": "QQtilde", "ok": ok, "margin": margin, "witness": witness}
 
 
 # ---------------------------------------------------------------------------

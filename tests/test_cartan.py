@@ -1,6 +1,7 @@
 import pytest
 
 from shiftedq.cartan import (
+    CartanData,
     CartanError,
     a_in_y,
     a_in_y_table,
@@ -116,12 +117,23 @@ def test_a_in_y_offsets_within_r_i(t):
 
 
 def test_tables_shared_per_type():
-    b2, again = build_cartan("B2"), build_cartan("B2")
+    # two objects of one type (build_cartan would return one cached object)
+    b2, again = CartanData("B", 2), CartanData("B", 2)
     assert b2 is not again
     assert factor_solver(b2, "A") is factor_solver(again, "A")
     assert invert_quantum_cartan(b2) is invert_quantum_cartan(again)
     with pytest.raises(AttributeError):
         b2.cache = {}
+
+
+def test_build_cartan_cached():
+    # one object per label; a bad label is refused on every call, not cached
+    assert build_cartan("E7") is build_cartan("E7")
+    assert build_cartan("B", 2) is build_cartan("B", 2) == build_cartan("B2")
+    for _ in range(2):
+        for bad in ("Q3", "A", "B1x", "E9", "A0"):
+            with pytest.raises(CartanError):
+                build_cartan(bad)
 
 
 def test_a2_inverse_denominator():

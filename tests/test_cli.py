@@ -505,6 +505,7 @@ def test_json_payload_built_only_without_text(capsys, monkeypatch):
 
     for cls in (QCharacter, Candidate, TruncationData):
         monkeypatch.setattr(cls, "to_json", refuse)
+    monkeypatch.setattr(QCharacter, "dumps", refuse)
     for argv in (("qchar", "--type", "B2", "--family", "fm", "--head", "2:0"),
                  ("truncate", "--type", "B2", "--lambda", "0,1", "--zroots", "2:0",
                   "--mu", "0,0"),

@@ -3,6 +3,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from shiftedq import cli, qchar
 from shiftedq.cartan import a_in_y, build_cartan
 from shiftedq.lweight import LWeightMonomial, expand_in_basis, generator, y_key, y_monomial
+from shiftedq.scalars import ConstantFactor
 from shiftedq.qchar import (
     FMBudgetError,
     FMError,
@@ -29,7 +31,15 @@ from shiftedq.qchar import (
     qc_one,
     qc_simple_sl2,
 )
-from support import fm_expand_reference, kr_prefund_special_position, kr_special_position
+from support import (
+    compare_on_margin_reference,
+    fm_expand_reference,
+    kr_prefund_special_position,
+    kr_special_position,
+    qchar_tree_text,
+    qqtilde_reference,
+    qqtilde_sides,
+)
 
 A1 = build_cartan("A1")
 A2 = build_cartan("A2")
@@ -164,12 +174,14 @@ def test_qc_mul_fusion_relation_sl2():
         qc_closed_form(A1, "pos_prefund", 1, 2, depth),
     ), qc_monomial(tw))
     one = LWeightMonomial(A1)
+    assert lhs.head == one
+    # term-by-term comparison inside the margin, of lhs with rhs + 1
+    ok, witness = _compare_on_margin(lhs, rhs, one, depth)
+    assert ok, witness
     rhs_terms = dict(rhs.terms)
     rhs_terms[one] = rhs_terms.get(one, 0) + 1
-    assert lhs.head == one
-    # term-by-term comparison inside the margin
-    ok, witness = _compare_on_margin(lhs.terms, rhs_terms, lhs.head, depth)
-    assert ok, witness
+    assert compare_on_margin_reference(lhs.terms, rhs_terms, lhs.head, depth) == (
+        ok, witness)
 
 
 def test_qc_mul_brute_force_multiplicities():
@@ -292,6 +304,72 @@ def test_qqtilde(cd, i):
         assert rep["ok"], (r, rep)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_qqtilde_margin_matches_per_term_reference(label):
+    # paths and one signed A-factorization give what one leq_certificate
+    # per term gives: the same (ok, margin, witness)
+    cd = build_cartan(label)
+    for i in cd.nodes():
+        for r, depth in product((-3, 0, 5), (2, 3, 4, 5, 6)):
+            rep = check_identity(cd, "QQtilde", i, r, depth)
+            assert rep == qqtilde_reference(cd, i, r, depth), (i, r, depth)
+
+
+@pytest.mark.parametrize("label,i", [("A1", 1), ("A3", 2), ("B2", 1), ("B2", 2),
+                                     ("C3", 3), ("G2", 1)])
+def test_qqtilde_margin_tampered_rhs(label, i):
+    # a right-hand side with one multiplicity raised: inside the margin it
+    # has a witness, that term, and always the reference's verdict
+    cd = build_cartan(label)
+    for depth in (3, 5):
+        lhs, x2, m2 = qqtilde_sides(cd, i, 1, depth)
+        margin = depth - 1
+        verdicts = set()
+        for n in range(1, len(x2.entries)):
+            entries = list(x2.entries)
+            k, c, p = entries[n]
+            entries[n] = (k, c + 1, p)
+            bad = QCharacter(cd, entries, x2.depth, x2.complete)
+            rhs_terms = dict(bad.terms)
+            rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
+            ok, witness = _compare_on_margin(lhs, bad, m2, margin)
+            assert (ok, witness) == compare_on_margin_reference(
+                lhs.terms, rhs_terms, lhs.head, margin), (depth, n)
+            assert qqtilde_reference(cd, i, 1, depth, bad) == {
+                "identity": "QQtilde", "ok": ok, "margin": margin, "witness": witness}
+            if not ok:
+                assert witness == {"term": LWeightMonomial.from_key(cd, k).to_json(),
+                                   "lhs": c, "rhs": c + 1}
+            verdicts.add(ok)
+        assert False in verdicts, depth
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B2", "G2"])
+def test_margin_with_rhs_head_above_lhs_head(label):
+    # sides swapped: the right-hand head sits above the left one, so the
+    # signed factorization has negative entries and the terms near the
+    # right-hand head fall outside the comparison; with no factorization no
+    # right-hand term is compared
+    cd = build_cartan(label)
+    verdicts = set()
+    for i, depth in product(cd.nodes(), (2, 4, 6)):
+        x2, lhs, m2 = qqtilde_sides(cd, i, -1, depth)
+        rhs_terms = dict(x2.terms)
+        rhs_terms[m2] = rhs_terms.get(m2, 0) + 1
+        for margin in (0, depth - 1, depth + 2):
+            got = _compare_on_margin(lhs, x2, m2, margin)
+            assert got == compare_on_margin_reference(lhs.terms, rhs_terms, lhs.head,
+                                                      margin), (i, depth, margin)
+            verdicts.add(got[0])
+        # a right-hand head off the A-lattice of lhs.head: only m2 can count
+        off = qc_mul(x2, qc_monomial(generator(cd, "Psi", i, 0)))
+        off_terms = dict(off.terms)
+        off_terms[m2] = off_terms.get(m2, 0) + 1
+        assert _compare_on_margin(lhs, off, m2, depth) == compare_on_margin_reference(
+            lhs.terms, off_terms, lhs.head, depth)
+    assert False in verdicts
+
+
 @pytest.mark.parametrize("cd,i", [(A1, 1), (B2, 1), (B2, 2)])
 def test_qqstar(cd, i):
     rep = check_identity(cd, "QQstar", i, 1, 3)
@@ -392,6 +470,134 @@ def test_heuristic_flag_in_json_only_when_set():
     assert x.heuristic and data["heuristic"] is True
     assert QCharacter.from_json(A2, data).heuristic
     assert "heuristic" not in qc_kr(A2, 1, 0, 2).to_json()
+
+
+def _qchar_families():
+    """One character of every qchar --family, and of the other producers."""
+    out = [qc_closed_form(cd, kind, i, r, depth)
+           for kind in ("pos_prefund", "psitilde", "psistar")
+           for cd, i in ((A1, 1), (B2, 2), (A2, 1))
+           for r, depth in ((0, 0), (-3, 4))]
+    out += [qc_closed_form(A1, "neg_prefund_sl2", 1, r, d) for r, d in ((0, 3), (5, 0))]
+    out += [qc_neg_prefund_limit(cd, i, 2, 4) for cd, i in ((B2, 1), (A2, 2))]
+    out += [qc_frenkel_mukhin(cd, head, depth) for cd, head, depth in (
+        (B2, {(2, 0): 1}, 12), (A2, {(1, 0): 1, (2, 1): 1}, 8),
+        (build_cartan("G2"), {(1, 0): 1}, 40), (build_cartan("D4"), {(2, 0): 1}, 80),
+        (build_cartan("C3"), {(3, 0): 1}, 5))]
+    out += [qc_simple_sl2(m) for m in (Y(A1, 1, 0) * Y(A1, 1, 2),
+                                       Y(A1, 1, 0) * generator(A1, "Psi", 1, 5),
+                                       generator(A1, "Psi", 1, 0))]
+    out += [qc_one(cd) for cd in (A1, B2)]
+    return out
+
+
+def test_dumps_is_the_reference_tree_text():
+    xs = _qchar_families()
+    flags = {(x.complete, x.heuristic) for x in xs}
+    assert {(True, False), (False, False), (True, True)} <= flags
+    assert any(not x.entries[0][0][0] for x in xs)  # qc_one: empty exps
+    for x in xs:
+        assert x.dumps() == qchar_tree_text(x), x
+        assert x.to_json() == json.loads(qchar_tree_text(x))
+
+
+def test_dumps_fusion_products_with_multiplicities():
+    for cd, kr1, kr2 in ((A1, (1, 1), (1, 1)), (B2, (1, 1), (1, 1)), (A2, (1, 1), (1, 1)),
+                         (A2, (1, 1), (2, 1)), (B2, (1, 3), (2, 2))):
+        x = qc_mul(qc_kr(cd, kr1[0], 0, kr1[1]), qc_kr(cd, kr2[0], 0, kr2[1]))
+        assert x.dumps() == qchar_tree_text(x)
+        if len(x) < 20:
+            x = qc_mul(x, x)
+            assert max(c for _k, c, _p in x.entries) > 2
+            assert x.dumps() == qchar_tree_text(x)
+    # a truncated product is restricted to its margin, and prints as its tree
+    x = qc_mul(qc_closed_form(B2, "psitilde", 1, 0, 4), qc_kr(B2, 2, 1, 1))
+    assert not x.complete and x.dumps() == qchar_tree_text(x)
+
+
+def _with_consts(x, consts):
+    """x's head, then each term of x with each constant of consts, as
+    entries: rows that tie on Psi items and sort by their const triples."""
+    entries = [x.entries[0]]
+    for (items, _q, _z), c, p in x.entries:
+        for const in consts:
+            k = (items, const.qexps, const.zetas)
+            if k != x.entries[0][0]:
+                entries.append((k, c, p))
+    return QCharacter(x.cd, entries, x.depth, x.complete, x.heuristic)
+
+
+def test_dumps_zetas_and_fraction_q_exponents():
+    rng = random.Random(3)
+    x = qc_kr(B2, 1, 0, 1)
+    consts = [ConstantFactor([rng.randrange(-5, 6) for _ in range(2)], [z, 7 - z])
+              for z in range(8)]
+    consts += [c.sqrt_class() for c in (
+        ConstantFactor([1, -3], [2, 4]), ConstantFactor([2, 1], [6, 0]),
+        ConstantFactor([-1, 0], [0, 2]), ConstantFactor([3, 3], [4, 6]))]
+    assert any(type(e) is Fraction and e.denominator == 2 for c in consts for e in c.qexps)
+    assert {z for c in consts for z in c.zetas} == set(range(8))
+    y = _with_consts(x, consts)
+    assert y.dumps() == qchar_tree_text(y)
+    # a product with these constants, and the JSON round trip of both
+    z = qc_mul(x, qc_monomial(LWeightMonomial(B2, {}, consts[-1])))
+    for w in (y, z):
+        assert w.dumps() == qchar_tree_text(w)
+    back = QCharacter.from_json(B2, json.loads(z.dumps()))
+    assert back.dumps() == z.dumps() and back.paths == z.paths
+
+
+def test_dumps_from_json_round_trip():
+    for x in _qchar_families():
+        back = QCharacter.from_json(x.cd, json.loads(x.dumps()))
+        assert back.dumps() == x.dumps()
+        assert (back.complete, back.heuristic, back.depth) == (
+            x.complete, x.heuristic, x.depth)
+
+
+def _tampered(x, n, where, value):
+    """x with one integer field of entry n (or the depth) replaced."""
+    entries = list(x.entries)
+    (items, q, z), c, p = entries[n]
+    if where == "depth":
+        return QCharacter(x.cd, entries, value, x.complete, x.heuristic)
+    if where == "mult":
+        c = value
+    elif where in ("node", "shift", "exp"):
+        (i, r), e = items[0]
+        item = {"node": ((value, r), e), "shift": ((i, value), e),
+                "exp": ((i, r), value)}[where]
+        items = (item,) + items[1:]
+    elif where == "zeta":
+        z = (value,) + z[1:]
+    else:
+        q = (value,) + q[1:]
+    entries[n] = ((items, q, z), c, p)
+    return QCharacter(x.cd, entries, x.depth, x.complete, x.heuristic)
+
+
+@pytest.mark.parametrize("where", ["node", "shift", "exp", "zeta", "mult", "depth", "q"])
+def test_dumps_refuses_non_integers(where):
+    # wherever json.dumps of the reference tree raises TypeError, so does
+    # dumps; it also refuses a float or a bool, which json.dumps would print
+    # as 1.0 or true and "%d" as 1; a Fraction q-exponent is a valid one
+    x = qc_kr(B2, 1, 0, 1)
+    raised = 0
+    for n in range(1, len(x.entries)) if where != "depth" else [0]:
+        for value in (Fraction(1, 2), Fraction(1), Fraction(-3), 1.0, 0.5, True, False):
+            y = _tampered(x, n, where, value)
+            try:
+                want = qchar_tree_text(y)
+            except TypeError:
+                want, raised = TypeError, raised + 1
+            except AttributeError:  # a float q-exponent has no numerator
+                want = AttributeError
+            if where == "q" and type(value) is Fraction:
+                assert y.dumps() == want
+                continue
+            with pytest.raises(TypeError):
+                y.dumps()
+    assert raised or where == "q"
 
 
 # --- terms from Y-exponents, string products -------------------------------
