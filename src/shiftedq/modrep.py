@@ -1,27 +1,30 @@
 """Explicit modules with exact matrices and a mode-window relation verifier.
 
 Matrices are sparse {(row, col): ExactScalar} over Q(v), built without a
-gcd: the phi series are Laurent polynomials, and the x^- and f entries are
-q-powers times qnum(m)_{q_i}/(q_i - q_i^{-1}), already coprime.  Relations
-are evaluated column-by-column as exact identities for all modes inside the
-window; basis columns whose raising chains would cross the cutoff are
-excluded rather than approximated (exactness over coverage).  The verifier
-walks column tables packed at v = 2**W (scalars.pack) the first time a
-relation word holds their generator, so a relation residual is a sum of
-plain int products; a nonzero residual is unpacked back into an ExactScalar
-only to be returned or reported.
+gcd: the phi series run their recurrence on Laurent-polynomial dicts, and
+each x^- and f entry is one q-power times qnum(m)_{q_i} over the normalized
+q_i - q_i^{-1}, already coprime.  Relations are evaluated column-by-column
+as exact identities for all modes inside the window; basis columns whose
+raising chains would cross the cutoff are excluded rather than approximated
+(exactness over coverage).  The verifier walks column tables packed at
+v = 2**W (scalars.pack) the first time a relation word holds their
+generator (a coproduct's tensor tables are packed products of its factors'
+tables), so a relation residual is a sum of plain int products; a nonzero
+residual is unpacked back into an ExactScalar only to be returned or
+reported.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations, product as iproduct
 
 from .cartan import build_cartan
-from .kernel import poly_add
+from .kernel import poly_add, poly_mul, poly_scale, poly_sub
 from .lweight import leq_certificate
 from .qchar import qc_closed_form
-from .scalars import (PACK_WIDTH, ExactScalar, ONE, ZERO, ConstantFactor, fit_width, pack,
-                      packed_add, packed_mul, qbinom, qnum, unpack)
+from .scalars import (PACK_WIDTH, ExactScalar, ONE, ConstantFactor, fit_width, pack,
+                      packed_add, packed_mul, qbinom, unpack)
 
 X_PLUS, X_MINUS, PHI_PLUS, PHI_MINUS = "x+", "x-", "phi+", "phi-"
 
@@ -94,54 +97,55 @@ class ExplicitModule:
 # ---------------------------------------------------------------------------
 
 def _poly_from_shifts(shifts):
-    """prod_s (1 - z q^s) as a dense list of ExactScalar coefficients."""
-    out = [ONE]
+    """prod_s (1 - z q^s) as a dense list of Laurent polynomials in v."""
+    out = [{0: 1}]
     for s in shifts:
-        nxt = [ZERO] * (len(out) + 1)
-        qs = ExactScalar.q_power(s)
-        for k, c in enumerate(out):
-            nxt[k] = nxt[k] + c
-            nxt[k + 1] = nxt[k + 1] - c * qs
-        out = nxt
+        # z^k gains -q^s times the old z^(k-1) coefficient
+        out = [poly_sub(c, poly_scale(b, 1, 2 * s)) for c, b in zip(out + [{}], [{}] + out)]
     return out
 
 
 def component_series(const, zeros, poles, nmodes, direction):
-    """Modes of const * prod(1-zq^z)/prod(1-zq^p) as {mode: ExactScalar}.
+    """Modes of const * prod(1-zq^z)/prod(1-zq^p) as {mode: ExactScalar},
+    for a const whose numerator is one term c v^e.
 
     direction +1: coefficients of z^0 .. z^nmodes;
     direction -1: coefficients of z^deg .. z^(deg-nmodes), deg = #zeros-#poles.
+    The recurrence runs on Laurent polynomials and never divides: den has
+    constant term 1, and its z^{-1}-side lead is the monomial +-v^e.
     """
     num = _poly_from_shifts(zeros)
     den = _poly_from_shifts(poles)
+    [(ce, c)] = const.num.items()
     deg = 0
     if direction == -1:
         # the z^{-1} side is the z side of both polynomials reversed and
         # made monic in den's leading coefficient
         deg = len(num) - len(den)
-        lead = den[-1]
-        num = [c / lead for c in reversed(num)]
-        den = [c / lead for c in reversed(den)]
+        [(le, lc)] = den[-1].items()
+        num = [poly_scale(p, lc, -le) for p in reversed(num)]
+        den = [poly_scale(p, lc, -le) for p in reversed(den)]
     out = {}
     prev = []
     for k in range(nmodes + 1):
-        c = num[k] if k < len(num) else ZERO
+        p = num[k] if k < len(num) else {}
         for l in range(1, min(k, len(den) - 1) + 1):
-            c = c - den[l] * prev[k - l]
-        prev.append(c)
-        if c:
-            out[deg + direction * k] = const * c
+            p = poly_sub(p, poly_mul(den[l], prev[k - l]))
+        prev.append(p)
+        if p:
+            out[deg + direction * k] = ExactScalar(poly_scale(p, c, ce), const.den)
     return out
 
 
-def _lweight_series(m, j, nmodes, direction):
-    """Mode expansion of coordinate j of the l-weight monomial m."""
+def _lweight_series(m, j, nmodes, direction, scale=ONE):
+    """Mode expansion of coordinate j of the l-weight monomial m, times the
+    monomial scale."""
     zeros = []
     poles = []
     for (node, t), e in m.exps.items():
         if node == j:
             zeros.extend([t] * e) if e > 0 else poles.extend([t] * (-e))
-    const = m.const.coordinate_scalar(j - 1)
+    const = scale * m.const.coordinate_scalar(j - 1)
     return component_series(const, zeros, poles, nmodes, direction)
 
 
@@ -149,29 +153,31 @@ def _lweight_series(m, j, nmodes, direction):
 # module constructions
 # ---------------------------------------------------------------------------
 
+def _qnum_over(c, e, m, ri, den):
+    """c q^e [m]_{q_i} / (q_i - q_i^{-1}) as one ExactScalar over the
+    normalized den = 1 - v^{4 r_i}: the numerator times -v^{2 r_i}."""
+    return ExactScalar({2 * e + 2 * ri * (m - 2 * k): -c for k in range(m)}, den)
+
+
 def _osc_verma(sign, gamma_exp, cutoff):
     """Verma modules of the q-oscillator algebras U_q^{+-}(sl_2)."""
     cd = build_cartan("A1")
     N = cutoff
-    gamma = ExactScalar.q_power(gamma_exp)
-    denom = ExactScalar.q_power(1) - ExactScalar.q_power(-1)
+    den = {0: 1, 4: -1}  # (q - q^{-1}) / -v^2
     e = {}
     f = {}
     k = {}
     kinv = {}
     weights = []
     for r in range(N + 1):
-        kr = gamma * ExactScalar.q_power(-2 * r)
-        k[(r, r)] = kr
-        kinv[(r, r)] = ONE / kr
+        k[(r, r)] = ExactScalar({2 * gamma_exp - 4 * r: 1})
+        kinv[(r, r)] = ExactScalar({4 * r - 2 * gamma_exp: 1})
         weights.append(ConstantFactor([gamma_exp - 2 * r], [0]))
         if r > 0:
             e[(r - 1, r)] = ONE
         if r < N:
-            if sign > 0:
-                f[(r + 1, r)] = gamma * ExactScalar.q_power(-r) * qnum(r + 1) / denom
-            else:
-                f[(r + 1, r)] = -(ONE / gamma) * ExactScalar.q_power(r) * qnum(r + 1) / denom
+            # sign * (gamma q^{-r})^sign [r+1]_q / (q - q^{-1})
+            f[(r + 1, r)] = _qnum_over(sign, sign * (gamma_exp - r), r + 1, 1, den)
     gens = {"e": e, "f": f, "k": k, "kinv": kinv}
     up = {"e": -1, "f": 1, "k": 0, "kinv": 0}
     kind = "osc_verma_plus" if sign > 0 else "osc_verma_minus"
@@ -188,14 +194,15 @@ def _node_gens(cd, lws, window, scale=ONE):
         for jn in cd.nodes():
             gens[(X_PLUS, jn, m)] = {}
             gens[(X_MINUS, jn, m)] = {}
-    nm = 2 * window + 2  # (trois) reaches phi modes up to r+s = 2M
+    # (trois) reaches phi modes up to r+s = 2M, (phix) up to M + 2
+    nm = 2 * window + 2
     for jn in cd.nodes():
         for sym, direction in ((PHI_PLUS, 1), (PHI_MINUS, -1)):
             mats = {mm: {} for mm in range(-nm, nm + 1)}
             for j, lw in enumerate(lws):
-                for mm, s in _lweight_series(lw, jn, nm, direction).items():
+                for mm, s in _lweight_series(lw, jn, nm, direction, scale).items():
                     if -nm <= mm <= nm:
-                        mats[mm][(j, j)] = scale * s
+                        mats[mm][(j, j)] = s
             for mm, mat in mats.items():
                 gens[(sym, jn, mm)] = mat
     return gens
@@ -206,22 +213,22 @@ def _affine_node_module(cd, i, r, cutoff, window, kind, gamma_exp=0):
     infinite ladder v_m with x^+-,phi acting through node i only."""
     N = cutoff
     ri = cd.ri(i)
-    denom = ExactScalar.q_power(ri) - ExactScalar.q_power(-ri)
-    gamma = ExactScalar.q_power(gamma_exp)
+    den = {0: 1, 4 * ri: -1}  # (q_i - q_i^{-1}) / -v^{2 r_i}, every x^- is over it
     lws = list(qc_closed_form(cd, "psitilde", i, r, N).terms)  # ladder order
     # the gamma-twist multiplies the phi series and x^-
-    gens = _node_gens(cd, lws, window, gamma)
+    gens = _node_gens(cd, lws, window, ExactScalar.q_power(gamma_exp))
     up = dict.fromkeys(gens, 0)
     for m in range(-window, window + 1):
         xp = {}
         xm = {}
-        am = ExactScalar.q_power(r * m)
         for j in range(N + 1):
             if j > 0:
-                xp[(j - 1, j)] = am * ExactScalar.q_power(2 * ri * m * (1 - j))
+                # q^{rm} q^{2 r_i m (1-j)}
+                xp[(j - 1, j)] = ExactScalar({2 * r * m + 4 * ri * m * (1 - j): 1})
             if j < N:
-                xm[(j + 1, j)] = (gamma * am * ExactScalar.q_power(-ri * (2 * m + 1) * j)
-                                  * qnum(j + 1, ri) / denom)
+                # gamma q^{rm} q^{-r_i (2m+1) j} [j+1]_{q_i} / (q_i - q_i^{-1})
+                xm[(j + 1, j)] = _qnum_over(1, gamma_exp + r * m - ri * (2 * m + 1) * j,
+                                            j + 1, ri, den)
         gens[(X_PLUS, i, m)] = xp
         gens[(X_MINUS, i, m)] = xm
         up[(X_PLUS, i, m)] = -1
@@ -243,9 +250,8 @@ def _psistar_module(cd, i, r, window):
     # symbol has up-shift 0 and both columns are checked
     up = dict.fromkeys(gens, 0)
     for m in range(-window, window + 1):
-        am = ExactScalar.q_power(r * m)
-        gens[(X_MINUS, i, m)] = {(1, 0): am}
-        gens[(X_PLUS, i, m)] = {(0, 1): am * ExactScalar.q_power(-cd.ri(i))}
+        gens[(X_MINUS, i, m)] = {(1, 0): ExactScalar({2 * r * m: 1})}
+        gens[(X_PLUS, i, m)] = {(0, 1): ExactScalar({2 * (r * m - cd.ri(i)): 1})}
     weights = [lw.const for lw in lws]
     return ExplicitModule(cd, "psistar", {"node": i, "shift": r}, 2, weights,
                           gens, window, up, lweights=lws)
@@ -607,11 +613,30 @@ def _kron(a, b, nb):
             for (r1, c1), s1 in a.items() for (r2, c2), s2 in b.items()}
 
 
+def _kron_cols(terms, nb, width):
+    """The packed table of sum a (x) b over [(a, b)] packed tables: packing
+    is a ring homomorphism, so an entry is a packed_mul of factor entries,
+    summed where two terms meet."""
+    out = {}
+    for a, b in terms:
+        for c1, col1 in a.items():
+            for c2, col2 in b.items():
+                col = out.setdefault(c1 * nb + c2, {})
+                for r1, s1 in col1:
+                    for r2, s2 in col2:
+                        r = r1 * nb + r2
+                        p = packed_mul(s1, s2)
+                        col[r] = p if r not in col else packed_add(col[r], p, width)
+    return {c: list(col.items()) for c, col in out.items()} or None
+
+
 def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
     """Check Delta_{+-}: U_q(sl2) -> U_q^{+-} (x) U_q^{-+} on V(gamma) (x) W(beta).
 
     Delta_+(e) = e(x)1 + k^{-1}(x)e, Delta_+(f) = f(x)k + 1(x)f,
-    Delta_+(k) = k(x)k (and the mirrored formulas for Delta_-).
+    Delta_+(k) = k(x)k (and the mirrored formulas for Delta_-).  The tensor
+    tables are packed products of the factor tables, each packed once; the
+    ExactScalar kron (gens) is packed only by a walk at a wider width.
     """
     kinds = ("osc_verma_plus", "osc_verma_minus")
     kind1, kind2 = kinds if sign > 0 else kinds[::-1]
@@ -619,19 +644,22 @@ def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
     m2 = build_module(kind2, {"gamma_exp": beta_exp}, cutoff, 1)
     n2 = m2.size
     size = m1.size * n2
-    eye1 = {(j, j): ONE for j in range(m1.size)}
-    eye2 = {(j, j): ONE for j in range(n2)}
     kpm = "kinv" if sign > 0 else "k"
     kpm2 = "k" if sign > 0 else "kinv"
-    E = poly_add(_kron(m1.matrix("e"), eye2, n2), _kron(m1.matrix(kpm), m2.matrix("e"), n2))
-    F = poly_add(_kron(m1.matrix("f"), m2.matrix(kpm2), n2), _kron(eye1, m2.matrix("f"), n2))
-    K = _kron(m1.matrix("k"), m2.matrix("k"), n2)
-    Kinv = _kron(m1.matrix("kinv"), m2.matrix("kinv"), n2)
+    # Delta(x) = sum a (x) b over symbol pairs (a, b), None the identity
+    delta = {"e": [("e", None), (kpm, "e")], "f": [("f", kpm2), (None, "f")],
+             "k": [("k", "k")], "kinv": [("kinv", "kinv")]}
+    mats = [{None: {(j, j): ONE for j in range(m.size)}, **m.gens} for m in (m1, m2)]
+    tabs = [{sym: _pack_cols(mat, PACK_WIDTH) or {} for sym, mat in ms.items()} for ms in mats]
+    gens = {x: reduce(poly_add, [_kron(mats[0][a], mats[1][b], n2) for a, b in terms])
+            for x, terms in delta.items()}
     weights = [w1.mul(w2) for w1 in m1.weights for w2 in m2.weights]
-    gens = {"e": E, "f": F, "k": K, "kinv": Kinv}
     # f raises either tensor factor: exclude top rows of both factors
     mod = ExplicitModule(m1.cd, "osc_tensor", {"sign": sign}, size, weights, gens, 0,
                          dict.fromkeys(gens, 0))
+    mod._cols = {x: (0, _kron_cols([(tabs[0][a], tabs[1][b]) for a, b in terms], n2,
+                                   PACK_WIDTH))
+                 for x, terms in delta.items()}
     denom = ExactScalar.q_power(1) - ExactScalar.q_power(-1)
     rels = _sl2_relations([(-ONE / denom, ["k"]), (ONE / denom, ["kinv"])])
     # columns with both tensor indices below the cutoffs (f may raise each once)

@@ -303,15 +303,17 @@ def pack(s, width=PACK_WIDTH):
     """The ExactScalar s as (e, N, D, B) at v = 2**width.
 
     The Fraction coefficients of s are cleared by the lcm of their
-    denominators, and n and d start at v**0: for a normalized s.den, d is
-    s.den times that lcm.  Zero packs as (0, 0, 1, 1).
+    denominators (nothing to clear when all are ints), and n and d start at
+    v**0: for a normalized s.den, d is s.den times that lcm.  Zero packs as
+    (0, 0, 1, 1).
     """
     num, den = s.num, s.den
     if not num:
         return (0, 0, 1, 1)
-    lcm = math.lcm(*[c.denominator for p in (num, den) for c in p.values()])
-    num = {e: c.numerator * (lcm // c.denominator) for e, c in num.items()}
-    den = {e: c.numerator * (lcm // c.denominator) for e, c in den.items()}
+    if not all(type(c) is int for p in (num, den) for c in p.values()):
+        lcm = math.lcm(*[c.denominator for p in (num, den) for c in p.values()])
+        num = {e: c.numerator * (lcm // c.denominator) for e, c in num.items()}
+        den = {e: c.numerator * (lcm // c.denominator) for e, c in den.items()}
     nlo, dlo = min(num), min(den)
     bound = max(sum(map(abs, num.values())), sum(map(abs, den.values())))
     return (nlo - dlo, _eval_at(num, width, nlo), _eval_at(den, width, dlo), bound)

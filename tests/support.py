@@ -1,15 +1,16 @@
 """Test-side helpers and oracles that no library code calls."""
 
 import json
+import math
 import os
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from shiftedq.cartan import a_in_y, basis_generator, invert_quantum_cartan
+from shiftedq.cartan import a_in_y, basis_generator, build_cartan, invert_quantum_cartan
 from shiftedq.langlands import psi_of_monomial
 from shiftedq.lweight import LWeightMonomial, generator, leq_certificate
 from shiftedq import modrep
-from shiftedq.modrep import PHI_MINUS, PHI_PLUS, X_MINUS, X_PLUS, _poly_from_shifts
+from shiftedq.modrep import PHI_MINUS, PHI_PLUS, X_MINUS, X_PLUS
 from shiftedq.qchar import (
     FMBudgetError,
     FMError,
@@ -22,8 +23,8 @@ from shiftedq.qchar import (
     qc_mul,
 )
 from shiftedq import truncation
-from shiftedq.scalars import (PACK_WIDTH, ONE, ExactScalar, fit_width, pack, packed_add,
-                              packed_mul, qbinom, unpack)
+from shiftedq.scalars import (PACK_WIDTH, ONE, ZERO, ExactScalar, fit_width, pack, packed_add,
+                              packed_mul, qbinom, qnum, unpack)
 from shiftedq.truncation import abar_eigenvalue
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -97,7 +98,7 @@ def abar_series_oracle(z, psi, i, order=8):
     if ev is None:
         return {"ok": False, "reason": "no nonnegative Lambda factorization"}
     # product polynomial at z (roots shifted back by +r_i): Ybar(z) has roots q^u
-    poly = _poly_from_shifts([r + cd.ri(i) for r in ev["roots"]])
+    poly = poly_from_shifts_reference([r + cd.ri(i) for r in ev["roots"]])
     ok = True
     for k in range(order + 1):
         want = poly[k] if k < len(poly) else ExactScalar.from_int(0)
@@ -105,6 +106,133 @@ def abar_series_oracle(z, psi, i, order=8):
             ok = False
             break
     return {"ok": ok, "order": order, "roots": ev["roots"]}
+
+
+# ---------------------------------------------------------------------------
+# module construction as ExactScalar chains: the reference for modrep's
+# Laurent-polynomial series and one-constructor entries
+# ---------------------------------------------------------------------------
+
+def poly_from_shifts_reference(shifts):
+    """prod_s (1 - z q^s) as a dense list of ExactScalar coefficients."""
+    out = [ONE]
+    for s in shifts:
+        nxt = [ZERO] * (len(out) + 1)
+        qs = ExactScalar.q_power(s)
+        for k, c in enumerate(out):
+            nxt[k] = nxt[k] + c
+            nxt[k + 1] = nxt[k + 1] - c * qs
+        out = nxt
+    return out
+
+
+def component_series_reference(const, zeros, poles, nmodes, direction):
+    """Modes of const * prod(1-zq^z)/prod(1-zq^p) as {mode: ExactScalar},
+    every coefficient an ExactScalar product chain."""
+    num = poly_from_shifts_reference(zeros)
+    den = poly_from_shifts_reference(poles)
+    deg = 0
+    if direction == -1:
+        deg = len(num) - len(den)
+        lead = den[-1]
+        num = [c / lead for c in reversed(num)]
+        den = [c / lead for c in reversed(den)]
+    out = {}
+    prev = []
+    for k in range(nmodes + 1):
+        c = num[k] if k < len(num) else ZERO
+        for l in range(1, min(k, len(den) - 1) + 1):
+            c = c - den[l] * prev[k - l]
+        prev.append(c)
+        if c:
+            out[deg + direction * k] = const * c
+    return out
+
+
+def _node_gens_reference(cd, lws, window, scale=ONE):
+    gens = {}
+    for m in range(-window, window + 1):
+        for jn in cd.nodes():
+            gens[(X_PLUS, jn, m)] = {}
+            gens[(X_MINUS, jn, m)] = {}
+    nm = 2 * window + 2
+    for jn in cd.nodes():
+        for sym, direction in ((PHI_PLUS, 1), (PHI_MINUS, -1)):
+            mats = {mm: {} for mm in range(-nm, nm + 1)}
+            for j, lw in enumerate(lws):
+                zeros = []
+                poles = []
+                for (node, t), e in lw.exps.items():
+                    if node == jn:
+                        zeros.extend([t] * e) if e > 0 else poles.extend([t] * (-e))
+                const = lw.const.coordinate_scalar(jn - 1)
+                for mm, s in component_series_reference(const, zeros, poles, nm,
+                                                        direction).items():
+                    if -nm <= mm <= nm:
+                        mats[mm][(j, j)] = scale * s
+            for mm, mat in mats.items():
+                gens[(sym, jn, mm)] = mat
+    return gens
+
+
+def module_gens_reference(kind, params, cutoff, window):
+    """The generator matrices of modrep.build_module(kind, params, cutoff,
+    window), each entry built as a chain of ExactScalar products."""
+    q = ExactScalar.q_power
+    N = cutoff
+    g = params.get("gamma_exp", 0)
+    r = params.get("shift", 0)
+    gamma = q(g)
+    if kind.startswith("osc_verma"):
+        denom = q(1) - q(-1)
+        e, f, k, kinv = {}, {}, {}, {}
+        for j in range(N + 1):
+            kj = gamma * q(-2 * j)
+            k[(j, j)] = kj
+            kinv[(j, j)] = ONE / kj
+            if j > 0:
+                e[(j - 1, j)] = ONE
+            if j < N:
+                if kind.endswith("plus"):
+                    f[(j + 1, j)] = gamma * q(-j) * qnum(j + 1) / denom
+                else:
+                    f[(j + 1, j)] = -(ONE / gamma) * q(j) * qnum(j + 1) / denom
+        return {"e": e, "f": f, "k": k, "kinv": kinv}
+    cd = build_cartan("A1" if kind == "eval_sl2" else params.get("type", "A1"))
+    i = params.get("node", 1)
+    ri = cd.ri(i)
+    if kind == "psistar":
+        lws = list(qc_closed_form(cd, "psistar", i, r, 1).terms)
+        gens = _node_gens_reference(cd, lws, window)
+        for m in range(-window, window + 1):
+            gens[(X_MINUS, i, m)] = {(1, 0): q(r * m)}
+            gens[(X_PLUS, i, m)] = {(0, 1): q(r * m) * q(-ri)}
+        return gens
+    denom = q(ri) - q(-ri)
+    lws = list(qc_closed_form(cd, "psitilde", i, r, N).terms)
+    gens = _node_gens_reference(cd, lws, window, gamma)
+    for m in range(-window, window + 1):
+        am = q(r * m)
+        gens[(X_PLUS, i, m)] = {(j - 1, j): am * q(2 * ri * m * (1 - j))
+                                for j in range(1, N + 1)}
+        gens[(X_MINUS, i, m)] = {(j + 1, j): (gamma * am * q(-ri * (2 * m + 1) * j)
+                                              * qnum(j + 1, ri) / denom)
+                                 for j in range(N)}
+    return gens
+
+
+def pack_reference(s, width=PACK_WIDTH):
+    """scalars.pack with the lcm clearing always taken."""
+    num, den = s.num, s.den
+    if not num:
+        return (0, 0, 1, 1)
+    lcm = math.lcm(*[c.denominator for p in (num, den) for c in p.values()])
+    num = {e: c.numerator * (lcm // c.denominator) for e, c in num.items()}
+    den = {e: c.numerator * (lcm // c.denominator) for e, c in den.items()}
+    nlo, dlo = min(num), min(den)
+    bound = max(sum(map(abs, num.values())), sum(map(abs, den.values())))
+    ev = lambda p, lo: sum(c << (width * (e - lo)) for e, c in p.items())
+    return (nlo - dlo, ev(num, nlo), ev(den, dlo), bound)
 
 
 # ---------------------------------------------------------------------------

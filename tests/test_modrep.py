@@ -19,8 +19,9 @@ from shiftedq.modrep import (
     component_series,
     t_series_ratio,
 )
-from shiftedq.scalars import PACK_WIDTH, ExactScalar, ONE, ZERO, qnum
-from support import check_relations_reference
+from shiftedq.scalars import PACK_WIDTH, ExactScalar, ONE, ZERO, qnum, unpack
+from support import (check_relations_reference, component_series_reference,
+                     module_gens_reference)
 
 A1 = build_cartan("A1")
 B2 = build_cartan("B2")
@@ -175,6 +176,48 @@ def test_module_entries_are_built_coprime():
                 assert (r.num, r.den) == (s.num, s.den), (mod.kind, mod.params, s)
                 fractions += len(s.den) > 1
     assert fractions > 500, fractions
+
+
+def test_component_series_matches_exactscalar_chains():
+    # the Laurent-polynomial recurrence gives the modes of the ExactScalar one
+    rng = random.Random(33)
+    for _ in range(300):
+        zeros = [rng.randrange(-5, 6) for _ in range(rng.randrange(5))]
+        poles = [rng.randrange(-5, 6) for _ in range(rng.randrange(5))]
+        const = ExactScalar.q_power(rng.randrange(-3, 4)) * rng.choice((1, -1))
+        if rng.random() < 0.3:  # a one-term numerator over a denominator
+            const = const / (ONE - ExactScalar.q_power(rng.choice((1, 2))))
+        args = (const, zeros, poles, rng.randrange(8), rng.choice((1, -1)))
+        got, want = component_series(*args), component_series_reference(*args)
+        assert got.keys() == want.keys(), args
+        assert all(got[m] == s and got[m].key() == s.key() for m, s in want.items()), args
+
+
+def test_module_entries_match_exactscalar_chains():
+    # every generator matrix built from Laurent polynomials and one
+    # constructor per x entry equals the ExactScalar-chain construction:
+    # same keys, equal entries with equal key()
+    cases = [("eval_sl2", {"gamma_exp": g, "shift": s}, 5, 3)
+             for g in range(-3, 4) for s in range(-4, 5, 2)]
+    cases += [(kind, {"gamma_exp": g}, 6, 1)
+              for kind in ("osc_verma_plus", "osc_verma_minus") for g in range(-3, 4)]
+    for t in ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3"):
+        for i in build_cartan(t).nodes():
+            for w in (1, 2, 3):
+                cases.append(("psistar", {"type": t, "node": i, "shift": w - 2}, 1, w))
+                cases += [("psitilde", {"type": t, "node": i, "shift": (i + c) % 3 - 1}, c, w)
+                          for c in range(1, 7)]
+    entries = 0
+    for kind, params, cutoff, window in cases:
+        gens = build_module(kind, params, cutoff, window).gens
+        ref = module_gens_reference(kind, params, cutoff, window)
+        assert gens.keys() == ref.keys(), (kind, params)
+        for sym, mat in ref.items():
+            assert gens[sym].keys() == mat.keys(), (kind, params, sym)
+            for rc, s in mat.items():
+                assert gens[sym][rc] == s and gens[sym][rc].key() == s.key(), (kind, params, sym)
+            entries += len(mat)
+    assert len(cases) == 35 + 14 + 18 * 3 * 7 and entries > 40000, entries
 
 
 def test_psitilde_pmz_coefficient_check():
@@ -473,21 +516,101 @@ def test_generators_packed_on_first_use(monkeypatch):
     assert len(syms) == len(set(syms)) < len(mod.gens)
     assert all(abs(s[2]) <= 4 for s in syms)
     assert any(abs(s[2]) > 5 for s in mod.gens)
-    # the coproduct packs the tensor module's e, f, k, kinv, not its factors
+    # the coproduct packs each factor table (and each identity) at most
+    # once, fills the tensor module's tables from them, and sends no tensor
+    # entry through pack
     factors = []
+    tensors = []
     real_build = modrep.build_module
+    real_check = modrep._check_products
 
     def kept(*args):
         factors.append(real_build(*args))
         return factors[-1]
 
+    def checked(mod, products, **kw):
+        tensors.append(mod)
+        return real_check(mod, products, **kw)
+
     monkeypatch.setattr(modrep, "build_module", kept)
+    monkeypatch.setattr(modrep, "_check_products", checked)
     packed.clear()
+    pack_calls.clear()
     assert check_coproduct(-1, 2, -1, cutoff=4)["ok"]
-    assert len(factors) == 2 and len(packed) == len({id(m) for m in packed}) == 4
-    tensor = {(r, c) for m in packed for r, c in m}
-    assert max(max(rc) for rc in tensor) == 5 * 5 - 1
-    assert all(m is not f for m in packed for fm in factors for f in fm.gens.values())
+    assert len(factors) == 2 and len({id(m) for m in tensors}) == 1
+    tensor = tensors[0]
+    assert len(packed) == len({id(m) for m in packed}) == 2 * 5
+    assert not any(m is t for m in packed for t in tensor.gens.values())
+    assert all(tensor._cols[sym][1] for sym in ("e", "f", "k", "kinv"))
+    assert max(r for _, cols in tensor._cols.values() for c, col in cols.items()
+               for r, _ in col) == 5 * 5 - 1
+    factor_ids = {id(s) for fm in factors for m in fm.gens.values() for s in m.values()}
+    tensor_only = {id(s) for m in tensor.gens.values() for s in m.values()} - factor_ids
+    assert tensor_only and not tensor_only & {id(s) for s in pack_calls}
+
+
+def _unpacked(cols):
+    return {c: {r: unpack(p) for r, p in col} for c, col in (cols or {}).items()}
+
+
+def test_tensor_tables_match_packed_kron(monkeypatch):
+    # the tables filled from the factor modules unpack to the scalars
+    # _pack_cols reads off the ExactScalar kron, for both signs over a
+    # gamma / beta / cutoff grid (no relation is checked here)
+    built = []
+
+    class Recorded(modrep.ExplicitModule):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(modrep, "ExplicitModule", Recorded)
+    monkeypatch.setattr(modrep, "_sl2_relations", lambda tail: [])
+    entries = 0
+    for sign, g, b, cutoff in product((1, -1), range(-3, 4), range(-3, 4), range(2, 7)):
+        assert check_coproduct(sign, g, b, cutoff)["ok"]
+        tensor = built[-1]
+        assert tensor.kind == "osc_tensor" and tensor._cols.keys() == tensor.gens.keys()
+        for sym, mat in tensor.gens.items():
+            up, cols = tensor._cols[sym]
+            got, want = _unpacked(cols), _unpacked(modrep._pack_cols(mat, PACK_WIDTH))
+            assert up == 0 and got == want, (sign, g, b, cutoff, sym)
+            assert all(got[c][r].key() == s.key() for c, col in want.items()
+                       for r, s in col.items())
+            entries += len(mat)
+    assert entries == 2 * 7 * 7 * sum(6 * n * n - 4 * n for n in range(3, 8))
+
+
+def test_tensor_walk_below_the_bound_refits(monkeypatch):
+    # tensor tables filled at a width of 4 bits: a walk whose bound reaches
+    # 2**3 is packed again at fit_width from the ExactScalar kron, and every
+    # residual equals the one read at 64 bits
+    seen = []
+    real = modrep._check_products
+
+    def checked(mod, products, **kw):
+        seen.append(mod)
+        return real(mod, products, **kw)
+
+    widths = []
+    real_fit = modrep.fit_width
+    monkeypatch.setattr(modrep, "_check_products", checked)
+    monkeypatch.setattr(modrep, "fit_width", lambda b: widths.append(real_fit(b)) or widths[-1])
+    monkeypatch.setattr(modrep, "PACK_WIDTH", 4)
+    for sign in (1, -1):
+        seen.clear()
+        assert check_coproduct(sign, 2, -1, cutoff=4)["ok"]
+        tensor = seen[0]
+        assert all(p[3] < 8 for _, cols in tensor._cols.values() for col in cols.values()
+                   for _, p in col)
+        words = [["f"], ["e", "f"], ["f", "f"], ["k", "f", "f"], ["e", "kinv", "f", "f"],
+                 ["e", "e", "f", "f", "k"]]
+        for products in [[(ONE, w)] for w in words] + [[(ONE, w) for w in words]]:
+            narrow = modrep._resolve(tensor, products, 4)[1]
+            wide = modrep._resolve(tensor, products, 64)[1]
+            for j in range(tensor.size):
+                assert modrep._residual(narrow, j) == modrep._residual(wide, j), (products, j)
+    assert widths and all(w >= PACK_WIDTH for w in widths)
 
 
 def test_coproduct_identity_factors_make_no_products(monkeypatch):

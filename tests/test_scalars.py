@@ -22,6 +22,7 @@ from shiftedq.scalars import (
     qnum,
     unpack,
 )
+from support import pack_reference
 
 coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -390,6 +391,23 @@ def test_packed_ops_match_exact_scalar():
     # every operation is read both at PACK_WIDTH and, after the wide
     # coefficients, at fit_width
     assert all(30 <= n <= 220 for n in widened.values()), widened
+
+
+def test_pack_int_fast_path_matches_lcm_clearing():
+    # a scalar with only int coefficients skips the lcm clearing, and packs
+    # to the tuple the clearing gives; Fraction coefficients still clear
+    rng = random.Random(33)
+    dens = [{0: 1}, {0: 1, 4: -1}, {0: 1, 1: 3, 3: -2}]
+    ints = 0
+    for _ in range(400):
+        s = _random_laurent_fraction(rng)
+        if s and rng.random() < 0.5:
+            s = ExactScalar({e: rng.randint(1, 9) * rng.choice((1, -1)) for e in s.num},
+                            rng.choice(dens))
+        ints += all(type(c) is int for p in (s.num, s.den) for c in p.values())
+        for w in (PACK_WIDTH, PACK_WIDTH + 9):
+            assert pack(s, w) == pack_reference(s, w), s
+    assert 150 < ints < 350, ints
 
 
 def test_packed_format():
