@@ -114,9 +114,11 @@ def component_series(const, zeros, poles, nmodes, direction):
     The recurrence runs on Laurent polynomials and never divides: den has
     constant term 1, and its z^{-1}-side lead is the monomial +-v^e.
     """
+    if len(const.num) != 1:
+        raise ValueError(f"component_series needs a one-term numerator, not {const.num}")
+    [(ce, c)] = const.num.items()
     num = _poly_from_shifts(zeros)
     den = _poly_from_shifts(poles)
-    [(ce, c)] = const.num.items()
     deg = 0
     if direction == -1:
         # the z^{-1} side is the z side of both polynomials reversed and
@@ -163,7 +165,7 @@ def _osc_verma(sign, gamma_exp, cutoff):
     """Verma modules of the q-oscillator algebras U_q^{+-}(sl_2)."""
     cd = build_cartan("A1")
     N = cutoff
-    den = {0: 1, 4: -1}  # (q - q^{-1}) / -v^2
+    den = {0: 1, 4: -1}  # (q - q^{-1}) / -v^{-2}
     e = {}
     f = {}
     k = {}
@@ -213,7 +215,7 @@ def _affine_node_module(cd, i, r, cutoff, window, kind, gamma_exp=0):
     infinite ladder v_m with x^+-,phi acting through node i only."""
     N = cutoff
     ri = cd.ri(i)
-    den = {0: 1, 4 * ri: -1}  # (q_i - q_i^{-1}) / -v^{2 r_i}, every x^- is over it
+    den = {0: 1, 4 * ri: -1}  # (q_i - q_i^{-1}) / -v^{-2 r_i}, every x^- is over it
     lws = list(qc_closed_form(cd, "psitilde", i, r, N).terms)  # ladder order
     # the gamma-twist multiplies the phi series and x^-
     gens = _node_gens(cd, lws, window, ExactScalar.q_power(gamma_exp))

@@ -193,6 +193,12 @@ def test_component_series_matches_exactscalar_chains():
         assert all(got[m] == s and got[m].key() == s.key() for m, s in want.items()), args
 
 
+def test_component_series_rejects_multi_term_consts():
+    for const in (ONE + ExactScalar.q_power(1), ZERO):
+        with pytest.raises(ValueError, match="one-term numerator"):
+            component_series(const, [1], [], 3, 1)
+
+
 def test_module_entries_match_exactscalar_chains():
     # every generator matrix built from Laurent polynomials and one
     # constructor per x entry equals the ExactScalar-chain construction:
