@@ -8,19 +8,18 @@ as exact identities for all modes inside the window; basis columns whose
 raising chains would cross the cutoff are excluded rather than approximated
 (exactness over coverage).  The verifier walks column tables packed at
 v = 2**W (scalars.pack) the first time a relation word holds their
-generator (a coproduct's tensor tables are packed products of its factors'
-tables), so a relation residual is a sum of plain int products; a nonzero
-residual is unpacked back into an ExactScalar only to be returned or
-reported.
+generator (a coproduct's tensor tables, at every width, are packed
+products of its factors' tables), so a relation residual is a sum of plain
+int products; a nonzero residual is unpacked back into an ExactScalar only
+to be returned or reported.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import permutations, product as iproduct
 
 from .cartan import build_cartan
-from .kernel import poly_add, poly_mul, poly_scale, poly_sub
+from .kernel import poly_mul, poly_scale, poly_sub
 from .lweight import leq_certificate
 from .qchar import qc_closed_form
 from .scalars import (PACK_WIDTH, ExactScalar, ONE, ConstantFactor, fit_width, pack,
@@ -62,6 +61,10 @@ class ExplicitModule:
 
     def matrix(self, symbol):
         return self.gens.get(symbol, {})
+
+    def packed_table(self, sym, width):
+        """The packed table of a symbol at v = 2**width."""
+        return _pack_cols(self.gens.get(sym, {}), width)
 
     def apply_word(self, word, j):
         """Apply a product of symbols (leftmost acts last) to basis vector j."""
@@ -300,8 +303,8 @@ _UNITS = {(0, 1, 1, 1): 1, (0, -1, 1, 1): -1}
 def _resolve(mod, products, width=PACK_WIDTH, packs=None):
     """(max up-shift, walks) of a relation given as [(coeff, word)].
 
-    A symbol resolves to its up-shift and _pack_cols table once per module
-    at PACK_WIDTH, the first time a word holds it (mod._cols), and once per
+    A symbol resolves to its up-shift and packed_table once per module at
+    PACK_WIDTH, the first time a word holds it (mod._cols), and once per
     call at a wider width.  A word reads its tables rightmost first with its
     max prefix cumulative up-shift; one holding a None table acts by zero and
     has no walk, but its up-shift still counts.  A walk is (packed coeff,
@@ -319,8 +322,7 @@ def _resolve(mod, products, width=PACK_WIDTH, packs=None):
         for sym in reversed(word):
             hit = cache.get(sym)
             if hit is None:
-                hit = cache[sym] = (mod.upshift.get(sym, 0),
-                                    _pack_cols(mod.gens.get(sym, {}), width))
+                hit = cache[sym] = (mod.upshift.get(sym, 0), mod.packed_table(sym, width))
             tot += hit[0]
             if tot > maxup:
                 maxup = tot
@@ -609,12 +611,6 @@ def check_relations(module):
 # oscillator coproducts Delta_{+-} checked as relation identities
 # ---------------------------------------------------------------------------
 
-def _kron(a, b, nb):
-    """a (x) b; an entry times ONE is the entry itself, shared, not a copy."""
-    return {(r1 * nb + r2, c1 * nb + c2): s2 if s1 is ONE else s1 if s2 is ONE else s1 * s2
-            for (r1, c1), s1 in a.items() for (r2, c2), s2 in b.items()}
-
-
 def _kron_cols(terms, nb, width):
     """The packed table of sum a (x) b over [(a, b)] packed tables: packing
     is a ring homomorphism, so an entry is a packed_mul of factor entries,
@@ -632,36 +628,45 @@ def _kron_cols(terms, nb, width):
     return {c: list(col.items()) for c, col in out.items()} or None
 
 
+class _TensorModule(ExplicitModule):
+    """m1 (x) m2, a symbol acting as the sum of a (x) b over its delta pairs
+    of factor symbols (None the identity); its tables are _kron_cols of the
+    factor tables, packed once per width."""
+
+    def __init__(self, m1, m2, delta, params):
+        super().__init__(m1.cd, "osc_tensor", params, m1.size * m2.size, None, {}, 0, {})
+        self.factors = (m1, m2)
+        self.delta = delta
+        self._factor_cols = {}  # width -> [{symbol: table}] of the factors
+
+    def packed_table(self, sym, width):
+        tabs = self._factor_cols.get(width)
+        if tabs is None:
+            tabs = self._factor_cols[width] = [
+                {a: _pack_cols(mat, width) or {} for a, mat in
+                 [(None, {(j, j): ONE for j in range(m.size)}), *m.gens.items()]}
+                for m in self.factors]
+        return _kron_cols([(tabs[0][a], tabs[1][b]) for a, b in self.delta.get(sym, ())],
+                          self.factors[1].size, width)
+
+
 def check_coproduct(sign, gamma_exp=0, beta_exp=0, cutoff=6):
     """Check Delta_{+-}: U_q(sl2) -> U_q^{+-} (x) U_q^{-+} on V(gamma) (x) W(beta).
 
     Delta_+(e) = e(x)1 + k^{-1}(x)e, Delta_+(f) = f(x)k + 1(x)f,
-    Delta_+(k) = k(x)k (and the mirrored formulas for Delta_-).  The tensor
-    tables are packed products of the factor tables, each packed once; the
-    ExactScalar kron (gens) is packed only by a walk at a wider width.
+    Delta_+(k) = k(x)k (and the mirrored formulas for Delta_-).  Every tensor
+    table, at PACK_WIDTH or a refit's wider width, is packed products of the
+    factor tables packed at that width (_TensorModule).
     """
     kinds = ("osc_verma_plus", "osc_verma_minus")
     kind1, kind2 = kinds if sign > 0 else kinds[::-1]
     m1 = build_module(kind1, {"gamma_exp": gamma_exp}, cutoff, 1)
     m2 = build_module(kind2, {"gamma_exp": beta_exp}, cutoff, 1)
     n2 = m2.size
-    size = m1.size * n2
     kpm = "kinv" if sign > 0 else "k"
     kpm2 = "k" if sign > 0 else "kinv"
-    # Delta(x) = sum a (x) b over symbol pairs (a, b), None the identity
-    delta = {"e": [("e", None), (kpm, "e")], "f": [("f", kpm2), (None, "f")],
-             "k": [("k", "k")], "kinv": [("kinv", "kinv")]}
-    mats = [{None: {(j, j): ONE for j in range(m.size)}, **m.gens} for m in (m1, m2)]
-    tabs = [{sym: _pack_cols(mat, PACK_WIDTH) or {} for sym, mat in ms.items()} for ms in mats]
-    gens = {x: reduce(poly_add, [_kron(mats[0][a], mats[1][b], n2) for a, b in terms])
-            for x, terms in delta.items()}
-    weights = [w1.mul(w2) for w1 in m1.weights for w2 in m2.weights]
-    # f raises either tensor factor: exclude top rows of both factors
-    mod = ExplicitModule(m1.cd, "osc_tensor", {"sign": sign}, size, weights, gens, 0,
-                         dict.fromkeys(gens, 0))
-    mod._cols = {x: (0, _kron_cols([(tabs[0][a], tabs[1][b]) for a, b in terms], n2,
-                                   PACK_WIDTH))
-                 for x, terms in delta.items()}
+    mod = _TensorModule(m1, m2, {"e": [("e", None), (kpm, "e")], "f": [("f", kpm2), (None, "f")],
+                                 "k": [("k", "k")], "kinv": [("kinv", "kinv")]}, {"sign": sign})
     denom = ExactScalar.q_power(1) - ExactScalar.q_power(-1)
     rels = _sl2_relations([(-ONE / denom, ["k"]), (ONE / denom, ["kinv"])])
     # columns with both tensor indices below the cutoffs (f may raise each once)

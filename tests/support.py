@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from shiftedq.cartan import a_in_y, basis_generator, build_cartan, invert_quantum_cartan
+from shiftedq.kernel import poly_add
 from shiftedq.langlands import psi_of_monomial
 from shiftedq.lweight import LWeightMonomial, generator, leq_certificate
 from shiftedq import modrep
@@ -219,6 +220,29 @@ def module_gens_reference(kind, params, cutoff, window):
                                               * qnum(j + 1, ri) / denom)
                                  for j in range(N)}
     return gens
+
+
+def tensor_gens_reference(sign, gamma_exp, beta_exp, cutoff):
+    """The generator matrices of the tensor module that
+    modrep.check_coproduct(sign, gamma_exp, beta_exp, cutoff) checks, each
+    entry an ExactScalar product of module_gens_reference entries:
+    Delta_+(e) = e(x)1 + k^{-1}(x)e, Delta_+(f) = f(x)k + 1(x)f,
+    Delta_+(k) = k(x)k, with k and k^{-1} swapped for Delta_-."""
+    kinds = ("osc_verma_plus", "osc_verma_minus")
+    kind1, kind2 = kinds if sign > 0 else kinds[::-1]
+    a = module_gens_reference(kind1, {"gamma_exp": gamma_exp}, cutoff, 1)
+    b = module_gens_reference(kind2, {"gamma_exp": beta_exp}, cutoff, 1)
+    n = cutoff + 1
+    eye = {(j, j): ONE for j in range(n)}
+
+    def kron(x, y):
+        return {(r1 * n + r2, c1 * n + c2): s1 * s2
+                for (r1, c1), s1 in x.items() for (r2, c2), s2 in y.items()}
+
+    kpm, kpm2 = ("kinv", "k") if sign > 0 else ("k", "kinv")
+    return {"e": poly_add(kron(a["e"], eye), kron(a[kpm], b["e"])),
+            "f": poly_add(kron(a["f"], b[kpm2]), kron(eye, b["f"])),
+            "k": kron(a["k"], b["k"]), "kinv": kron(a["kinv"], b["kinv"])}
 
 
 def pack_reference(s, width=PACK_WIDTH):

@@ -21,7 +21,7 @@ from shiftedq.modrep import (
 )
 from shiftedq.scalars import PACK_WIDTH, ExactScalar, ONE, ZERO, qnum, unpack
 from support import (check_relations_reference, component_series_reference,
-                     module_gens_reference)
+                     module_gens_reference, tensor_gens_reference)
 
 A1 = build_cartan("A1")
 B2 = build_cartan("B2")
@@ -502,7 +502,7 @@ def test_generators_packed_on_first_use(monkeypatch):
     real = modrep._pack_cols
 
     def recorded(mat, width):
-        packed.append(mat)
+        packed.append((mat, width))
         return real(mat, width)
 
     monkeypatch.setattr(modrep, "_pack_cols", recorded)
@@ -518,17 +518,20 @@ def test_generators_packed_on_first_use(monkeypatch):
     # a suite packs each symbol's table at most once, and never the phi
     # modes 5 and 6 (2M + 1, 2M + 2 at window M = 2) that no word holds
     assert check_relations(mod)["ok"]
-    syms = [next(s for s, m in mod.gens.items() if m is mat) for mat in packed]
+    syms = [next(s for s, m in mod.gens.items() if m is mat) for mat, _ in packed]
     assert len(syms) == len(set(syms)) < len(mod.gens)
     assert all(abs(s[2]) <= 4 for s in syms)
     assert any(abs(s[2]) > 5 for s in mod.gens)
-    # the coproduct packs each factor table (and each identity) at most
-    # once, fills the tensor module's tables from them, and sends no tensor
-    # entry through pack
+    # the coproduct packs each factor table (identity included) at most once
+    # per width, builds the tensor tables from them, and sends no tensor
+    # entry through pack: every packed scalar is a factor entry, an
+    # identity's ONE or a relation coefficient
     factors = []
     tensors = []
+    coeffs = []
     real_build = modrep.build_module
     real_check = modrep._check_products
+    real_rels = modrep._sl2_relations
 
     def kept(*args):
         factors.append(real_build(*args))
@@ -538,59 +541,73 @@ def test_generators_packed_on_first_use(monkeypatch):
         tensors.append(mod)
         return real_check(mod, products, **kw)
 
+    def rels(tail):
+        out = real_rels(tail)
+        coeffs.extend(c for _, p in out for c, _ in p)
+        return out
+
     monkeypatch.setattr(modrep, "build_module", kept)
     monkeypatch.setattr(modrep, "_check_products", checked)
+    monkeypatch.setattr(modrep, "_sl2_relations", rels)
     packed.clear()
     pack_calls.clear()
     assert check_coproduct(-1, 2, -1, cutoff=4)["ok"]
     assert len(factors) == 2 and len({id(m) for m in tensors}) == 1
     tensor = tensors[0]
-    assert len(packed) == len({id(m) for m in packed}) == 2 * 5
-    assert not any(m is t for m in packed for t in tensor.gens.values())
     assert all(tensor._cols[sym][1] for sym in ("e", "f", "k", "kinv"))
     assert max(r for _, cols in tensor._cols.values() for c, col in cols.items()
                for r, _ in col) == 5 * 5 - 1
-    factor_ids = {id(s) for fm in factors for m in fm.gens.values() for s in m.values()}
-    tensor_only = {id(s) for m in tensor.gens.values() for s in m.values()} - factor_ids
-    assert tensor_only and not tensor_only & {id(s) for s in pack_calls}
+    assert len(packed) == len({(id(m), w) for m, w in packed}) == 2 * 5
+    assert {w for _, w in packed} == {PACK_WIDTH}
+    factor_mats = {id(m) for fm in factors for m in fm.gens.values()}
+    eyes = [m for m, _ in packed if id(m) not in factor_mats]
+    assert [sorted(m) for m in eyes] == [[(j, j) for j in range(5)]] * 2
+    assert all(s is ONE for m in eyes for s in m.values())
+    allowed = {id(s) for fm in factors for m in fm.gens.values() for s in m.values()}
+    allowed |= {id(ONE)} | {id(c) for c in coeffs}
+    assert pack_calls and all(id(s) in allowed for s in pack_calls)
 
 
-def _unpacked(cols):
-    return {c: {r: unpack(p) for r, p in col} for c, col in (cols or {}).items()}
+def _unpacked(cols, width=PACK_WIDTH):
+    return {c: {r: unpack(p, width) for r, p in col} for c, col in (cols or {}).items()}
 
 
 def test_tensor_tables_match_packed_kron(monkeypatch):
-    # the tables filled from the factor modules unpack to the scalars
-    # _pack_cols reads off the ExactScalar kron, for both signs over a
-    # gamma / beta / cutoff grid (no relation is checked here)
+    # the tables built from the factor tables unpack to the scalars
+    # _pack_cols reads off the ExactScalar kron (tensor_gens_reference), at
+    # PACK_WIDTH and at 64 bits, for both signs over a gamma / beta / cutoff
+    # grid (no relation is checked here)
     built = []
 
-    class Recorded(modrep.ExplicitModule):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+    class Recorded(modrep._TensorModule):
+        def __init__(self, *args):
+            super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(modrep, "ExplicitModule", Recorded)
+    monkeypatch.setattr(modrep, "_TensorModule", Recorded)
     monkeypatch.setattr(modrep, "_sl2_relations", lambda tail: [])
     entries = 0
     for sign, g, b, cutoff in product((1, -1), range(-3, 4), range(-3, 4), range(2, 7)):
         assert check_coproduct(sign, g, b, cutoff)["ok"]
         tensor = built[-1]
-        assert tensor.kind == "osc_tensor" and tensor._cols.keys() == tensor.gens.keys()
-        for sym, mat in tensor.gens.items():
-            up, cols = tensor._cols[sym]
-            got, want = _unpacked(cols), _unpacked(modrep._pack_cols(mat, PACK_WIDTH))
-            assert up == 0 and got == want, (sign, g, b, cutoff, sym)
-            assert all(got[c][r].key() == s.key() for c, col in want.items()
-                       for r, s in col.items())
+        assert tensor.kind == "osc_tensor" and tensor.packed_table("absent", PACK_WIDTH) is None
+        ref = tensor_gens_reference(sign, g, b, cutoff)
+        assert tensor.delta.keys() == ref.keys()
+        for sym, mat in ref.items():
+            for width in (PACK_WIDTH, 64):
+                got = _unpacked(tensor.packed_table(sym, width), width)
+                want = _unpacked(modrep._pack_cols(mat, width), width)
+                assert got == want, (sign, g, b, cutoff, sym, width)
+                assert all(got[c][r].key() == s.key() for c, col in want.items()
+                           for r, s in col.items())
             entries += len(mat)
     assert entries == 2 * 7 * 7 * sum(6 * n * n - 4 * n for n in range(3, 8))
 
 
 def test_tensor_walk_below_the_bound_refits(monkeypatch):
-    # tensor tables filled at a width of 4 bits: a walk whose bound reaches
-    # 2**3 is packed again at fit_width from the ExactScalar kron, and every
-    # residual equals the one read at 64 bits
+    # tensor tables built at a width of 4 bits: a walk whose bound reaches
+    # 2**3 is packed again at fit_width from the factor tables packed at
+    # that width, and every residual equals the one read at 64 bits
     seen = []
     real = modrep._check_products
 
@@ -607,8 +624,6 @@ def test_tensor_walk_below_the_bound_refits(monkeypatch):
         seen.clear()
         assert check_coproduct(sign, 2, -1, cutoff=4)["ok"]
         tensor = seen[0]
-        assert all(p[3] < 8 for _, cols in tensor._cols.values() for col in cols.values()
-                   for _, p in col)
         words = [["f"], ["e", "f"], ["f", "f"], ["k", "f", "f"], ["e", "kinv", "f", "f"],
                  ["e", "e", "f", "f", "k"]]
         for products in [[(ONE, w)] for w in words] + [[(ONE, w) for w in words]]:
@@ -616,26 +631,104 @@ def test_tensor_walk_below_the_bound_refits(monkeypatch):
             wide = modrep._resolve(tensor, products, 64)[1]
             for j in range(tensor.size):
                 assert modrep._residual(narrow, j) == modrep._residual(wide, j), (products, j)
+        # the walks at width 4 read tables cached at that width
+        assert tensor._cols.keys() == {"e", "f", "k", "kinv"}
+        assert all(p[3] < 8 for _, cols in tensor._cols.values() for col in cols.values()
+                   for _, p in col)
     assert widths and all(w >= PACK_WIDTH for w in widths)
 
 
+def test_coproduct_reports_match_at_a_four_bit_width(monkeypatch):
+    # every relation walked from tables built at 4 bits gives the report read
+    # at PACK_WIDTH; each refit's tensor tables are _kron_cols of factor
+    # tables packed at the fit width, each factor matrix packed once a width
+    grid = list(product((1, -1), (-3, 0, 3), (-3, 0, 3), range(2, 7)))
+    want = [check_coproduct(sign, g, b, cutoff) for sign, g, b, cutoff in grid]
+    factors, packed, kroned, fits = [], {}, [], []
+    real_build, real_pack_cols, real_kron = (modrep.build_module, modrep._pack_cols,
+                                             modrep._kron_cols)
+    real_fit, real_resolve = modrep.fit_width, modrep._resolve
+
+    def kept(*args):
+        factors.append(real_build(*args))
+        return factors[-1]
+
+    def pack_cols(mat, width):
+        assert (id(mat), width) not in packed
+        packed[id(mat), width] = (mat, real_pack_cols(mat, width))
+        return packed[id(mat), width][1]
+
+    def kron_cols(terms, nb, width):
+        kroned.append((width, terms))
+        return real_kron(terms, nb, width)
+
+    monkeypatch.setattr(modrep, "build_module", kept)
+    monkeypatch.setattr(modrep, "_pack_cols", pack_cols)
+    monkeypatch.setattr(modrep, "_kron_cols", kron_cols)
+    monkeypatch.setattr(modrep, "fit_width", lambda b: fits.append(real_fit(b)) or fits[-1])
+    monkeypatch.setattr(modrep, "PACK_WIDTH", 4)
+    monkeypatch.setattr(modrep, "_resolve", lambda mod, products, width=4, packs=None:
+                        real_resolve(mod, products, width, packs))
+    for (sign, g, b, cutoff), rep in zip(grid, want):
+        for seen in (factors, packed, kroned, fits):
+            seen.clear()
+        assert check_coproduct(sign, g, b, cutoff) == rep, (sign, g, b, cutoff)
+        assert fits and {w for w, _ in kroned} == {4, *fits}
+        mats = {id(m) for fm in factors for m in fm.gens.values()}
+        tables = {}
+        for (_, width), (mat, cols) in packed.items():
+            assert id(mat) in mats or all(s is ONE and r == c for (r, c), s in mat.items())
+            tables[id(cols)] = width
+        assert all(tables[id(t)] == width for width, terms in kroned for pair in terms
+                   for t in pair)
+
+
+def test_kron_cols_sums_terms_that_meet(monkeypatch):
+    # no Delta_{+-} has two terms on one (row, col); here a (x) b and
+    # c (x) d meet on every entry but a's (0, 1) ones, and cancel on one
+    v = ExactScalar({1: 1})
+    a = {(0, 0): v, (1, 0): ONE, (0, 1): qnum(3)}
+    b = {(0, 1): qnum(2), (1, 1): ExactScalar.from_int(Fraction(1, 3))}
+    c = {(0, 0): ONE / (v - ONE), (1, 0): ONE}
+    d = {(0, 1): -qnum(2), (1, 1): v * v}
+    want = {}
+    for x, y in ((a, b), (c, d)):
+        for (r1, c1), s1 in x.items():
+            for (r2, c2), s2 in y.items():
+                key = (r1 * 2 + r2, c1 * 2 + c2)
+                want[key] = want.get(key, ZERO) + s1 * s2
+    assert len(want) == 6 and sum(not s for s in want.values()) == 1
+    adds = []
+    real_add = modrep.packed_add
+    monkeypatch.setattr(modrep, "packed_add", lambda *args: adds.append(args) or real_add(*args))
+    for width in (PACK_WIDTH, 64):
+        adds.clear()
+        pc = [modrep._pack_cols(m, width) for m in (a, b, c, d)]
+        got = modrep._kron_cols([(pc[0], pc[1]), (pc[2], pc[3])], 2, width)
+        assert len(adds) == 4
+        flat = {(r, col): s for col, rows in _unpacked(got, width).items()
+                for r, s in rows.items()}
+        assert flat == want
+        assert all(flat[k].key() == s.key() for k, s in want.items())
+
+
 def test_coproduct_identity_factors_make_no_products(monkeypatch):
-    # e (x) 1, k^{-1} (x) e (e's entries are ONE) and 1 (x) f share their
-    # entries; only f (x) k, k (x) k and k^{-1} (x) k^{-1} multiply
-    calls = []
-    real = ExactScalar.__mul__
+    # the tensor tables are packed products of factor tables: check_coproduct
+    # makes no ExactScalar product or sum beyond building its two factors
+    calls = Counter()
 
-    def counted(self, other):
-        calls.append(self is ONE or other is ONE)
-        return real(self, other)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _name=name, _op=getattr(ExactScalar, name)):
+            calls[_name] += 1
+            return _op(self, other)
 
-    monkeypatch.setattr(ExactScalar, "__mul__", counted)
+        monkeypatch.setattr(ExactScalar, name, counted)
     build_module("osc_verma_plus", {"gamma_exp": 2}, 5, 1)
     build_module("osc_verma_minus", {"gamma_exp": -1}, 5, 1)
-    built = len(calls)
+    built = Counter(calls)
+    calls.clear()
     assert check_coproduct(+1, 2, -1, cutoff=5)["ok"]
-    assert not any(calls)
-    assert len(calls) - 2 * built == 5 * 6 + 6 * 6 + 6 * 6
+    assert calls == built
 
 
 @pytest.mark.parametrize("kind,params", [
